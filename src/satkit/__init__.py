@@ -2,6 +2,7 @@
 unitary similitude groups.
 
 Submodules:
+    perm        permutations and the block (Levi Weyl) groups
     laurent     exact multivariate Laurent polynomials, Weyl actions, JSON form
     rootdata    group data, elliptic endoscopic data, stabilization coefficients
     satake      spherical Hecke algebra models and the transfer morphisms

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import factorial, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from . import perm
 from .laurent import QVAR, SIM, LaurentPoly, Var, tor
 from .rootdata import EndoTriple, PlaceContext, SignedGroupDatum
 
@@ -41,16 +42,8 @@ class UnsupportedCaseError(ValueError):
 def _scale_to_ints(lam: Sequence) -> List[int]:
     """Clear denominators: an exact positive rescaling preserving all sign tests."""
     fracs = [Fraction(x) for x in lam]
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in fracs))
     return [int(x * denom) for x in fracs]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _prefix_positive_mask(v: Sequence[int]) -> int:
@@ -62,6 +55,13 @@ def _prefix_positive_mask(v: Sequence[int]) -> int:
         if run > 0:
             mask |= 1 << r
     return mask
+
+
+def _w_s(rs: Sequence[int]) -> int:
+    out = factorial(rs[0])
+    for a, b in zip(rs, rs[1:]):
+        out *= factorial(b - a)
+    return out
 
 
 def partial_sum_signature(lam: Sequence) -> Fraction:
@@ -88,10 +88,7 @@ def partial_sum_signature(lam: Sequence) -> Fraction:
             s_mask |= 1 << (r - 1)
         count = sum(c for m, c in mask_counts.items() if m & s_mask == s_mask)
         if count:
-            w = factorial(s_set[0])
-            for a, b in zip(s_set, s_set[1:]):
-                w *= factorial(b - a)
-            total += Fraction((-1) ** len(s_set) * count, w)
+            total += Fraction((-1) ** len(s_set) * count, _w_s(s_set))
     return total
 
 
@@ -188,28 +185,6 @@ class Weight:
 # -- Kostant cohomology with truncation -------------------------------------------
 
 
-def _perm_parity(w: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] > w[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def _perm_inverse(w: Sequence[int]) -> Tuple[int, ...]:
-    out = [0] * len(w)
-    for pos, val in enumerate(w, start=1):
-        out[val - 1] = pos
-    return tuple(out)
-
-
-def _apply_perm(w: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
-    """(w.v)_i = v_{w^{-1}(i)}."""
-    inv = _perm_inverse(w)
-    return tuple(v[inv[i] - 1] for i in range(len(v)))
-
-
 def levi_blocks(n: int, s_set: Iterable[int]) -> List[List[int]]:
     """Position blocks of the standard Levi attached to a subset of {1..q}."""
     rs = sorted(set(int(r) for r in s_set))
@@ -273,7 +248,7 @@ class KostantDatum:
         blocks = self.blocks()
         reps = []
         for w in permutations(range(1, self.n + 1)):
-            inv = _perm_inverse(w)
+            inv = perm.inverse(w)
             ok = True
             for b in blocks:
                 for x, y in zip(b, b[1:]):
@@ -288,17 +263,7 @@ class KostantDatum:
 
     def levi_group(self) -> List[Tuple[Tuple[int, ...], int]]:
         """Block permutations with their signs."""
-        blocks = self.blocks()
-        out = []
-        for combo in product(*[list(permutations(b)) for b in blocks]):
-            img = list(range(1, self.n + 1))
-            det = 1
-            for b, perm in zip(blocks, combo):
-                for pos, val in zip(b, perm):
-                    img[pos - 1] = val
-                det *= _perm_parity([b.index(v) + 1 for v in perm])
-            out.append((tuple(img), det))
-        return out
+        return [(w, perm.parity(w)) for w in perm.block_perms(self.blocks())]
 
 
 @dataclass(frozen=True)
@@ -313,12 +278,7 @@ class KostantEntry:
 
     @property
     def det(self) -> int:
-        return _perm_parity(self.omega)
-
-
-def _length(w: Sequence[int]) -> int:
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+        return (-1) ** self.degree
 
 
 def kostant_cohomology(kd: KostantDatum, weight: Weight) -> List[KostantEntry]:
@@ -337,9 +297,9 @@ def kostant_cohomology(kd: KostantDatum, weight: Weight) -> List[KostantEntry]:
     r2 = rho2(kd.n)
     out = []
     for w in kd.coset_reps():
-        shifted2 = _apply_perm(w, lam2)
+        shifted2 = perm.act(w, lam2)
         weight2 = tuple(x - y for x, y in zip(shifted2, r2))
-        out.append(KostantEntry(_length(w), w, weight2, shifted2))
+        out.append(KostantEntry(perm.length(w), w, weight2, shifted2))
     out.sort(key=lambda e: (e.degree, e.omega))
     return out
 
@@ -408,20 +368,13 @@ class SignedWeightSum:
 def _sigma_act(vec: Sequence[int], sigma: Sequence[int], s: int) -> Tuple[int, ...]:
     """Permute the first s linear slots and their mirrors simultaneously."""
     n = len(vec)
-    inv = _perm_inverse(sigma)
+    inv = perm.inverse(sigma)
     out = list(vec)
     for j in range(1, s + 1):
         src = inv[j - 1]
         out[j - 1] = vec[src - 1]
         out[n - j] = vec[n - src]
     return tuple(out)
-
-
-def _w_s(rs: Sequence[int]) -> int:
-    out = factorial(rs[0])
-    for a, b in zip(rs, rs[1:]):
-        out *= factorial(b - a)
-    return out
 
 
 def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str = ">") -> Dict:
@@ -458,14 +411,14 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         coeff_base = Fraction((-1) ** (s - len(rs)), _w_s(rs))
         for e in survivors:
             for w_m, det_m in levi:
-                expanded = _apply_perm(w_m, e.shifted2)
+                expanded = perm.act(w_m, e.shifted2)
                 coeff = coeff_base * det_m * e.det
                 for sigma in permutations(range(1, s + 1)):
                     side_a.add(_sigma_act(expanded, sigma, s), coeff)
 
     side_b = SignedWeightSum()
     for w in permutations(range(1, n + 1)):
-        v = _apply_perm(w, lam2)
+        v = perm.act(w, lam2)
         ok = True
         for r in range(1, s + 1):
             val = pairing_coroot(v, r)
@@ -475,7 +428,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
                 ok = False
                 break
         if ok:
-            side_b.add(v, _perm_parity(w))
+            side_b.add(v, perm.parity(w))
 
     diff = side_a.difference(side_b)
     return {
@@ -496,10 +449,9 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
 def _alternant(exps: Sequence[int], vars_: Sequence[Var]) -> LaurentPoly:
     n = len(vars_)
     total = LaurentPoly.zero()
-    for w in permutations(range(n)):
-        sign = _perm_parity([i + 1 for i in w])
-        mono = {vars_[i]: exps[w[i]] for i in range(n) if exps[w[i]]}
-        total = total + LaurentPoly.monomial(mono, coeff=sign)
+    for w in permutations(range(1, n + 1)):
+        mono = {vars_[i]: exps[w[i] - 1] for i in range(n) if exps[w[i] - 1]}
+        total = total + LaurentPoly.monomial(mono, coeff=perm.parity(w))
     return total
 
 

@@ -46,45 +46,38 @@ PRECONDITION_ERRORS = (
 # -- flag parsing ---------------------------------------------------------------
 
 
-def parse_datum(text: str) -> GroupDatum:
-    return GroupDatum(tuple(int(x) for x in text.split(",")))
+def int_list(text: str) -> tuple:
+    """'1,2,3' -> (1, 2, 3); the empty string is the empty tuple."""
+    return tuple(int(x) for x in text.split(",")) if text else ()
 
 
-def parse_sig(text: str) -> SignedGroupDatum:
-    pairs = []
-    for part in text.split(","):
-        p, q = part.split("+")
-        pairs.append((int(p), int(q)))
-    return SignedGroupDatum(tuple(pairs))
+def int_pair(text: str) -> tuple:
+    """'2,1' -> (2, 1)."""
+    p, q = int_list(text)
+    return p, q
 
 
-def parse_endo(text: str) -> EndoTriple:
-    plus, minus = [], []
-    for part in text.split(","):
-        a, b = part.split("-")
-        plus.append(int(a))
-        minus.append(int(b))
-    return EndoTriple(tuple(plus), tuple(minus))
+def sig_pairs(text: str) -> tuple:
+    """'2+1,1+0' -> ((2, 1), (1, 0))."""
+    pairs = [part.split("+") for part in text.split(",")]
+    return tuple((int(p), int(q)) for p, q in pairs)
 
 
-def parse_weight(text: str) -> Weight:
-    if ":" in text:
-        a_text, rest = text.split(":", 1)
-        a = int(a_text)
-    else:
-        a, rest = 0, text
-    blocks = tuple(
-        tuple(int(x) for x in block.split(",")) if block else ()
-        for block in rest.split("/")
-    )
-    return Weight(a, blocks)
+def endo_blocks(text: str) -> tuple:
+    """'1-2,2-0' -> ((1, 2), (2, 0)): the plus parts, then the minus parts."""
+    pairs = [part.split("-") for part in text.split(",")]
+    return tuple(int(a) for a, _ in pairs), tuple(int(b) for _, b in pairs)
 
 
-def parse_subsets(text: str) -> List[tuple]:
-    return [
-        tuple(int(x) for x in part.split(",")) if part else ()
-        for part in text.split(";")
-    ]
+def weight_spec(text: str) -> tuple:
+    """'a:x,y/z' -> (a, ((x, y), (z,))); the similitude part a defaults to 0."""
+    a_text, rest = text.split(":", 1) if ":" in text else ("0", text)
+    return int(a_text), tuple(int_list(block) for block in rest.split("/"))
+
+
+def subset_list(text: str) -> tuple:
+    """'1;2,3' -> ((1,), (2, 3))."""
+    return tuple(int_list(part) for part in text.split(";"))
 
 
 def make_ctx(place: str, d: int) -> PlaceContext:
@@ -106,16 +99,15 @@ def poly_payload(f: LaurentPoly) -> List:
 
 
 def cmd_satake_kottwitz(args) -> int:
-    g = parse_datum(args.n)
+    g = GroupDatum(args.n)
     ctx = make_ctx(args.place, args.d)
-    s_vec = tuple(int(x) for x in args.s.split(","))
-    f = satake.kottwitz_function(g, s_vec, ctx)
+    f = satake.kottwitz_function(g, args.s, ctx)
     emit(args, {"poly": poly_payload(f)}, pretty(f))
     return 0
 
 
 def cmd_base_change(args) -> int:
-    g = parse_datum(args.n)
+    g = GroupDatum(args.n)
     ctx = make_ctx(args.place, args.d)
     sub = satake.base_change_map(g, ctx)
     payload = {"images": sub.as_json_dict()}
@@ -125,8 +117,8 @@ def cmd_base_change(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    g = parse_datum(args.n)
-    h = parse_endo(args.endo)
+    g = GroupDatum(args.n)
+    h = EndoTriple(*args.endo)
     ctx = make_ctx(args.place, args.d)
     sub = satake.transfer_map(g, h, ctx)
     payload = {"images": sub.as_json_dict()}
@@ -136,8 +128,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_twisted_transfer(args) -> int:
-    g = parse_datum(args.n)
-    h = parse_endo(args.endo)
+    g = GroupDatum(args.n)
+    h = EndoTriple(*args.endo)
     ctx = make_ctx(args.place, args.d)
     sub = satake.twisted_transfer_map(g, h, ctx)
     payload = {"images": sub.as_json_dict()}
@@ -147,7 +139,7 @@ def cmd_twisted_transfer(args) -> int:
 
 
 def cmd_constant_term(args) -> int:
-    g = parse_datum(args.n)
+    g = GroupDatum(args.n)
     ctx = make_ctx(args.place, args.d)
     levi = LeviDatum(args.levi_s)
     if args.levi_kottwitz:
@@ -160,7 +152,7 @@ def cmd_constant_term(args) -> int:
 
 
 def cmd_endoscopy(args) -> int:
-    g = parse_datum(args.n)
+    g = GroupDatum(args.n)
     classes = rootdata.enumerate_endoscopic(g)
     payload = {
         "group": list(g.sizes),
@@ -179,7 +171,7 @@ def cmd_endoscopy(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    g = parse_sig(args.sig)
+    g = SignedGroupDatum(args.sig)
     datum = g.datum
     tau = rootdata.tamagawa(datum)
     k = rootdata.k_invariant(g)
@@ -188,7 +180,7 @@ def cmd_invariants(args) -> int:
     if k * tau != 2 ** (g.n - 1):
         raise ValueError("k * tau deviates from 2^{n-1}")
     if args.endo:
-        h = parse_endo(args.endo)
+        h = EndoTriple(*args.endo)
         payload["iota"] = str(rootdata.iota(datum, h))
         payload["iota_GH"] = str(rootdata.iota_gh(g, h))
     human = " ".join(f"{k_}={v}" for k_, v in payload.items())
@@ -197,9 +189,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_kostant(args) -> int:
-    p, q = (int(x) for x in args.pq.split(","))
-    kd = KostantDatum(p, q, frozenset(int(x) for x in args.sprime.split(",")))
-    weight = parse_weight(args.weight)
+    kd = KostantDatum(*args.pq, frozenset(args.sprime))
+    weight = Weight(*args.weight)
     entries = characters.kostant_cohomology(kd, weight)
     payload = {
         "entries": [
@@ -215,10 +206,9 @@ def cmd_kostant(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    p, q = (int(x) for x in args.pq.split(","))
-    s_set = frozenset(int(x) for x in args.sprime.split(","))
-    kd = KostantDatum(p, q, s_set)
-    weight = parse_weight(args.weight)
+    s_set = frozenset(args.sprime)
+    kd = KostantDatum(*args.pq, s_set)
+    weight = Weight(*args.weight)
     entries = characters.kostant_cohomology(kd, weight)
     direction = ">" if args.dir == "gt" else "<"
     kept = characters.truncate_cohomology(entries, s_set, direction)
@@ -235,17 +225,15 @@ def cmd_truncate(args) -> int:
 
 
 def cmd_weyl_char(args) -> int:
-    weight = tuple(int(x) for x in args.weight.split(","))
-    f = characters.weyl_character(args.size, weight)
+    f = characters.weyl_character(args.size, args.weight)
     emit(args, {"poly": poly_payload(f)}, pretty(f))
     return 0
 
 
 def cmd_weight_transfer(args) -> int:
-    h = parse_endo(args.endo)
-    weight = parse_weight(args.weight)
-    omega = parse_subsets(args.omega)
-    out = characters.endoscopic_weight_transfer(weight, h, omega, args.C)
+    h = EndoTriple(*args.endo)
+    weight = Weight(*args.weight)
+    out = characters.endoscopic_weight_transfer(weight, h, args.omega, args.C)
     payload = {"a": out.a, "blocks": [list(b) for b in out.blocks]}
     human = f"a={out.a} blocks={[list(b) for b in out.blocks]}"
     emit(args, payload, human)
@@ -253,7 +241,7 @@ def cmd_weight_transfer(args) -> int:
 
 
 def cmd_frobenius_trace(args) -> int:
-    g = parse_sig(args.sig)
+    g = SignedGroupDatum(args.sig)
     ctx = make_ctx(args.place, args.d)
     f = characters.frobenius_trace(g, args.m, ctx, field=args.field)
     emit(args, {"poly": poly_payload(f)}, pretty(f))
@@ -337,7 +325,7 @@ def sample_regular_weight(rng: random.Random, n: int) -> Weight:
 def cmd_verify_phi_identity(args) -> int:
     started = time.monotonic()
     rng = random.Random(args.seed)
-    p, q = (int(x) for x in args.pq.split(","))
+    p, q = args.pq
     cases = 0
     failures = []
     for _ in range(args.count):
@@ -366,10 +354,9 @@ def cmd_verify_transfer_square(args) -> int:
     if args.n is not None:
         if not args.endo:
             raise ValueError("--endo is required together with --n")
-        g = parse_datum(args.n)
-        h = parse_endo(args.endo)
-        a_set = [int(x) for x in args.A.split(",")] if args.A else []
-        combos.append((g, h, LeviDatum(args.levi_s), a_set))
+        g = GroupDatum(args.n)
+        h = EndoTriple(*args.endo)
+        combos.append((g, h, LeviDatum(args.levi_s), list(args.A)))
     else:
         for n in range(2, args.n_max + 1):
             g = GroupDatum((n,))
@@ -418,38 +405,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
 
     p = sub.add_parser("satake-kottwitz", help="Satake transform of a basic spherical function")
-    p.add_argument("--n", required=True)
-    p.add_argument("--s", required=True)
+    p.add_argument("--n", type=int_list, required=True)
+    p.add_argument("--s", type=int_list, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--place", choices=("split", "inert"), default="split")
     add_json(p)
     p.set_defaults(func=cmd_satake_kottwitz)
 
     p = sub.add_parser("base-change", help="base change substitution")
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=int_list, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--place", choices=("split", "inert"), default="split")
     add_json(p)
     p.set_defaults(func=cmd_base_change)
 
     p = sub.add_parser("transfer", help="endoscopic transfer substitution")
-    p.add_argument("--n", required=True)
-    p.add_argument("--endo", required=True)
+    p.add_argument("--n", type=int_list, required=True)
+    p.add_argument("--endo", type=endo_blocks, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--place", choices=("split", "inert"), default="split")
     add_json(p)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("twisted-transfer", help="twisted transfer substitution")
-    p.add_argument("--n", required=True)
-    p.add_argument("--endo", required=True)
+    p.add_argument("--n", type=int_list, required=True)
+    p.add_argument("--endo", type=endo_blocks, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--place", choices=("split", "inert"), default="split")
     add_json(p)
     p.set_defaults(func=cmd_twisted_transfer)
 
     p = sub.add_parser("constant-term", help="constant term to a standard Levi")
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=int_list, required=True)
     p.add_argument("--levi-s", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
@@ -459,47 +446,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constant_term)
 
     p = sub.add_parser("endoscopy", help="enumerate elliptic endoscopic data")
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=int_list, required=True)
     add_json(p)
     p.set_defaults(func=cmd_endoscopy)
 
     p = sub.add_parser("invariants", help="tau, k, packet size and coefficient checks")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--endo")
+    p.add_argument("--sig", type=sig_pairs, required=True)
+    p.add_argument("--endo", type=endo_blocks)
     add_json(p)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("kostant", help="nilpotent-radical cohomology summands")
-    p.add_argument("--pq", required=True)
-    p.add_argument("--sprime", required=True)
-    p.add_argument("--weight", required=True)
+    p.add_argument("--pq", type=int_pair, required=True)
+    p.add_argument("--sprime", type=int_list, required=True)
+    p.add_argument("--weight", type=weight_spec, required=True)
     add_json(p)
     p.set_defaults(func=cmd_kostant)
 
     p = sub.add_parser("truncate", help="truncated cohomology summands")
-    p.add_argument("--pq", required=True)
-    p.add_argument("--sprime", required=True)
-    p.add_argument("--weight", required=True)
+    p.add_argument("--pq", type=int_pair, required=True)
+    p.add_argument("--sprime", type=int_list, required=True)
+    p.add_argument("--weight", type=weight_spec, required=True)
     p.add_argument("--dir", choices=("gt", "lt"), required=True)
     add_json(p)
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("weyl-char", help="Schur-type block character")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--weight", required=True)
+    p.add_argument("--weight", type=int_list, required=True)
     add_json(p)
     p.set_defaults(func=cmd_weyl_char)
 
     p = sub.add_parser("weight-transfer", help="endoscopic highest-weight transfer")
-    p.add_argument("--endo", required=True)
-    p.add_argument("--omega", required=True, help="per-factor subsets, e.g. '1;2,3'")
+    p.add_argument("--endo", type=endo_blocks, required=True)
+    p.add_argument("--omega", type=subset_list, required=True, help="per-factor subsets, e.g. '1;2,3'")
     p.add_argument("--C", type=int, required=True)
-    p.add_argument("--weight", required=True)
+    p.add_argument("--weight", type=weight_spec, required=True)
     add_json(p)
     p.set_defaults(func=cmd_weight_transfer)
 
     p = sub.add_parser("frobenius-trace", help="Frobenius-trace subset sum")
-    p.add_argument("--sig", required=True)
+    p.add_argument("--sig", type=sig_pairs, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--place", choices=("split", "inert"), default="split")
@@ -529,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_rotation)
 
     p = vsub.add_parser("phi-identity", help="truncated-Kostant vs filtered Weyl sum")
-    p.add_argument("--pq", required=True)
+    p.add_argument("--pq", type=int_pair, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, required=True)
@@ -537,10 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_phi_identity)
 
     p = vsub.add_parser("transfer-square", help="twisted transfer vs constant terms")
-    p.add_argument("--n")
-    p.add_argument("--endo")
+    p.add_argument("--n", type=int_list)
+    p.add_argument("--endo", type=endo_blocks)
     p.add_argument("--levi-s", type=int, default=1)
-    p.add_argument("--A", default="")
+    p.add_argument("--A", type=int_list, default=())
     p.add_argument("--n-max", type=int, default=4)
     add_json(p)
     p.set_defaults(func=cmd_verify_transfer_square)

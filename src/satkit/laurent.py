@@ -23,8 +23,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
+from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+
+from . import perm
 
 INT32_MAX = 2**31 - 1
 
@@ -294,18 +297,11 @@ class WeylShape:
         out = 1
         if self.split:
             for n in self.sizes:
-                out *= _fact(n)
+                out *= factorial(n)
         else:
             for q in self.qs:
-                out *= 2**q * _fact(q)
+                out *= 2**q * factorial(q)
         return out
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 @dataclass(frozen=True)
@@ -335,12 +331,12 @@ class WeylElement:
         signs = []
         for p1, e1, e2 in zip(self.perms, self.signs, other.signs):
             # (e1, p1)(e2, p2) = (e1 * p1(e2), p1 p2)
-            inv1 = _inv_perm(p1)
+            inv1 = perm.inverse(p1)
             signs.append(tuple(e1[k] * e2[inv1[k] - 1] for k in range(len(e1))))
         return WeylElement(False, perms, tuple(signs))
 
     def inverse(self) -> "WeylElement":
-        perms = tuple(_inv_perm(p) for p in self.perms)
+        perms = tuple(perm.inverse(p) for p in self.perms)
         if self.split:
             return WeylElement(True, perms)
         signs = tuple(
@@ -350,34 +346,33 @@ class WeylElement:
         return WeylElement(False, perms, signs)
 
 
-def _inv_perm(p: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * len(p)
-    for j, img in enumerate(p, start=1):
-        out[img - 1] = j
-    return tuple(out)
+def weyl_group(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[WeylElement, ...]:
+    """Enumerate the relative Weyl group for the given shape.
 
-
-def weyl_group(shape: WeylShape) -> Tuple[WeylElement, ...]:
-    """Enumerate the full relative Weyl group for the given shape."""
+    With `linear`, factor i keeps its first linear[i] slots fixed (and their
+    mirrors in the split presentation), with sign +1 at inert places: the
+    Weyl group of the standard Levi with that linear part.
+    """
     factors = []
+    for i, n in enumerate(shape.sizes):
+        lin = linear[i] if linear else 0
+        deg = n if shape.split else n // 2
+        top = n - lin if shape.split else deg
+        blocks = [(j,) for j in range(1, lin + 1)] + [tuple(range(lin + 1, top + 1))]
+        blocks += [(j,) for j in range(top + 1, deg + 1)]
+        perms = perm.block_perms(blocks)
+        if shape.split:
+            factors.append(perms)
+        else:
+            fixed = (1,) * lin
+            signs = [fixed + s for s in product((1, -1), repeat=deg - lin)]
+            factors.append([(p, s) for p in perms for s in signs])
     if shape.split:
-        for n in shape.sizes:
-            factors.append([tuple(p) for p in permutations(range(1, n + 1))])
-        return tuple(
-            WeylElement(True, combo) for combo in product(*factors)
-        )
-    for q in shape.qs:
-        opts = []
-        for p in permutations(range(1, q + 1)):
-            for s in product((1, -1), repeat=q):
-                opts.append((tuple(p), tuple(s)))
-        factors.append(opts)
-    out = []
-    for combo in product(*factors):
-        perms = tuple(c[0] for c in combo)
-        signs = tuple(c[1] for c in combo)
-        out.append(WeylElement(False, perms, signs))
-    return tuple(out)
+        return tuple(WeylElement(True, combo) for combo in product(*factors))
+    return tuple(
+        WeylElement(False, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
+        for combo in product(*factors)
+    )
 
 
 def _act_monomial(w: WeylElement, m: Monomial, shape: WeylShape) -> Monomial:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import comb, factorial
 from typing import List, Optional, Tuple
 
@@ -273,20 +273,3 @@ def iota_gh(g: SignedGroupDatum, h: EndoTriple) -> Fraction:
         sign_sum *= _signed_subset_sum(npl, n_i - npl, p)
     return iota(datum, h) * Fraction(sign_sum, pi0_symmetric_space(g))
 
-
-def brute_force_endoscopic_classes(g: GroupDatum) -> List[List[Tuple[Tuple[int, int], ...]]]:
-    """Oracle: group all parity-valid tuples by pairwise factorwise equal-or-swap."""
-
-    def related(t1, t2):
-        return all(p1 == p2 or p1 == (p2[1], p2[0]) for p1, p2 in zip(t1, t2))
-
-    tuples = _valid_tuples(g)
-    classes: List[List[Tuple[Tuple[int, int], ...]]] = []
-    for t in tuples:
-        for cls in classes:
-            if related(t, cls[0]):
-                cls.append(t)
-                break
-        else:
-            classes.append([t])
-    return classes

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .laurent import (
@@ -84,35 +84,7 @@ class HeckeRing:
         return out
 
     def weyl(self) -> Tuple[WeylElement, ...]:
-        if self.levi_linear is None:
-            return weyl_group(self.shape)
-        factors = []
-        for lin, n in zip(self.levi_linear, self.datum.sizes):
-            deg = n if self.split_presentation else n // 2
-            middle = list(range(lin + 1, (n - lin if self.split_presentation else deg) + 1))
-            opts = []
-            for p in permutations(middle):
-                img = list(range(1, deg + 1))
-                for pos, val in zip(middle, p):
-                    img[pos - 1] = val
-                if self.split_presentation:
-                    opts.append(tuple(img))
-                else:
-                    for signs in product((1, -1), repeat=len(middle)):
-                        vec = [1] * deg
-                        for pos, s in zip(middle, signs):
-                            vec[pos - 1] = s
-                        opts.append((tuple(img), tuple(vec)))
-            factors.append(opts)
-        out = []
-        for combo in product(*factors):
-            if self.split_presentation:
-                out.append(WeylElement(True, tuple(combo)))
-            else:
-                out.append(
-                    WeylElement(False, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
-                )
-        return tuple(out)
+        return weyl_group(self.shape, self.levi_linear)
 
     def contains(self, f: LaurentPoly) -> bool:
         """Invariance check; also rejects stray variables."""
@@ -188,10 +160,6 @@ class Substitution:
         return {_var_name(v): serialize_poly(img) for v, img in sorted(self.images.items())}
 
 
-def _scaled(p: LaurentPoly, a: int) -> LaurentPoly:
-    return p**a
-
-
 # -- the Kottwitz spherical functions ------------------------------------------
 
 
@@ -241,10 +209,10 @@ def base_change_map(g: GroupDatum, ctx: PlaceContext) -> Substitution:
             images[v] = LaurentPoly.var(v, ctx.d)
         return Substitution(source, target, images)
     a = ctx.a
-    images[SIM] = _scaled(norm_similitude(target), a)
+    images[SIM] = norm_similitude(target) ** a
     for i, n_i in enumerate(g.sizes, start=1):
         for j in range(1, n_i + 1):
-            images[tor(i, j)] = _scaled(resolve_tor(target, i, j), a)
+            images[tor(i, j)] = resolve_tor(target, i, j) ** a
     return Substitution(source, target, images)
 
 
@@ -323,14 +291,14 @@ def twisted_transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Sub
     target = HeckeRing(h_datum, split_presentation=ctx.split)
     fp, fm = _block_routing(g, h)
     a = ctx.a
-    images: Dict[Var, LaurentPoly] = {SIM: _scaled(norm_similitude(target), a)}
+    images: Dict[Var, LaurentPoly] = {SIM: norm_similitude(target) ** a}
     for i, (npl, _) in enumerate(h.pairs(), start=1):
         n_i = g.sizes[i - 1]
         for j in range(1, n_i + 1):
             if j <= npl:
-                images[tor(i, j)] = _scaled(resolve_tor(target, fp[i - 1], j), a)
+                images[tor(i, j)] = resolve_tor(target, fp[i - 1], j) ** a
             else:
-                img = _scaled(resolve_tor(target, fm[i - 1], j - npl), a)
+                img = resolve_tor(target, fm[i - 1], j - npl) ** a
                 images[tor(i, j)] = img * Fraction(-1)
     return Substitution(source, target, images)
 
@@ -388,20 +356,6 @@ def levi_sign_data(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A) -> LeviSign
 def _require_single_factor(g: GroupDatum):
     if g.r != 1:
         raise ValueError("Levi operations are implemented for single-factor groups")
-
-
-def levi_weyl_m(g: GroupDatum, levi: LeviDatum) -> Tuple[WeylElement, ...]:
-    """Weyl group of the Levi inside the split presentation: permutes the middle block."""
-    _require_single_factor(g)
-    n, s = g.sizes[0], levi.s
-    middle = list(range(s + 1, n - s + 1))
-    out = []
-    for p in permutations(middle):
-        img = list(range(1, n + 1))
-        for pos, val in zip(middle, p):
-            img[pos - 1] = val
-        out.append(WeylElement(True, (tuple(img),)))
-    return tuple(out)
 
 
 def m_ring(g: GroupDatum, levi: LeviDatum) -> HeckeRing:
@@ -511,9 +465,9 @@ def levi_twisted_transfer(
         factor = fp[0] if block == 1 else fm[0]
         if factor is None:
             raise ValueError("routing into an empty block")
-        return _scaled(resolve_tor(target, factor, pos), a)
+        return resolve_tor(target, factor, pos) ** a
 
-    images: Dict[Var, LaurentPoly] = {SIM: _scaled(norm_similitude(target), a)}
+    images: Dict[Var, LaurentPoly] = {SIM: norm_similitude(target) ** a}
     for k, i_k in enumerate(not_a, start=1):
         images[tor(1, i_k)] = t_image(1, k)
         images[tor(1, n + 1 - i_k)] = t_image(1, n1 + 1 - k)

@@ -44,7 +44,6 @@ from satkit.rootdata import (
     GroupDatum,
     PlaceContext,
     SignedGroupDatum,
-    brute_force_endoscopic_classes,
     enumerate_endoscopic,
     k_invariant,
     packet_size,
@@ -58,6 +57,8 @@ from satkit.satake import (
     levi_sign_data,
     verify_transfer_square,
 )
+
+from oracles import brute_force_endoscopic_classes
 
 
 class Criterion:

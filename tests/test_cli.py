@@ -88,6 +88,22 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--sig", "3"],
+        ["endoscopy", "--n", "a"],
+        ["transfer", "--n", "3", "--endo", "1"],
+        ["kostant", "--pq", "2", "--sprime", "1", "--weight", "0:3,1,-2"],
+        ["weyl-char", "--size", "3", "--weight", "2,x,0"],
+    ],
+)
+def test_malformed_flag_syntax_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--json"])
+    assert exc.value.code == 2
+
+
 def test_seed_is_mandatory_on_random_suites():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "rotation-count", "--n-max", "3"])

@@ -13,7 +13,6 @@ from satkit.rootdata import (
     ParityError,
     PlaceContext,
     SignedGroupDatum,
-    brute_force_endoscopic_classes,
     canonical_endo,
     enumerate_endoscopic,
     iota,
@@ -24,6 +23,8 @@ from satkit.rootdata import (
     relative_weyl_group,
     tamagawa,
 )
+
+from oracles import brute_force_endoscopic_classes
 
 
 def all_signatures(n_total):
