@@ -20,7 +20,7 @@ from math import factorial, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import perm
-from .laurent import QVAR, SIM, LaurentPoly, Var, tor
+from .laurent import QVAR, SIM, LaurentPoly, Var, _merge, _mono, tor
 from .rootdata import EndoTriple, PlaceContext, SignedGroupDatum
 
 
@@ -340,11 +340,7 @@ class SignedWeightSum:
         self._entries: Dict[Tuple[int, ...], Fraction] = {}
 
     def add(self, vec: Tuple[int, ...], coeff) -> None:
-        c = self._entries.get(vec, Fraction(0)) + Fraction(coeff)
-        if c:
-            self._entries[vec] = c
-        else:
-            self._entries.pop(vec, None)
+        _merge(self._entries, ((vec, coeff),))
 
     def items(self):
         return sorted(self._entries.items())
@@ -448,11 +444,10 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
 
 def _alternant(exps: Sequence[int], vars_: Sequence[Var]) -> LaurentPoly:
     n = len(vars_)
-    total = LaurentPoly.zero()
-    for w in permutations(range(1, n + 1)):
-        mono = {vars_[i]: exps[w[i] - 1] for i in range(n) if exps[w[i] - 1]}
-        total = total + LaurentPoly.monomial(mono, coeff=perm.parity(w))
-    return total
+    return LaurentPoly.from_terms(
+        (_mono((vars_[i], exps[w[i] - 1]) for i in range(n)), perm.parity(w))
+        for w in permutations(range(1, n + 1))
+    )
 
 
 def _lex_lead(f: LaurentPoly, vars_: Sequence[Var]):
@@ -467,7 +462,7 @@ def _lex_lead(f: LaurentPoly, vars_: Sequence[Var]):
 
 def exact_divide(num: LaurentPoly, den: LaurentPoly, vars_: Sequence[Var]) -> LaurentPoly:
     """Exact division of Laurent polynomials by lex-leading-term reduction."""
-    quot = LaurentPoly.zero()
+    quot = []
     rem = num
     lead_den = _lex_lead(den, vars_)
     if lead_den is None:
@@ -477,9 +472,9 @@ def exact_divide(num: LaurentPoly, den: LaurentPoly, vars_: Sequence[Var]) -> La
         rkey, rmono, rcoeff = _lex_lead(rem, vars_)
         qexps = {v: rk - dk for v, rk, dk in zip(vars_, rkey, dkey) if rk - dk}
         term = LaurentPoly.monomial(qexps, coeff=rcoeff / dcoeff)
-        quot = quot + term
+        quot.extend(term.terms())
         rem = rem - term * den
-    return quot
+    return LaurentPoly.from_terms(quot)
 
 
 def weyl_character(
@@ -525,6 +520,8 @@ def endoscopic_weight_transfer(
         raise ValueError("the parameter C must be odd")
     if len(weight.blocks) != h.r:
         raise ValueError("one block per factor required")
+    if len(omega) != h.r:
+        raise ValueError("one omega subset per factor required")
     if not weight.is_dominant():
         raise ValueError("weight must be dominant")
     out_blocks: List[Tuple[int, ...]] = []
@@ -576,14 +573,11 @@ def frobenius_trace(
             "inert place, rational reflex field and odd power: signs undetermined"
         )
     deg = 2 if (field == "E" and not ctx.split) else 1
-    total = LaurentPoly.zero()
     subset_choices = [combinations(range(1, p + q + 1), p) for p, q in g.sig]
-    for subsets in product(*subset_choices):
-        exps: Dict[Var, int] = {SIM: -m}
-        for i, subset in enumerate(subsets, start=1):
-            for j in subset:
-                exps[tor(i, j)] = -m * deg
-        total = total + LaurentPoly.monomial(exps)
+    total = LaurentPoly.from_terms(
+        (_mono([(SIM, -m)] + [(tor(i, j), -m * deg) for i, js in enumerate(subsets, 1) for j in js]), 1)
+        for subsets in product(*subset_choices)
+    )
     if params is None:
         return total
     assign = dict(params)

@@ -27,7 +27,7 @@ from .characters import (
     WallError,
     Weight,
 )
-from .laurent import LaurentPoly, parse_poly, pretty, serialize_poly
+from .laurent import LaurentPoly, _var_name, pretty, serialize_poly
 from .rootdata import EndoTriple, GroupDatum, ParityError, PlaceContext, SignedGroupDatum
 from .satake import LeviDatum, PlaceError
 
@@ -106,34 +106,15 @@ def cmd_satake_kottwitz(args) -> int:
     return 0
 
 
-def cmd_base_change(args) -> int:
-    g = GroupDatum(args.n)
-    ctx = make_ctx(args.place, args.d)
-    sub = satake.base_change_map(g, ctx)
-    payload = {"images": sub.as_json_dict()}
-    human = "\n".join(f"{k} -> {pretty(parse_poly(v))}" for k, v in sub.as_json_dict().items())
-    emit(args, payload, human)
-    return 0
-
-
 def cmd_transfer(args) -> int:
+    """Print the variable images of a morphism of Satake models: the handler of
+    base-change, transfer and twisted-transfer, which differ only in args.build_map."""
     g = GroupDatum(args.n)
-    h = EndoTriple(*args.endo)
+    h = None if args.endo is None else EndoTriple(*args.endo)
     ctx = make_ctx(args.place, args.d)
-    sub = satake.transfer_map(g, h, ctx)
+    sub = args.build_map(g, h, ctx)
     payload = {"images": sub.as_json_dict()}
-    human = "\n".join(f"{k} -> {pretty(parse_poly(v))}" for k, v in sub.as_json_dict().items())
-    emit(args, payload, human)
-    return 0
-
-
-def cmd_twisted_transfer(args) -> int:
-    g = GroupDatum(args.n)
-    h = EndoTriple(*args.endo)
-    ctx = make_ctx(args.place, args.d)
-    sub = satake.twisted_transfer_map(g, h, ctx)
-    payload = {"images": sub.as_json_dict()}
-    human = "\n".join(f"{k} -> {pretty(parse_poly(v))}" for k, v in sub.as_json_dict().items())
+    human = "\n".join(f"{_var_name(v)} -> {pretty(img)}" for v, img in sorted(sub.images.items()))
     emit(args, payload, human)
     return 0
 
@@ -412,28 +393,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=cmd_satake_kottwitz)
 
-    p = sub.add_parser("base-change", help="base change substitution")
-    p.add_argument("--n", type=int_list, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--place", choices=("split", "inert"), default="split")
-    add_json(p)
-    p.set_defaults(func=cmd_base_change)
-
-    p = sub.add_parser("transfer", help="endoscopic transfer substitution")
-    p.add_argument("--n", type=int_list, required=True)
-    p.add_argument("--endo", type=endo_blocks, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--place", choices=("split", "inert"), default="split")
-    add_json(p)
-    p.set_defaults(func=cmd_transfer)
-
-    p = sub.add_parser("twisted-transfer", help="twisted transfer substitution")
-    p.add_argument("--n", type=int_list, required=True)
-    p.add_argument("--endo", type=endo_blocks, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--place", choices=("split", "inert"), default="split")
-    add_json(p)
-    p.set_defaults(func=cmd_twisted_transfer)
+    # (command, help, map builder taking (g, h, ctx), takes --endo)
+    substitutions = (
+        ("base-change", "base change substitution",
+         lambda g, h, ctx: satake.base_change_map(g, ctx), False),
+        ("transfer", "endoscopic transfer substitution", satake.transfer_map, True),
+        ("twisted-transfer", "twisted transfer substitution", satake.twisted_transfer_map, True),
+    )
+    for name, help_, build_map, takes_endo in substitutions:
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--n", type=int_list, required=True)
+        if takes_endo:
+            p.add_argument("--endo", type=endo_blocks, required=True)
+        p.add_argument("--d", type=int, default=1)
+        p.add_argument("--place", choices=("split", "inert"), default="split")
+        add_json(p)
+        p.set_defaults(func=cmd_transfer, build_map=build_map, endo=None)
 
     p = sub.add_parser("constant-term", help="constant term to a standard Levi")
     p.add_argument("--n", type=int_list, required=True)

@@ -68,11 +68,29 @@ def _mono(pairs: Iterable[Tuple[Var, int]]) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return _mono(list(a) + list(b))
+    return _mono(a + b)
 
 
 def mono_pow(a: Monomial, k: int) -> Monomial:
     return _mono((v, e * k) for v, e in a)
+
+
+_ZERO = Fraction(0)
+
+
+def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Fraction]]) -> dict:
+    """Add (key, coefficient) pairs into out, dropping keys whose coefficients cancel.
+
+    Keys are monomials here and weight vectors in characters.SignedWeightSum.
+    Coefficients may be int or Fraction; every stored one is a nonzero Fraction.
+    """
+    for m, c in pairs:
+        s = out.get(m, _ZERO) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
 
 
 class LaurentPoly:
@@ -81,15 +99,25 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[m] = c
-        self._terms = clean
+        self._terms = _merge({}, terms.items()) if terms else {}
+
+    @staticmethod
+    def _adopt(terms: dict) -> "LaurentPoly":
+        """Wrap a dict that already holds only nonzero Fraction coefficients."""
+        p = LaurentPoly.__new__(LaurentPoly)
+        p._terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_terms(pairs: Iterable[Tuple[Monomial, Fraction]]) -> "LaurentPoly":
+        """Sum (canonical monomial, coefficient) pairs in time linear in their number.
+
+        Repeated monomials add up and cancelled ones are dropped.  Building a
+        polynomial with `p = p + term` in a loop copies p each time instead.
+        """
+        return LaurentPoly._adopt(_merge({}, pairs))
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -148,17 +176,12 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return LaurentPoly(out)
+        # Copy the left operand at C speed: exact division adds small
+        # polynomials into large ones.
+        return LaurentPoly._adopt(_merge(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self._terms.items()})
+        return LaurentPoly._adopt({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -168,16 +191,11 @@ class LaurentPoly:
             return LaurentPoly({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return LaurentPoly(out)
+        return LaurentPoly.from_terms(
+            (mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -249,9 +267,8 @@ def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly
         if c * c != 1:
             raise SubstitutionError(f"image of {v} has non-unit coefficient {c}")
         table[v] = (c, qe, m)
-    out: dict = {}
-    for m, c in f.terms():
-        coeff = c
+
+    def image(m: Monomial, coeff: Fraction) -> Tuple[Monomial, Fraction]:
         q_exp = 0
         parts = []
         for v, e in m:
@@ -266,13 +283,9 @@ def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly
             parts.extend((w, we * e) for w, we in im)
         if q_exp:
             parts.append((QVAR, q_exp))
-        mono = _mono(parts)
-        s = out.get(mono, Fraction(0)) + coeff
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return LaurentPoly(out)
+        return _mono(parts), coeff
+
+    return LaurentPoly.from_terms(image(m, c) for m, c in f.terms())
 
 
 # -- Weyl elements and actions -----------------------------------------------
@@ -413,15 +426,7 @@ def group_act(w: WeylElement, f: LaurentPoly, shape: WeylShape) -> LaurentPoly:
     relevant similitude variable by X_{i,j}^{-1} (per-factor variables for
     even-size factors, the global variable only when every factor is even).
     """
-    out: dict = {}
-    for m, c in f.terms():
-        mono = _act_monomial(w, m, shape)
-        s = out.get(mono, Fraction(0)) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return LaurentPoly(out)
+    return LaurentPoly.from_terms((_act_monomial(w, m, shape), c) for m, c in f.terms())
 
 
 def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -> LaurentPoly:
@@ -431,16 +436,9 @@ def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -
     where a spherical function's Satake transform is the plain sum over the
     Weyl translates of a cocharacter.
     """
-    out: dict = {}
-    for m, c in f.terms():
-        orbit = {_act_monomial(w, m, shape) for w in group}
-        for mono in orbit:
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return LaurentPoly(out)
+    return LaurentPoly.from_terms(
+        (mono, c) for m, c in f.terms() for mono in {_act_monomial(w, m, shape) for w in group}
+    )
 
 
 def is_invariant(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -> bool:
@@ -513,12 +511,14 @@ def parse_poly(text: str) -> LaurentPoly:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be an array of terms")
-    total = LaurentPoly.zero()
-    for rec in data:
+
+    def term(rec) -> Tuple[Monomial, Fraction]:
         exps = {_parse_name(k): int(e) for k, e in rec["exps"].items()}
         c = Fraction(int(rec["num"]), int(rec["den"]))
-        total = total + LaurentPoly.monomial(exps, coeff=c, q_exp=int(rec.get("q", 0)))
-    return total
+        exps[QVAR] = int(rec.get("q", 0))
+        return _mono(exps.items()), c
+
+    return LaurentPoly.from_terms(map(term, data))
 
 
 def pretty(f: LaurentPoly) -> str:

@@ -25,11 +25,14 @@ from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .laurent import (
+    QVAR,
     SIM,
     LaurentPoly,
     Var,
     WeylElement,
     WeylShape,
+    _mono,
+    _var_name,
     is_invariant,
     serialize_poly,
     substitute,
@@ -155,8 +158,6 @@ class Substitution:
         return substitute(f, self.images)
 
     def as_json_dict(self) -> Dict[str, str]:
-        from .laurent import _var_name  # canonical names
-
         return {_var_name(v): serialize_poly(img) for v, img in sorted(self.images.items())}
 
 
@@ -178,16 +179,12 @@ def kottwitz_function(g: GroupDatum, s_vec: Sequence[int], ctx: PlaceContext) ->
     for s, n in zip(s_vec, g.sizes):
         if not 0 <= s <= n:
             raise ValueError(f"s={s} out of range for factor of size {n}")
-    q_exp = ctx.d * sum(s * (n - s) for s, n in zip(s_vec, g.sizes))
-    total = LaurentPoly.zero()
+    scale = [(SIM, -1), (QVAR, ctx.d * sum(s * (n - s) for s, n in zip(s_vec, g.sizes)))]
     subset_choices = [combinations(range(1, n + 1), s) for s, n in zip(s_vec, g.sizes)]
-    for subsets in product(*subset_choices):
-        exps: Dict[Var, int] = {SIM: -1}
-        for i, subset in enumerate(subsets, start=1):
-            for j in subset:
-                exps[tor(i, j)] = -1
-        total = total + LaurentPoly.monomial(exps, q_exp=q_exp)
-    return total
+    return LaurentPoly.from_terms(
+        (_mono(scale + [(tor(i, j), -1) for i, js in enumerate(subsets, 1) for j in js]), 1)
+        for subsets in product(*subset_choices)
+    )
 
 
 # -- base change -----------------------------------------------------------------
@@ -403,16 +400,12 @@ def levi_kottwitz_function(
         for j in range(1, alpha + 1):
             exps[tor(1, j)] = -1
         return LaurentPoly.monomial(exps)
-    q_exp = ctx.d * (alpha - s) * (n - alpha - s)
-    total = LaurentPoly.zero()
-    for subset in combinations(range(s + 1, n - s + 1), alpha - s):
-        exps = {SIM: -1}
-        for j in range(1, s + 1):
-            exps[tor(1, j)] = -1
-        for j in subset:
-            exps[tor(1, j)] = -1
-        total = total + LaurentPoly.monomial(exps, q_exp=q_exp)
-    return total
+    scale = [(SIM, -1), (QVAR, ctx.d * (alpha - s) * (n - alpha - s))]
+    scale += [(tor(1, j), -1) for j in range(1, s + 1)]
+    return LaurentPoly.from_terms(
+        (_mono(scale + [(tor(1, j), -1) for j in subset]), 1)
+        for subset in combinations(range(s + 1, n - s + 1), alpha - s)
+    )
 
 
 def levi_twisted_transfer(

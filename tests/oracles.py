@@ -2,6 +2,8 @@
 
 from itertools import product
 
+from satkit.laurent import LaurentPoly
+
 
 def brute_force_endoscopic_classes(g):
     """Group all tuples ((n_i - m_i, m_i))_i with even total minus part into
@@ -22,3 +24,12 @@ def brute_force_endoscopic_classes(g):
         else:
             classes.append([t])
     return classes
+
+
+def sum_terms_by_addition(pairs):
+    """Sum (monomial, coefficient) pairs one polynomial addition at a time, the
+    quadratic build that LaurentPoly.from_terms replaces."""
+    total = LaurentPoly.zero()
+    for m, c in pairs:
+        total = total + LaurentPoly.monomial(dict(m), coeff=c)
+    return total

@@ -119,6 +119,20 @@ def test_weight_transfer_cli(capsys):
     assert json.loads(out) == {"a": 0, "blocks": [[2], [1, 0]]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fewer omega subsets than factors
+        ["weight-transfer", "--endo", "1-2,1-0", "--omega", "1", "--C", "1", "--weight", "0:2,1,0/1"],
+        # more omega subsets than factors
+        ["weight-transfer", "--endo", "1-2", "--omega", "1;2", "--C", "1", "--weight", "0:2,1,0"],
+    ],
+)
+def test_weight_transfer_omega_count_is_precondition(capsys, argv):
+    code, out = invoke(capsys, argv + ["--json"])
+    assert code == 3 and out == ""
+
+
 def test_kostant_and_truncate_cli(capsys):
     code, out = invoke(
         capsys, ["kostant", "--pq", "1,1", "--sprime", "1", "--weight", "0:1,-1", "--json"]

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import sum_terms_by_addition
 
 from satkit.laurent import (
     SIM,
@@ -60,6 +61,34 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a * LaurentPoly.one() == a
     assert (a + (-a)).is_zero()
+
+
+canonical_monos = st.builds(
+    lambda exps, q: next(LaurentPoly.monomial(exps, q_exp=q).terms())[0],
+    st.dictionaries(st.sampled_from(VARS), st.integers(-1, 1), max_size=2),
+    st.integers(-1, 1),
+)
+int_or_fraction = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def term_lists(draw):
+    """(monomial, coefficient) pairs from a small pool of monomials, so that
+    monomials repeat, plus the negations of some pairs, so that terms cancel."""
+    pairs = draw(st.lists(st.tuples(canonical_monos, int_or_fraction), max_size=8))
+    cancel = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return draw(st.permutations(pairs + [(m, -c) for m, c in cancel]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(term_lists())
+@example([])
+def test_from_terms_matches_repeated_addition(pairs):
+    fast = LaurentPoly.from_terms(iter(pairs))
+    assert fast == sum_terms_by_addition(pairs)
+    assert all(type(c) is Fraction and c != 0 for _, c in fast.terms())
 
 
 def test_make_monomial_examples():
