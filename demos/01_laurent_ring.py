@@ -19,6 +19,7 @@ from satkit.laurent import (
     substitute,
     symmetrize,
     tor,
+    weyl_generators,
     weyl_group,
 )
 
@@ -42,9 +43,10 @@ images = {
 print("substituted:", pretty(substitute(g, images)))
 
 # The symmetric group of a split place acts by permuting torus variables;
-# orbit sums are the basic invariants.
+# orbit sums are the basic invariants.  Orbits and invariance need only a
+# generating set: here the adjacent transpositions of S_3.
 shape = WeylShape(split=True, sizes=(3,))
-group = weyl_group(shape)
+group = weyl_generators(shape)
 orbit = symmetrize(x1 * x1, group, shape)
 print("orbit of X11^2:", pretty(orbit))
 print("invariant?", is_invariant(orbit, group, shape))

@@ -359,18 +359,31 @@ class WeylElement:
         return WeylElement(False, perms, signs)
 
 
+def _factor_slots(shape: WeylShape, linear: Optional[Sequence[int]]):
+    """Per factor: (number of slots, number of fixed linear slots, last movable slot).
+
+    The movable block is lin+1..top; at split places the slots after top
+    mirror the fixed linear ones.
+    """
+    for i, n in enumerate(shape.sizes):
+        lin = linear[i] if linear else 0
+        deg = n if shape.split else n // 2
+        yield deg, lin, (n - lin if shape.split else deg)
+
+
 def weyl_group(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[WeylElement, ...]:
     """Enumerate the relative Weyl group for the given shape.
 
     With `linear`, factor i keeps its first linear[i] slots fixed (and their
     mirrors in the split presentation), with sign +1 at inert places: the
     Weyl group of the standard Levi with that linear part.
+
+    This builds all |W| elements (|W| grows factorially with the factor
+    sizes).  Orbits and invariance need only a generating set, so the
+    library's hot paths use weyl_generators instead.
     """
     factors = []
-    for i, n in enumerate(shape.sizes):
-        lin = linear[i] if linear else 0
-        deg = n if shape.split else n // 2
-        top = n - lin if shape.split else deg
+    for deg, lin, top in _factor_slots(shape, linear):
         blocks = [(j,) for j in range(1, lin + 1)] + [tuple(range(lin + 1, top + 1))]
         blocks += [(j,) for j in range(top + 1, deg + 1)]
         perms = perm.block_perms(blocks)
@@ -386,6 +399,29 @@ def weyl_group(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tupl
         WeylElement(False, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
         for combo in product(*factors)
     )
+
+
+def weyl_generators(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[WeylElement, ...]:
+    """A generating set of weyl_group(shape, linear), with at most sum(sizes) elements.
+
+    For each factor: the adjacent transpositions inside its movable block and,
+    at inert places, the sign change of its last movable slot (Coxeter
+    generators of S_k and of the hyperoctahedral group).  The other factors
+    act trivially.  The trivial group gets the empty set.
+    """
+    ident = WeylElement.identity(shape)
+    gens = []
+    for i, (_, lin, top) in enumerate(_factor_slots(shape, linear)):
+        p0 = ident.perms[i]
+        s0 = None if shape.split else ident.signs[i]
+        local = [(p0[: j - 1] + (j + 1, j) + p0[j + 1 :], s0) for j in range(lin + 1, top)]
+        if not shape.split and top > lin:
+            local.append((p0, s0[:-1] + (-1,)))
+        for p, s in local:
+            perms = ident.perms[:i] + (p,) + ident.perms[i + 1 :]
+            signs = None if shape.split else ident.signs[:i] + (s,) + ident.signs[i + 1 :]
+            gens.append(WeylElement(shape.split, perms, signs))
+    return tuple(gens)
 
 
 def _act_monomial(w: WeylElement, m: Monomial, shape: WeylShape) -> Monomial:
@@ -435,13 +471,29 @@ def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -
     Each orbit element appears once (no averaging), matching the convention
     where a spherical function's Satake transform is the plain sum over the
     Weyl translates of a cocharacter.
+
+    `group` may be the whole group or any generating set of it, such as
+    weyl_generators(shape): each orbit is the closure of its term under the
+    given elements, so it costs |orbit| * len(group) actions, not |W|.
     """
-    return LaurentPoly.from_terms(
-        (mono, c) for m, c in f.terms() for mono in {_act_monomial(w, m, shape) for w in group}
-    )
+
+    def orbit(m: Monomial) -> set:
+        seen = {m}
+        todo = [m]
+        while todo:
+            x = todo.pop()
+            for w in group:
+                y = _act_monomial(w, x, shape)
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    return LaurentPoly.from_terms((mono, c) for m, c in f.terms() for mono in orbit(m))
 
 
 def is_invariant(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -> bool:
+    """Whether every given element fixes f; a generating set of the group suffices."""
     return all(group_act(w, f, shape) == f for w in group)
 
 

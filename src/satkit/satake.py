@@ -38,6 +38,7 @@ from .laurent import (
     substitute,
     symmetrize,
     tor,
+    weyl_generators,
     weyl_group,
 )
 from .rootdata import EndoTriple, GroupDatum, PlaceContext
@@ -87,14 +88,19 @@ class HeckeRing:
         return out
 
     def weyl(self) -> Tuple[WeylElement, ...]:
+        """Every element of the invariance group; generators() suffices for orbits."""
         return weyl_group(self.shape, self.levi_linear)
+
+    def generators(self) -> Tuple[WeylElement, ...]:
+        """A generating set of the invariance group (see laurent.weyl_generators)."""
+        return weyl_generators(self.shape, self.levi_linear)
 
     def contains(self, f: LaurentPoly) -> bool:
         """Invariance check; also rejects stray variables."""
         allowed = set(self.variables())
         if not f.variables() <= allowed:
             return False
-        return is_invariant(f, self.weyl(), self.shape)
+        return is_invariant(f, self.generators(), self.shape)
 
 
 def hecke_ring(g: GroupDatum, ctx: PlaceContext, side: str = "target") -> HeckeRing:
@@ -483,7 +489,7 @@ def default_generators(g: GroupDatum, ctx: PlaceContext) -> List[Tuple[str, Laur
     _require_single_factor(g)
     n = g.sizes[0]
     ring = hecke_ring(g, ctx, "source")
-    group, shape = ring.weyl(), ring.shape
+    group, shape = ring.generators(), ring.shape
     gens: List[Tuple[str, LaurentPoly]] = [("Z", LaurentPoly.var(SIM))]
     q_n = n // 2
     for alpha in range(n - q_n, n + 1):

@@ -2,7 +2,7 @@
 
 from itertools import product
 
-from satkit.laurent import LaurentPoly
+from satkit.laurent import LaurentPoly, _act_monomial
 
 
 def brute_force_endoscopic_classes(g):
@@ -33,3 +33,12 @@ def sum_terms_by_addition(pairs):
     for m, c in pairs:
         total = total + LaurentPoly.monomial(dict(m), coeff=c)
     return total
+
+
+def symmetrize_over_group(f, group, shape):
+    """Orbit sums from the images of each term under every element of the group,
+    the |W| actions per term that closure under generators in
+    laurent.symmetrize replaces."""
+    return LaurentPoly.from_terms(
+        (mono, c) for m, c in f.terms() for mono in {_act_monomial(w, m, shape) for w in group}
+    )

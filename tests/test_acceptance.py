@@ -126,7 +126,7 @@ def test_criterion_03_kottwitz_vs_orbit_sum():
     for sizes in data:
         g = GroupDatum(sizes)
         ring = hecke_ring(g, PlaceContext(split=True, d=1), "source")
-        group, shape = ring.weyl(), ring.shape
+        group, shape = ring.generators(), ring.shape
         s_lists = [()]
         for n in sizes:
             s_lists = [acc + (s,) for acc in s_lists for s in range(n + 1)]

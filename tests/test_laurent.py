@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import sum_terms_by_addition
+from oracles import sum_terms_by_addition, symmetrize_over_group
 
 from satkit.laurent import (
     SIM,
@@ -23,6 +23,7 @@ from satkit.laurent import (
     substitute,
     symmetrize,
     tor,
+    weyl_generators,
     weyl_group,
 )
 
@@ -178,17 +179,17 @@ def test_group_act_inert_similitude_adjustment():
     )
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [
-        WeylShape(split=True, sizes=(3,)),
-        WeylShape(split=True, sizes=(2, 2)),
-        WeylShape(split=False, sizes=(3,)),
-        WeylShape(split=False, sizes=(4,)),
-        WeylShape(split=False, sizes=(2, 2)),
-        WeylShape(split=False, sizes=(2, 3)),
-    ],
-)
+COMPOSITION_SHAPES = [
+    WeylShape(split=True, sizes=(3,)),
+    WeylShape(split=True, sizes=(2, 2)),
+    WeylShape(split=False, sizes=(3,)),
+    WeylShape(split=False, sizes=(4,)),
+    WeylShape(split=False, sizes=(2, 2)),
+    WeylShape(split=False, sizes=(2, 3)),
+]
+
+
+@pytest.mark.parametrize("shape", COMPOSITION_SHAPES)
 def test_group_action_composition(shape):
     rng = random.Random(11)
     group = weyl_group(shape)
@@ -205,6 +206,78 @@ def test_group_action_composition(shape):
             f = f + LaurentPoly.monomial(exps, coeff=rng.randint(-3, 3))
         w1, w2 = rng.choice(group), rng.choice(group)
         assert group_act(w1 * w2, f, shape) == group_act(w1, group_act(w2, f, shape), shape)
+
+
+@pytest.mark.parametrize(
+    "shape, linear",
+    [(shape, None) for shape in COMPOSITION_SHAPES]
+    + [
+        (WeylShape(split=True, sizes=(4,)), (1,)),
+        (WeylShape(split=True, sizes=(5,)), (2,)),
+        (WeylShape(split=True, sizes=(4, 3)), (1, 1)),
+        (WeylShape(split=False, sizes=(4,)), (1,)),
+        (WeylShape(split=False, sizes=(4,)), (2,)),
+        (WeylShape(split=False, sizes=(5, 2)), (1, 0)),
+        (WeylShape(split=False, sizes=(6, 1)), (1, 0)),
+    ],
+)
+def test_weyl_generators_generate_the_group(shape, linear):
+    gens = weyl_generators(shape, linear)
+    assert len(gens) <= sum(shape.sizes)
+    closure = {WeylElement.identity(shape)}
+    frontier = list(closure)
+    while frontier:
+        w = frontier.pop()
+        for s in gens:
+            ws = w * s
+            if ws not in closure:
+                closure.add(ws)
+                frontier.append(ws)
+    assert closure == set(weyl_group(shape, linear))
+
+
+@st.composite
+def weyl_cases(draw):
+    """A split or inert shape with 1-3 factors of size up to 5 and a random
+    Levi linear part, plus a polynomial in SIM, the per-factor similitudes,
+    the torus variables and q, with negative exponents."""
+    split = draw(st.booleans())
+    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    shape = WeylShape(split=split, sizes=sizes)
+    assume(shape.order() <= 240)
+    linear = draw(st.one_of(st.none(), st.tuples(*(st.integers(0, n // 2) for n in sizes))))
+    vars_ = [SIM] + [sim_factor(i) for i in range(1, len(sizes) + 1)]
+    vars_ += [
+        tor(i, j)
+        for i, n in enumerate(sizes, start=1)
+        for j in range(1, (n if split else n // 2) + 1)
+    ]
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.dictionaries(st.sampled_from(vars_), st.integers(-2, 2), max_size=4),
+                st.integers(-3, 3),
+                st.integers(-2, 2),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    f = sum((LaurentPoly.monomial(e, coeff=c, q_exp=q) for e, c, q in terms), LaurentPoly.zero())
+    return shape, linear, f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weyl_cases())
+def test_generators_match_full_group(case):
+    shape, linear, f = case
+    gens, group = weyl_generators(shape, linear), weyl_group(shape, linear)
+    orbit = symmetrize(f, gens, shape)
+    assert orbit == symmetrize_over_group(f, group, shape)
+    assert symmetrize(f, group, shape) == orbit
+    assert is_invariant(orbit, group, shape)
+    for g in (f, orbit, orbit + f, symmetrize(f, weyl_generators(shape), shape)):
+        assert is_invariant(g, gens, shape) == is_invariant(g, group, shape)
 
 
 def test_symmetrize_examples():

@@ -2,6 +2,7 @@
 constant-term compatibility square."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -68,6 +69,18 @@ def test_ring_contains():
     assert not r.contains(LaurentPoly.var(tor(2, 1)))  # stray variable
 
 
+def test_contains_on_large_inert_ring_uses_generators():
+    # |W| = (2^5 * 5!)^2 = 14.7M: enumerating the group here would run for minutes.
+    r = HeckeRing(GroupDatum((10, 10)), split_presentation=False)
+    start = time.perf_counter()
+    x11 = LaurentPoly.var(tor(1, 1))
+    orbit = symmetrize(x11, r.generators(), r.shape)
+    assert len(orbit) == 10
+    assert r.contains(orbit)
+    assert not r.contains(x11)
+    assert time.perf_counter() - start < 1.0
+
+
 # -- basic spherical functions -------------------------------------------------
 
 
@@ -95,7 +108,7 @@ def test_kottwitz_equals_orbit_sum(sizes, d):
     g = GroupDatum(sizes)
     ctx = PlaceContext(split=True, d=d)
     ring = hecke_ring(g, ctx, "source")
-    group, shape = ring.weyl(), ring.shape
+    group, shape = ring.generators(), ring.shape
     for s_vec in _s_choices(sizes):
         exps = {SIM: -1}
         for i, s in enumerate(s_vec, start=1):
@@ -161,7 +174,7 @@ def test_base_change_lands_in_invariants():
 
 
 def _inert_invariants(ring):
-    group, shape = ring.weyl(), ring.shape
+    group, shape = ring.generators(), ring.shape
     gens = [("norm", norm_similitude(ring))]
     q1 = ring.datum.qs[0]
     if q1 >= 1:
