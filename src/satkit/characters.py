@@ -618,8 +618,8 @@ def nonsingular_subsets(n: int, p: int) -> Tuple[List[Tuple[int, ...]], int]:
     recurse on {2..n}; for p = n-1 take all complements of singletons.  The
     exact determinant of the 0/1 incidence matrix is returned alongside.
     """
-    if not 1 <= p <= max(1, n - 1):
-        raise ValueError(f"need 1 <= p <= max(1, n-1), got p={p}, n={n}")
+    if n < 1 or not 1 <= p <= max(1, n - 1):
+        raise ValueError(f"need n >= 1 and 1 <= p <= max(1, n-1), got p={p}, n={n}")
 
     def build(size: int, k: int, offset: int) -> List[Tuple[int, ...]]:
         if size == 1:

@@ -2,6 +2,11 @@
 dispatches computations, runs verification suites, and emits deterministic
 JSON.
 
+Every command is one row of COMMANDS or SUITES: its name, help, handler and
+flags.  A handler returns its result and `run` prints it: a LaurentPoly, a
+(payload, human) pair, or a suite's (name, cases, failures).  The parser is
+built once per process.
+
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on usage errors (argparse), 3 on precondition violations.  Output on
 stdout is byte-identical across runs for identical flags and seed; timing
@@ -11,13 +16,15 @@ goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from math import factorial
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import characters, laurent, rootdata, satake
 from .characters import (
@@ -84,55 +91,38 @@ def make_ctx(place: str, d: int) -> PlaceContext:
     return PlaceContext(split=(place == "split"), d=d)
 
 
-def emit(args, payload: Dict, human: str) -> None:
-    if args.json:
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    else:
-        sys.stdout.write(human + "\n")
-
-
-def poly_payload(f: LaurentPoly) -> List:
-    return json.loads(serialize_poly(f))
-
-
 # -- computation subcommands -------------------------------------------------------
 
 
-def cmd_satake_kottwitz(args) -> int:
-    g = GroupDatum(args.n)
-    ctx = make_ctx(args.place, args.d)
-    f = satake.kottwitz_function(g, args.s, ctx)
-    emit(args, {"poly": poly_payload(f)}, pretty(f))
-    return 0
+def cmd_satake_kottwitz(args) -> LaurentPoly:
+    return satake.kottwitz_function(GroupDatum(args.n), args.s, make_ctx(args.place, args.d))
 
 
-def cmd_transfer(args) -> int:
-    """Print the variable images of a morphism of Satake models: the handler of
-    base-change, transfer and twisted-transfer, which differ only in args.build_map."""
+def cmd_transfer(args) -> tuple:
+    """The variable images of a morphism of Satake models: the handler of
+    base-change, transfer and twisted-transfer, which differ only in the map."""
     g = GroupDatum(args.n)
-    h = None if args.endo is None else EndoTriple(*args.endo)
     ctx = make_ctx(args.place, args.d)
-    sub = args.build_map(g, h, ctx)
-    payload = {"images": sub.as_json_dict()}
+    if args.command == "base-change":
+        sub = satake.base_change_map(g, ctx)
+    else:
+        build = satake.transfer_map if args.command == "transfer" else satake.twisted_transfer_map
+        sub = build(g, EndoTriple(*args.endo), ctx)
     human = "\n".join(f"{_var_name(v)} -> {pretty(img)}" for v, img in sorted(sub.images.items()))
-    emit(args, payload, human)
-    return 0
+    return {"images": sub.as_json_dict()}, human
 
 
-def cmd_constant_term(args) -> int:
+def cmd_constant_term(args) -> LaurentPoly:
     g = GroupDatum(args.n)
     ctx = make_ctx(args.place, args.d)
     levi = LeviDatum(args.levi_s)
     if args.levi_kottwitz:
-        f = satake.levi_kottwitz_function(g, levi, args.alpha, ctx)
-    else:
-        f = satake.kottwitz_function(g, (args.alpha,), ctx)
-        f = satake.levi_constant_term(f, g, levi, ctx)
-    emit(args, {"poly": poly_payload(f)}, pretty(f))
-    return 0
+        return satake.levi_kottwitz_function(g, levi, args.alpha, ctx)
+    f = satake.kottwitz_function(g, (args.alpha,), ctx)
+    return satake.levi_constant_term(f, g, levi, ctx)
 
 
-def cmd_endoscopy(args) -> int:
+def cmd_endoscopy(args) -> tuple:
     g = GroupDatum(args.n)
     classes = rootdata.enumerate_endoscopic(g)
     payload = {
@@ -147,11 +137,10 @@ def cmd_endoscopy(args) -> int:
         f"  outer order {o}"
         for t, o in classes
     )
-    emit(args, payload, human)
-    return 0
+    return payload, human
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> tuple:
     g = SignedGroupDatum(args.sig)
     datum = g.datum
     tau = rootdata.tamagawa(datum)
@@ -164,100 +153,60 @@ def cmd_invariants(args) -> int:
         h = EndoTriple(*args.endo)
         payload["iota"] = str(rootdata.iota(datum, h))
         payload["iota_GH"] = str(rootdata.iota_gh(g, h))
-    human = " ".join(f"{k_}={v}" for k_, v in payload.items())
-    emit(args, payload, human)
-    return 0
+    return payload, " ".join(f"{k_}={v}" for k_, v in payload.items())
 
 
-def cmd_kostant(args) -> int:
-    kd = KostantDatum(*args.pq, frozenset(args.sprime))
-    weight = Weight(*args.weight)
-    entries = characters.kostant_cohomology(kd, weight)
-    payload = {
-        "entries": [
-            {"degree": e.degree, "omega": list(e.omega), "weight2": list(e.weight2)}
-            for e in entries
-        ]
-    }
-    human = "\n".join(
-        f"k={e.degree} omega={e.omega} 2(w(lambda)-rho)={e.weight2}" for e in entries
-    )
-    emit(args, payload, human)
-    return 0
-
-
-def cmd_truncate(args) -> int:
+def cmd_kostant(args) -> tuple:
+    """Kostant cohomology summands: all of them for kostant, the ones kept by
+    the weight truncation for truncate."""
     s_set = frozenset(args.sprime)
-    kd = KostantDatum(*args.pq, s_set)
-    weight = Weight(*args.weight)
-    entries = characters.kostant_cohomology(kd, weight)
-    direction = ">" if args.dir == "gt" else "<"
-    kept = characters.truncate_cohomology(entries, s_set, direction)
-    payload = {
-        "direction": args.dir,
-        "kept": [
-            {"degree": e.degree, "omega": list(e.omega), "weight2": list(e.weight2)}
-            for e in kept
-        ],
-    }
+    entries = characters.kostant_cohomology(KostantDatum(*args.pq, s_set), Weight(*args.weight))
+
+    def records(es):
+        return [
+            {"degree": e.degree, "omega": list(e.omega), "weight2": list(e.weight2)} for e in es
+        ]
+
+    if args.command == "kostant":
+        human = "\n".join(
+            f"k={e.degree} omega={e.omega} 2(w(lambda)-rho)={e.weight2}" for e in entries
+        )
+        return {"entries": records(entries)}, human
+    kept = characters.truncate_cohomology(entries, s_set, ">" if args.dir == "gt" else "<")
     human = "\n".join(f"k={e.degree} omega={e.omega}" for e in kept) or "(none)"
-    emit(args, payload, human)
-    return 0
+    return {"direction": args.dir, "kept": records(kept)}, human
 
 
-def cmd_weyl_char(args) -> int:
-    f = characters.weyl_character(args.size, args.weight)
-    emit(args, {"poly": poly_payload(f)}, pretty(f))
-    return 0
+def cmd_weyl_char(args) -> LaurentPoly:
+    return characters.weyl_character(args.size, args.weight)
 
 
-def cmd_weight_transfer(args) -> int:
+def cmd_weight_transfer(args) -> tuple:
     h = EndoTriple(*args.endo)
-    weight = Weight(*args.weight)
-    out = characters.endoscopic_weight_transfer(weight, h, args.omega, args.C)
-    payload = {"a": out.a, "blocks": [list(b) for b in out.blocks]}
-    human = f"a={out.a} blocks={[list(b) for b in out.blocks]}"
-    emit(args, payload, human)
-    return 0
+    out = characters.endoscopic_weight_transfer(Weight(*args.weight), h, args.omega, args.C)
+    blocks = [list(b) for b in out.blocks]
+    return {"a": out.a, "blocks": blocks}, f"a={out.a} blocks={blocks}"
 
 
-def cmd_frobenius_trace(args) -> int:
+def cmd_frobenius_trace(args) -> LaurentPoly:
     g = SignedGroupDatum(args.sig)
-    ctx = make_ctx(args.place, args.d)
-    f = characters.frobenius_trace(g, args.m, ctx, field=args.field)
-    emit(args, {"poly": poly_payload(f)}, pretty(f))
-    return 0
+    return characters.frobenius_trace(g, args.m, make_ctx(args.place, args.d), field=args.field)
 
 
-def cmd_subsets(args) -> int:
+def cmd_subsets(args) -> tuple:
     subsets, det = characters.nonsingular_subsets(args.n, args.p)
-    payload = {"subsets": [list(s) for s in subsets], "det": det}
-    human = f"subsets={[list(s) for s in subsets]} det={det}"
-    emit(args, payload, human)
-    return 0
+    subsets = [list(s) for s in subsets]
+    return {"subsets": subsets, "det": det}, f"subsets={subsets} det={det}"
 
 
-# -- verification suites --------------------------------------------------------------
+# -- verification suites: each returns (suite name, cases, failures) ------------------
 
 
-def _suite_report(args, name: str, cases: int, failures: List, started: float) -> int:
-    payload = {"suite": name, "cases": cases, "failures": failures}
-    human = f"suite {name}: {cases} cases, {len(failures)} failures"
-    if failures and not args.json:
-        human += "\n" + "\n".join(json.dumps(f, separators=(",", ":")) for f in failures)
-    emit(args, payload, human)
-    sys.stderr.write(f"[{name}] wall time {time.monotonic() - started:.2f}s\n")
-    return 1 if failures else 0
-
-
-def cmd_verify_partition_lemmas(args) -> int:
-    started = time.monotonic()
+def cmd_verify_partition_lemmas(args) -> tuple:
     cases = 0
     failures = []
-    from itertools import product as iproduct
-
     for n in range(1, args.n_max + 1):
-        for lam in iproduct((-2, -1, 1, 2), repeat=n):
+        for lam in product((-2, -1, 1, 2), repeat=n):
             cases += 1
             lhs = characters.partial_sum_signature(lam)
             mid = characters.ordered_partition_sum(lam)
@@ -266,7 +215,7 @@ def cmd_verify_partition_lemmas(args) -> int:
                 failures.append(
                     {"lambda": list(lam), "signature": str(lhs), "partitions": mid, "expected": expect}
                 )
-    return _suite_report(args, "partition-lemmas", cases, failures, started)
+    return "partition-lemmas", cases, failures
 
 
 def sample_rotation_vector(rng: random.Random, n: int) -> List[Fraction]:
@@ -280,8 +229,7 @@ def sample_rotation_vector(rng: random.Random, n: int) -> List[Fraction]:
             return lam
 
 
-def cmd_verify_rotation(args) -> int:
-    started = time.monotonic()
+def cmd_verify_rotation(args) -> tuple:
     rng = random.Random(args.seed)
     cases = 0
     failures = []
@@ -295,7 +243,7 @@ def cmd_verify_rotation(args) -> int:
                 failures.append(
                     {"lambda": [str(x) for x in lam], "count": got, "rotation_hits": hits}
                 )
-    return _suite_report(args, "rotation-count", cases, failures, started)
+    return "rotation-count", cases, failures
 
 
 def sample_regular_weight(rng: random.Random, n: int) -> Weight:
@@ -303,8 +251,7 @@ def sample_regular_weight(rng: random.Random, n: int) -> Weight:
     return Weight(0, (tuple(entries),))
 
 
-def cmd_verify_phi_identity(args) -> int:
-    started = time.monotonic()
+def cmd_verify_phi_identity(args) -> tuple:
     rng = random.Random(args.seed)
     p, q = args.pq
     cases = 0
@@ -324,11 +271,10 @@ def cmd_verify_phi_identity(args) -> int:
             failures.append(
                 {"weight": list(weight.blocks[0]), "differences": report["differences"]}
             )
-    return _suite_report(args, "phi-identity", cases, failures, started)
+    return "phi-identity", cases, failures
 
 
-def cmd_verify_transfer_square(args) -> int:
-    started = time.monotonic()
+def cmd_verify_transfer_square(args) -> tuple:
     cases = 0
     failures = []
     combos = []
@@ -369,155 +315,122 @@ def cmd_verify_transfer_square(args) -> int:
                     **fail,
                 }
             )
-    return _suite_report(args, "transfer-square", cases, failures, started)
+    return "transfer-square", cases, failures
 
 
-# -- parser ------------------------------------------------------------------------
+# -- command table and parser ---------------------------------------------------------
 
 
+def flag(name: str, parse=int, **kw) -> tuple:
+    """One add_argument call: the flag and its keyword arguments."""
+    return name, {"type": parse, **kw}
+
+
+def required(name: str, parse=int, **kw) -> tuple:
+    return flag(name, parse, required=True, **kw)
+
+
+N = required("--n", int_list)
+ENDO = required("--endo", endo_blocks)
+PLACE = (flag("--d", default=1), flag("--place", str, choices=("split", "inert"), default="split"))
+SIG = required("--sig", sig_pairs)
+PQ = required("--pq", int_pair)
+KOSTANT = (PQ, required("--sprime", int_list), required("--weight", weight_spec))
+SEED = required("--seed")
+
+# (name, help, handler, flags in add_argument order); `--json` follows the flags.
+# Handlers are named, not bound, and looked up in this module when a command runs.
+COMMANDS = (
+    ("satake-kottwitz", "Satake transform of a basic spherical function", "cmd_satake_kottwitz",
+     (N, required("--s", int_list), *PLACE)),
+    ("base-change", "base change substitution", "cmd_transfer", (N, *PLACE)),
+    ("transfer", "endoscopic transfer substitution", "cmd_transfer", (N, ENDO, *PLACE)),
+    ("twisted-transfer", "twisted transfer substitution", "cmd_transfer", (N, ENDO, *PLACE)),
+    ("constant-term", "constant term to a standard Levi", "cmd_constant_term",
+     (N, required("--levi-s"), required("--alpha"), *PLACE,
+      ("--levi-kottwitz",
+       {"action": "store_true", "help": "print the Levi-level basic function"}))),
+    ("endoscopy", "enumerate elliptic endoscopic data", "cmd_endoscopy", (N,)),
+    ("invariants", "tau, k, packet size and coefficient checks", "cmd_invariants",
+     (SIG, flag("--endo", endo_blocks))),
+    ("kostant", "nilpotent-radical cohomology summands", "cmd_kostant", KOSTANT),
+    ("truncate", "truncated cohomology summands", "cmd_kostant",
+     (*KOSTANT, required("--dir", str, choices=("gt", "lt")))),
+    ("weyl-char", "Schur-type block character", "cmd_weyl_char",
+     (required("--size"), required("--weight", int_list))),
+    ("weight-transfer", "endoscopic highest-weight transfer", "cmd_weight_transfer",
+     (ENDO, required("--omega", subset_list, help="per-factor subsets, e.g. '1;2,3'"),
+      required("--C"), required("--weight", weight_spec))),
+    ("frobenius-trace", "Frobenius-trace subset sum", "cmd_frobenius_trace",
+     (SIG, required("--m"), *PLACE, flag("--field", str, choices=("Q", "E"), default="E"))),
+    ("subsets", "nonsingular incidence subsets", "cmd_subsets", (required("--n"), required("--p"))),
+)
+
+# The subcommands of `verify`, in the same layout.
+SUITES = (
+    ("partition-lemmas", "exhaustive signed partition identity", "cmd_verify_partition_lemmas",
+     (flag("--n-max", default=5),)),
+    ("rotation-count", "rotation lemma on seeded vectors", "cmd_verify_rotation",
+     (flag("--n-max", default=7), flag("--count", default=200), SEED)),
+    ("phi-identity", "truncated-Kostant vs filtered Weyl sum", "cmd_verify_phi_identity",
+     (PQ, required("--s"), flag("--count", default=50), SEED)),
+    ("transfer-square", "twisted transfer vs constant terms", "cmd_verify_transfer_square",
+     (flag("--n", int_list), flag("--endo", endo_blocks), flag("--levi-s", default=1),
+      flag("--A", int_list, default=()), flag("--n-max", default=4))),
+)
+
+
+def add_commands(sub, rows) -> None:
+    for name, help_, handler, flags in rows:
+        p = sub.add_parser(name, help=help_)
+        for option, kw in flags:
+            p.add_argument(option, **kw)
+        p.add_argument("--json", action="store_true", help="emit canonical JSON")
+        p.set_defaults(handler=handler)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The satkit parser, built on the first call and shared by every later one."""
     top = argparse.ArgumentParser(
         prog="satkit",
         description="Exact Satake-side Hecke algebra and discrete-series combinatorics",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit canonical JSON")
-
-    p = sub.add_parser("satake-kottwitz", help="Satake transform of a basic spherical function")
-    p.add_argument("--n", type=int_list, required=True)
-    p.add_argument("--s", type=int_list, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--place", choices=("split", "inert"), default="split")
-    add_json(p)
-    p.set_defaults(func=cmd_satake_kottwitz)
-
-    # (command, help, map builder taking (g, h, ctx), takes --endo)
-    substitutions = (
-        ("base-change", "base change substitution",
-         lambda g, h, ctx: satake.base_change_map(g, ctx), False),
-        ("transfer", "endoscopic transfer substitution", satake.transfer_map, True),
-        ("twisted-transfer", "twisted transfer substitution", satake.twisted_transfer_map, True),
-    )
-    for name, help_, build_map, takes_endo in substitutions:
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--n", type=int_list, required=True)
-        if takes_endo:
-            p.add_argument("--endo", type=endo_blocks, required=True)
-        p.add_argument("--d", type=int, default=1)
-        p.add_argument("--place", choices=("split", "inert"), default="split")
-        add_json(p)
-        p.set_defaults(func=cmd_transfer, build_map=build_map, endo=None)
-
-    p = sub.add_parser("constant-term", help="constant term to a standard Levi")
-    p.add_argument("--n", type=int_list, required=True)
-    p.add_argument("--levi-s", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--place", choices=("split", "inert"), default="split")
-    p.add_argument("--levi-kottwitz", action="store_true", help="print the Levi-level basic function")
-    add_json(p)
-    p.set_defaults(func=cmd_constant_term)
-
-    p = sub.add_parser("endoscopy", help="enumerate elliptic endoscopic data")
-    p.add_argument("--n", type=int_list, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_endoscopy)
-
-    p = sub.add_parser("invariants", help="tau, k, packet size and coefficient checks")
-    p.add_argument("--sig", type=sig_pairs, required=True)
-    p.add_argument("--endo", type=endo_blocks)
-    add_json(p)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("kostant", help="nilpotent-radical cohomology summands")
-    p.add_argument("--pq", type=int_pair, required=True)
-    p.add_argument("--sprime", type=int_list, required=True)
-    p.add_argument("--weight", type=weight_spec, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_kostant)
-
-    p = sub.add_parser("truncate", help="truncated cohomology summands")
-    p.add_argument("--pq", type=int_pair, required=True)
-    p.add_argument("--sprime", type=int_list, required=True)
-    p.add_argument("--weight", type=weight_spec, required=True)
-    p.add_argument("--dir", choices=("gt", "lt"), required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_truncate)
-
-    p = sub.add_parser("weyl-char", help="Schur-type block character")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--weight", type=int_list, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_weyl_char)
-
-    p = sub.add_parser("weight-transfer", help="endoscopic highest-weight transfer")
-    p.add_argument("--endo", type=endo_blocks, required=True)
-    p.add_argument("--omega", type=subset_list, required=True, help="per-factor subsets, e.g. '1;2,3'")
-    p.add_argument("--C", type=int, required=True)
-    p.add_argument("--weight", type=weight_spec, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_weight_transfer)
-
-    p = sub.add_parser("frobenius-trace", help="Frobenius-trace subset sum")
-    p.add_argument("--sig", type=sig_pairs, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--place", choices=("split", "inert"), default="split")
-    p.add_argument("--field", choices=("Q", "E"), default="E")
-    add_json(p)
-    p.set_defaults(func=cmd_frobenius_trace)
-
-    p = sub.add_parser("subsets", help="nonsingular incidence subsets")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_subsets)
-
-    ver = sub.add_parser("verify", help="verification suites")
-    vsub = ver.add_subparsers(dest="suite", required=True)
-
-    p = vsub.add_parser("partition-lemmas", help="exhaustive signed partition identity")
-    p.add_argument("--n-max", type=int, default=5)
-    add_json(p)
-    p.set_defaults(func=cmd_verify_partition_lemmas)
-
-    p = vsub.add_parser("rotation-count", help="rotation lemma on seeded vectors")
-    p.add_argument("--n-max", type=int, default=7)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_verify_rotation)
-
-    p = vsub.add_parser("phi-identity", help="truncated-Kostant vs filtered Weyl sum")
-    p.add_argument("--pq", type=int_pair, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--seed", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=cmd_verify_phi_identity)
-
-    p = vsub.add_parser("transfer-square", help="twisted transfer vs constant terms")
-    p.add_argument("--n", type=int_list)
-    p.add_argument("--endo", type=endo_blocks)
-    p.add_argument("--levi-s", type=int, default=1)
-    p.add_argument("--A", type=int_list, default=())
-    p.add_argument("--n-max", type=int, default=4)
-    add_json(p)
-    p.set_defaults(func=cmd_verify_transfer_square)
-
+    add_commands(sub, COMMANDS)
+    verify = sub.add_parser("verify", help="verification suites")
+    add_commands(verify.add_subparsers(dest="suite", required=True), SUITES)
     return top
 
 
+def render(result, as_json: bool) -> str:
+    """A handler's result as the text printed on stdout."""
+    if isinstance(result, LaurentPoly):
+        return '{"poly":' + serialize_poly(result) + "}" if as_json else pretty(result)
+    if len(result) == 3:
+        name, cases, failures = result
+        payload = {"suite": name, "cases": cases, "failures": failures}
+        lines = [f"suite {name}: {cases} cases, {len(failures)} failures"]
+        human = "\n".join(lines + [json.dumps(f, separators=(",", ":")) for f in failures])
+    else:
+        payload, human = result
+    return json.dumps(payload, separators=(",", ":")) if as_json else human
+
+
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        result = globals()[args.handler](args)
+        sys.stdout.write(render(result, args.json) + "\n")
     except PRECONDITION_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    if "suite" not in args:
+        return 0
+    name, _, failures = result
+    sys.stderr.write(f"[{name}] wall time {time.monotonic() - started:.2f}s\n")
+    return 1 if failures else 0
 
 
 def main() -> None:

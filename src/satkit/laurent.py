@@ -266,7 +266,7 @@ def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly
         c, qe, m = _split_term(img)
         if c * c != 1:
             raise SubstitutionError(f"image of {v} has non-unit coefficient {c}")
-        table[v] = (c, qe, m)
+        table[v] = (c < 0, qe, m)
 
     def image(m: Monomial, coeff: Fraction) -> Tuple[Monomial, Fraction]:
         q_exp = 0
@@ -277,8 +277,9 @@ def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly
                 continue
             if v not in table:
                 raise SubstitutionError(f"no image for variable {v}")
-            ic, iq, im = table[v]
-            coeff *= ic**e
+            negative, iq, im = table[v]
+            if negative and e & 1:  # (-1)**e
+                coeff = -coeff
             q_exp += iq * e
             parts.extend((w, we * e) for w, we in im)
         if q_exp:

@@ -406,5 +406,6 @@ def test_nonsingular_subsets_range():
             assert len(subsets) == n
             assert all(len(s) == p for s in subsets)
             assert det != 0
-    with pytest.raises(ValueError):
-        nonsingular_subsets(3, 3)
+    for n, p in ((3, 3), (0, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            nonsingular_subsets(n, p)

@@ -1,10 +1,18 @@
 """Exit codes, deterministic output and the documented JSON shapes."""
 
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from satkit.cli import run
+from satkit import cli
+from satkit.cli import build_parser, run
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def invoke(capsys, argv):
@@ -80,6 +88,9 @@ def test_precondition_violation_exit_code(capsys):
         ["twisted-transfer", "--n", "4", "--endo", "2-2", "--place", "inert", "--d", "3", "--json"],
     )
     assert code == 3
+    # a subset family needs n >= 1
+    code, out = invoke(capsys, ["subsets", "--n", "0", "--p", "1", "--json"])
+    assert code == 3 and out == ""
 
 
 def test_usage_error_exit_code():
@@ -157,3 +168,100 @@ def test_frobenius_trace_cli(capsys):
     assert json.loads(out)["poly"] == [
         {"q": 0, "num": 1, "den": 1, "exps": {"X": -3, "X_1_1": -6}}
     ]
+
+
+def test_parser_is_built_once(capsys):
+    parser = build_parser()
+    invoke(capsys, ["invariants", "--sig", "3+0", "--json"])
+    invoke(capsys, ["endoscopy", "--n", "2"])
+    assert build_parser() is parser
+
+
+def test_handler_is_looked_up_when_the_command_runs(capsys, monkeypatch):
+    build_parser()
+    monkeypatch.setattr(cli, "cmd_subsets", lambda args: ({"stub": args.n}, "stub"))
+    assert invoke(capsys, ["subsets", "--n", "3", "--p", "2", "--json"]) == (0, '{"stub":3}\n')
+
+
+def readme_commands():
+    """The argv of every `satkit ...` line in README's Command line block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert all(line[0] == "satkit" for line in lines)
+    return [line[1:] for line in lines]
+
+
+def test_readme_examples_run_and_cover_every_command(capsys):
+    seen = set()
+    for argv in readme_commands():
+        code, out = invoke(capsys, argv)
+        assert code == 0, argv
+        json.loads(out)  # exactly one JSON document
+        assert out.count("\n") == 1, argv
+        seen.add(" ".join(argv[:2]) if argv[0] == "verify" else argv[0])
+    table = {" ".join(path) for path, _ in ROWS}
+    assert seen == table
+
+
+# -- argv fuzzing over the command table ------------------------------------------------
+
+SMALL = st.integers(-1, 3).map(str)
+LIST = st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+
+
+def joined(sep, part):
+    return st.lists(part, min_size=1, max_size=2).map(sep.join)
+
+
+WELL_FORMED = {
+    int: SMALL,
+    cli.int_list: LIST,
+    cli.int_pair: st.tuples(SMALL, SMALL).map(",".join),
+    cli.sig_pairs: joined(",", st.tuples(SMALL, SMALL).map("+".join)),
+    cli.endo_blocks: joined(",", st.tuples(SMALL, SMALL).map("-".join)),
+    cli.weight_spec: st.tuples(SMALL, joined("/", LIST)).map(":".join),
+    cli.subset_list: joined(";", LIST),
+}
+MALFORMED = st.sampled_from(["a", "2-1", "", "1,a", "3+", ":", "1;"])
+COST_FLAGS = ("--n-max", "--count")  # always passed, so that a suite stays small
+ROWS = [([name], flags) for name, _, _, flags in cli.COMMANDS]
+ROWS += [(["verify", name], flags) for name, _, _, flags in cli.SUITES]
+
+
+@st.composite
+def argvs(draw):
+    path, flags = draw(st.sampled_from(ROWS))
+    argv = list(path)
+    for option, kw in flags:
+        if kw.get("action") == "store_true":
+            argv += [option] if draw(st.booleans()) else []
+            continue
+        if option not in COST_FLAGS and draw(st.integers(0, 9)) >= (9 if kw.get("required") else 5):
+            continue
+        if option in COST_FLAGS:
+            value = draw(SMALL)
+        elif draw(st.integers(0, 5)) == 5:
+            value = draw(MALFORMED)
+        elif "choices" in kw:
+            value = draw(st.sampled_from(kw["choices"]))
+        else:
+            value = draw(WELL_FORMED[kw["type"]])
+        argv.append(f"{option}={value}")
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argvs())
+@example(["subsets", "--n", "0", "--p", "1", "--json"])
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            assert run(argv) in (0, 1, 3), argv
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv and out.getvalue():
+        json.loads(out.getvalue())

@@ -122,6 +122,13 @@ def test_substitute_examples():
     assert substitute(z1 + z2, images) == LaurentPoly.var(tor(1, 1)) - LaurentPoly.var(tor(2, 1))
     # homomorphism spot check.
     assert substitute(z1 * z2, images) == substitute(z1, images) * substitute(z2, images)
+    # a -1 image changes the sign of odd powers only, negative ones included.
+    def power(v, e):
+        return LaurentPoly.monomial({v: e})
+
+    f = power(tor(1, 2), -3) + power(tor(1, 2), -2) + power(tor(1, 2), 2) + power(tor(1, 2), 3)
+    expected = -power(tor(2, 1), -3) + power(tor(2, 1), -2) + power(tor(2, 1), 2) - power(tor(2, 1), 3)
+    assert substitute(f, images) == expected
 
 
 def test_substitute_is_homomorphism_random():
