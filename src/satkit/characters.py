@@ -20,7 +20,9 @@ from math import factorial, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import perm
-from .laurent import QVAR, SIM, LaurentPoly, Var, _merge, _mono, tor
+from .laurent import (
+    INT32_MAX, QVAR, SIM, ExponentOverflowError, LaurentPoly, Var, _merge, _mono, tor
+)
 from .rootdata import EndoTriple, PlaceContext, SignedGroupDatum
 
 
@@ -442,60 +444,41 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
 # -- Weyl characters ----------------------------------------------------------------
 
 
-def _alternant(exps: Sequence[int], vars_: Sequence[Var]) -> LaurentPoly:
-    n = len(vars_)
-    return LaurentPoly.from_terms(
-        (_mono((vars_[i], exps[w[i] - 1]) for i in range(n)), perm.parity(w))
-        for w in permutations(range(1, n + 1))
-    )
+def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
+    """Schur-type character s_lambda(x_1..x_n) of the dominant block weight.
 
-
-def _lex_lead(f: LaurentPoly, vars_: Sequence[Var]):
-    best = None
-    for m, c in f.terms():
-        d = dict(m)
-        key = tuple(d.get(v, 0) for v in vars_)
-        if best is None or key > best[0]:
-            best = (key, m, c)
-    return best
-
-
-def exact_divide(num: LaurentPoly, den: LaurentPoly, vars_: Sequence[Var]) -> LaurentPoly:
-    """Exact division of Laurent polynomials by lex-leading-term reduction."""
-    quot = []
-    rem = num
-    lead_den = _lex_lead(den, vars_)
-    if lead_den is None:
-        raise ZeroDivisionError("division by zero polynomial")
-    dkey, dmono, dcoeff = lead_den
-    while not rem.is_zero():
-        rkey, rmono, rcoeff = _lex_lead(rem, vars_)
-        qexps = {v: rk - dk for v, rk, dk in zip(vars_, rkey, dkey) if rk - dk}
-        term = LaurentPoly.monomial(qexps, coeff=rcoeff / dcoeff)
-        quot.extend(term.terms())
-        rem = rem - term * den
-    return LaurentPoly.from_terms(quot)
-
-
-def weyl_character(
-    size: int, block_weight: Sequence[int], vars_: Optional[Sequence[Var]] = None
-) -> LaurentPoly:
-    """Schur-type character of the dominant block weight as a Laurent polynomial.
-
-    Computed as the bialternant quotient; the division is exact precisely
-    for dominant weights, and a non-dominant input raises ValueError.
+    Computed by Gelfand-Tsetlin branching (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.5):
+    s_lambda(x_1..x_n) = sum over mu interlacing lambda
+    (lambda_1 >= mu_1 >= lambda_2 >= ... >= mu_{n-1} >= lambda_n) of
+    s_mu(x_1..x_{n-1}) * x_n^{|lambda| - |mu|}.  The rule holds for every
+    non-increasing integer weight, negative entries included.  Each layer
+    maps a weight mu to the exponent tails (of x_{k+1}..x_n) that reach it,
+    so a mu met along several branches is expanded once.
     """
     lam = tuple(int(x) for x in block_weight)
     if len(lam) != size:
         raise ValueError("weight length must equal the block size")
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError("weight must be dominant (non-increasing)")
-    if vars_ is None:
-        vars_ = [tor(1, j) for j in range(1, size + 1)]
-    delta = tuple(range(size - 1, -1, -1))
-    num = _alternant([l + d for l, d in zip(lam, delta)], vars_)
-    den = _alternant(delta, vars_)
-    return exact_divide(num, den, list(vars_))
+    # the same range as the numerator x^(lambda + delta) of Weyl's character formula
+    if lam and (lam[0] + size - 1 > INT32_MAX or lam[-1] < -INT32_MAX):
+        raise ExponentOverflowError(f"weight {lam} leaves the 32-bit exponent range")
+    layer = {lam: {(): 1}}
+    for _ in range(size):
+        below: dict = {}
+        for mu, tails in layer.items():
+            total = sum(mu)
+            for nu in product(*(range(b, a + 1) for a, b in zip(mu, mu[1:]))):
+                acc = below.setdefault(nu, {})
+                e = total - sum(nu)
+                for tail, c in tails.items():
+                    key = (e,) + tail
+                    acc[key] = acc.get(key, 0) + c
+        layer = below
+    (terms,) = layer.values()
+    xs = [tor(1, j) for j in range(1, size + 1)]
+    return LaurentPoly.from_terms((_mono(zip(xs, exps)), c) for exps, c in terms.items())
 
 
 # -- endoscopic weight transfer -------------------------------------------------------

@@ -202,7 +202,15 @@ def cmd_subsets(args) -> tuple:
 # -- verification suites: each returns (suite name, cases, failures) ------------------
 
 
+def at_least(low: int, **flags) -> None:
+    """Refuse a size or count flag below low, with which a suite would run no case."""
+    for name, value in flags.items():
+        if value < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}")
+
+
 def cmd_verify_partition_lemmas(args) -> tuple:
+    at_least(1, n_max=args.n_max)
     cases = 0
     failures = []
     for n in range(1, args.n_max + 1):
@@ -230,6 +238,7 @@ def sample_rotation_vector(rng: random.Random, n: int) -> List[Fraction]:
 
 
 def cmd_verify_rotation(args) -> tuple:
+    at_least(1, n_max=args.n_max, count=args.count)
     rng = random.Random(args.seed)
     cases = 0
     failures = []
@@ -252,8 +261,11 @@ def sample_regular_weight(rng: random.Random, n: int) -> Weight:
 
 
 def cmd_verify_phi_identity(args) -> tuple:
-    rng = random.Random(args.seed)
     p, q = args.pq
+    if p < 0 or not 1 <= args.s <= q:
+        raise ValueError("need p >= 0 and 1 <= s <= q")
+    at_least(1, count=args.count)
+    rng = random.Random(args.seed)
     cases = 0
     failures = []
     for _ in range(args.count):
@@ -285,6 +297,7 @@ def cmd_verify_transfer_square(args) -> tuple:
         h = EndoTriple(*args.endo)
         combos.append((g, h, LeviDatum(args.levi_s), list(args.A)))
     else:
+        at_least(2, n_max=args.n_max)
         for n in range(2, args.n_max + 1):
             g = GroupDatum((n,))
             hs = [

@@ -2,7 +2,7 @@
 
 Covers the tuple (n_1, ..., n_r) defining G(U*(n_1) x ... x U*(n_r)), real
 signatures, elliptic endoscopic data (n_i^+, n_i^-) with even total minus
-part, relative Weyl groups at split and inert places, and the stabilization
+part, relative Weyl-group shapes at split and inert places, and the stabilization
 coefficients tau, k, d, iota and iota_{G,H}.  Everything is exact integer or
 rational arithmetic.
 """
@@ -15,7 +15,7 @@ from itertools import product
 from math import comb, factorial
 from typing import List, Optional, Tuple
 
-from .laurent import WeylElement, WeylShape, weyl_group
+from .laurent import WeylShape
 
 
 class ParityError(ValueError):
@@ -146,16 +146,9 @@ class PlaceContext:
 
 
 def shape_for(g: GroupDatum, ctx: PlaceContext) -> WeylShape:
+    """The relative Weyl group of the maximal split torus: S_{n_1} x ... x S_{n_r}
+    at a split place, the hyperoctahedral {+-1}^{q_i} x| S_{q_i} at an inert one."""
     return WeylShape(split=ctx.split, sizes=g.sizes)
-
-
-def relative_weyl_group(g: GroupDatum, ctx: PlaceContext) -> Tuple[WeylElement, ...]:
-    """All elements of the relative Weyl group of the maximal split torus.
-
-    Split place: S_{n_1} x ... x S_{n_r}.  Inert place: the product of
-    hyperoctahedral groups {+-1}^{q_i} x| S_{q_i}.
-    """
-    return weyl_group(shape_for(g, ctx))
 
 
 # -- endoscopy ----------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Slow reference implementations that the library's results are checked against."""
 
-from itertools import product
+from itertools import permutations, product
 
-from satkit.laurent import LaurentPoly, _act_monomial
+from satkit import perm
+from satkit.laurent import LaurentPoly, _act_monomial, _mono, tor
 
 
 def brute_force_endoscopic_classes(g):
@@ -42,3 +43,67 @@ def symmetrize_over_group(f, group, shape):
     return LaurentPoly.from_terms(
         (mono, c) for m, c in f.terms() for mono in {_act_monomial(w, m, shape) for w in group}
     )
+
+
+def _alternant(exps, vars_):
+    n = len(vars_)
+    return LaurentPoly.from_terms(
+        (_mono((vars_[i], exps[w[i] - 1]) for i in range(n)), perm.parity(w))
+        for w in permutations(range(1, n + 1))
+    )
+
+
+def _lex_lead(f, vars_):
+    best = None
+    for m, c in f.terms():
+        d = dict(m)
+        key = tuple(d.get(v, 0) for v in vars_)
+        if best is None or key > best[0]:
+            best = (key, m, c)
+    return best
+
+
+def exact_divide(num, den, vars_):
+    """Exact division of Laurent polynomials by lex-leading-term reduction."""
+    quot = []
+    rem = num
+    lead_den = _lex_lead(den, vars_)
+    if lead_den is None:
+        raise ZeroDivisionError("division by zero polynomial")
+    dkey, dmono, dcoeff = lead_den
+    while not rem.is_zero():
+        rkey, rmono, rcoeff = _lex_lead(rem, vars_)
+        qexps = {v: rk - dk for v, rk, dk in zip(vars_, rkey, dkey) if rk - dk}
+        term = LaurentPoly.monomial(qexps, coeff=rcoeff / dcoeff)
+        quot.extend(term.terms())
+        rem = rem - term * den
+    return LaurentPoly.from_terms(quot)
+
+
+def bialternant_character(size, lam):
+    """The Weyl character of a dominant lam as the bialternant quotient
+    a_{lam+delta} / a_delta, the n!-term division that the branching rule in
+    characters.weyl_character replaces."""
+    vars_ = [tor(1, j) for j in range(1, size + 1)]
+    delta = tuple(range(size - 1, -1, -1))
+    num = _alternant([l + d for l, d in zip(lam, delta)], vars_)
+    return exact_divide(num, _alternant(delta, vars_), vars_)
+
+
+def semistandard_tableaux_schur(lam, n):
+    """Sum of the monomials x^T over the semistandard tableaux T with entries
+    in 1..n whose shape is the positive part of lam."""
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(max(row, 0))]
+
+    def fillings(idx, tab):
+        if idx == len(cells):
+            yield _mono((tor(1, v), 1) for v in tab.values())
+            return
+        i, j = cells[idx]
+        lo = max(tab[i, j - 1] if j else 1, tab[i - 1, j] + 1 if i else 1)
+        for v in range(lo, n + 1):
+            tab[i, j] = v
+            yield from fillings(idx + 1, tab)
+            del tab[i, j]
+
+    return LaurentPoly.from_terms((m, 1) for m in fillings(0, {}))

@@ -58,7 +58,7 @@ from satkit.satake import (
     verify_transfer_square,
 )
 
-from oracles import brute_force_endoscopic_classes
+from oracles import brute_force_endoscopic_classes, semistandard_tableaux_schur
 
 
 class Criterion:
@@ -310,37 +310,6 @@ def test_criterion_08_kostant_and_phi_identity():
     crit.finish(ok, f"{cases} identity checks over {len(pq_pairs)} signatures")
 
 
-def _tableaux_schur(lam, n):
-    lam = [x for x in lam if x > 0]
-    if not lam:
-        return LaurentPoly.one()
-    cells = [(i, j) for i in range(len(lam)) for j in range(lam[i])]
-    total = LaurentPoly.zero()
-
-    def fill(idx, tab):
-        nonlocal total
-        if idx == len(cells):
-            exps = {}
-            for cell in cells:
-                v = tab[cell]
-                exps[tor(1, v)] = exps.get(tor(1, v), 0) + 1
-            total = total + LaurentPoly.monomial(exps)
-            return
-        i, j = cells[idx]
-        lo = 1
-        if j > 0:
-            lo = max(lo, tab[(i, j - 1)])
-        if i > 0:
-            lo = max(lo, tab[(i - 1, j)] + 1)
-        for v in range(lo, n + 1):
-            tab[(i, j)] = v
-            fill(idx + 1, tab)
-            del tab[(i, j)]
-
-    fill(0, {})
-    return total
-
-
 def test_criterion_09_weyl_characters():
     crit = Criterion(9, "Weyl characters vs tableau oracle and dimension count")
     ok = True
@@ -354,7 +323,7 @@ def test_criterion_09_weyl_characters():
         ]
         for lam in shapes:
             f = weyl_character(n, lam)
-            if f != _tableaux_schur(lam, n):
+            if f != semistandard_tableaux_schur(lam, n):
                 ok = False
             assign = dict(ones)
             assign.update({tor(1, j): Fraction(1) for j in range(1, n + 1)})

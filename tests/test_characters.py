@@ -1,11 +1,14 @@
 """Partition lemmas, Kostant truncation, Weyl characters and weight transfer."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satkit.characters import (
     HypothesisError,
@@ -30,8 +33,10 @@ from satkit.characters import (
     verify_phi_identity,
     weyl_character,
 )
-from satkit.laurent import QVAR, SIM, LaurentPoly, tor
+from satkit.laurent import QVAR, SIM, ExponentOverflowError, LaurentPoly, tor
 from satkit.rootdata import EndoTriple, PlaceContext, SignedGroupDatum
+
+from oracles import bialternant_character, semistandard_tableaux_schur
 
 # -- signed partition lemmas ------------------------------------------------------
 
@@ -229,40 +234,6 @@ def test_signed_weight_sum_cancellation():
 # -- Weyl characters ---------------------------------------------------------------------
 
 
-def semistandard_tableaux_schur(lam, n):
-    """Oracle: sum of monomials over semistandard fillings with entries in 1..n."""
-    lam = [x for x in lam if x > 0]
-    if not lam:
-        return LaurentPoly.one()
-    rows = len(lam)
-    cells = [(i, j) for i in range(rows) for j in range(lam[i])]
-
-    total = LaurentPoly.zero()
-
-    def fill(idx, tab):
-        nonlocal total
-        if idx == len(cells):
-            exps = {}
-            for (i, j) in cells:
-                v = tab[(i, j)]
-                exps[tor(1, v)] = exps.get(tor(1, v), 0) + 1
-            total = total + LaurentPoly.monomial(exps)
-            return
-        i, j = cells[idx]
-        lo = 1
-        if j > 0:
-            lo = max(lo, tab[(i, j - 1)])
-        if i > 0:
-            lo = max(lo, tab[(i - 1, j)] + 1)
-        for v in range(lo, n + 1):
-            tab[(i, j)] = v
-            fill(idx + 1, tab)
-            del tab[(i, j)]
-
-    fill(0, {})
-    return total
-
-
 def test_weyl_character_examples():
     x1, x2 = LaurentPoly.var(tor(1, 1)), LaurentPoly.var(tor(1, 2))
     assert weyl_character(2, (1, 0)) == x1 + x2
@@ -302,6 +273,34 @@ def test_weyl_character_dimension():
 def test_weyl_character_rejects_non_dominant():
     with pytest.raises(ValueError):
         weyl_character(2, (0, 1))
+
+
+DOMINANT = st.lists(st.integers(-3, 4), min_size=1, max_size=5).map(
+    lambda xs: tuple(sorted(xs, reverse=True))
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(DOMINANT)
+def test_weyl_character_matches_bialternant(lam):
+    assert weyl_character(len(lam), lam) == bialternant_character(len(lam), lam)
+
+
+def test_weyl_character_size_7():
+    started = time.monotonic()
+    f = weyl_character(7, (7, 6, 5, 4, 3, 2, 1))
+    assert time.monotonic() - started < 5
+    assert len(f) == 36961
+    assert sum(c for _, c in f.terms()) == 2**21  # the value at x = (1, ..., 1)
+
+
+def test_weyl_character_exponent_range():
+    # refused exactly when the Weyl numerator x^(lambda + delta) leaves the 32-bit range
+    top, bottom = 2**31 - 2, -(2**31 - 1)
+    assert len(weyl_character(2, (top, top))) == len(weyl_character(2, (bottom, bottom))) == 1
+    for lam in [(top + 1, 0), (0, bottom - 1)]:
+        with pytest.raises(ExponentOverflowError):
+            weyl_character(2, lam)
 
 
 # -- endoscopic weight transfer --------------------------------------------------------------

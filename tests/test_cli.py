@@ -93,6 +93,23 @@ def test_precondition_violation_exit_code(capsys):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi-identity", "--pq", "3,-1", "--s", "0", "--count", "0", "--seed", "1"],
+        ["phi-identity", "--pq", "2,1", "--s", "1", "--count", "0", "--seed", "1"],
+        ["rotation-count", "--count", "-5", "--seed", "1", "--n-max", "5"],
+        ["rotation-count", "--count", "5", "--seed", "1", "--n-max", "-2"],
+        ["partition-lemmas", "--n-max", "-1"],
+        ["transfer-square", "--n-max", "-3"],
+    ],
+)
+def test_suite_parameters_are_checked_before_any_case(capsys, argv):
+    # each of these would otherwise report 0 cases and exit 0
+    code, out = invoke(capsys, ["verify", *argv, "--json"])
+    assert code == 3 and out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["satake-kottwitz", "--nope", "1"])

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from satkit.laurent import WeylElement
+from satkit.laurent import WeylElement, weyl_group
 from satkit.rootdata import (
     EndoTriple,
     GroupDatum,
@@ -20,7 +20,7 @@ from satkit.rootdata import (
     k_invariant,
     packet_size,
     pi0_symmetric_space,
-    relative_weyl_group,
+    shape_for,
     tamagawa,
 )
 
@@ -48,11 +48,11 @@ def all_signatures(n_total):
 def test_weyl_group_orders():
     split = PlaceContext(split=True, d=1)
     inert = PlaceContext(split=False, d=1)
-    assert len(relative_weyl_group(GroupDatum((2,)), split)) == 2
-    assert len(relative_weyl_group(GroupDatum((2,)), inert)) == 2
-    assert len(relative_weyl_group(GroupDatum((3, 2)), split)) == 12
-    assert len(relative_weyl_group(GroupDatum((4,)), inert)) == 8
-    assert len(relative_weyl_group(GroupDatum((5,)), inert)) == 8
+    assert len(weyl_group(shape_for(GroupDatum((2,)), split))) == 2
+    assert len(weyl_group(shape_for(GroupDatum((2,)), inert))) == 2
+    assert len(weyl_group(shape_for(GroupDatum((3, 2)), split))) == 12
+    assert len(weyl_group(shape_for(GroupDatum((4,)), inert))) == 8
+    assert len(weyl_group(shape_for(GroupDatum((5,)), inert))) == 8
 
 
 @pytest.mark.parametrize(
@@ -65,11 +65,9 @@ def test_weyl_group_orders():
     ],
 )
 def test_weyl_group_table(g, ctx):
-    group = relative_weyl_group(g, ctx)
+    group = weyl_group(shape_for(g, ctx))
     elems = set(group)
     assert len(elems) == len(group)
-    from satkit.rootdata import shape_for
-
     e = WeylElement.identity(shape_for(g, ctx))
     assert e in elems
     for w in group:
