@@ -14,6 +14,7 @@ Levi block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, lcm
@@ -82,56 +83,56 @@ def partial_sum_signature(lam: Sequence) -> Fraction:
     for p in permutations(lam):
         m = _prefix_positive_mask(p)
         mask_counts[m] = mask_counts.get(m, 0) + 1
-    total = Fraction(0)
+    n_fact = factorial(n)
+    total = 0  # the sum scaled by n!, in which every 1 / w_S is an integer
     for bits in range(2 ** (n - 1)):
         s_set = [r + 1 for r in range(n - 1) if bits >> r & 1] + [n]
         s_mask = 0
         for r in s_set:
             s_mask |= 1 << (r - 1)
         count = sum(c for m, c in mask_counts.items() if m & s_mask == s_mask)
-        if count:
-            total += Fraction((-1) ** len(s_set) * count, _w_s(s_set))
-    return total
+        total += (-1) ** len(s_set) * count * (n_fact // _w_s(s_set))
+    return Fraction(total, n_fact)
+
+
+def _subset_sums(lam: Sequence[int]) -> List[int]:
+    """sums[A] = the sum of lam[i] over the set bits i of the mask A."""
+    sums = [0]
+    for x in lam:
+        sums += [s + x for s in sums]
+    return sums
 
 
 def ordered_partition_sum(lam: Sequence) -> int:
     """Signed count of ordered set partitions with positive prefix block sums.
 
     Each ordered partition (I_1, ..., I_k) of {1..n} whose block-sum vector
-    has all prefix sums positive contributes (-1)^k.
+    has all prefix sums positive contributes (-1)^k.  The prefix unions form a
+    chain of subsets with positive sums: h(A) = -[sum_A > 0] * sum of h(B)
+    over the proper subsets B of A, with h({}) = 1, gives h({1..n}) in O(3^n).
     """
     lam = _scale_to_ints(lam)
-    n = len(lam)
-    if n == 0:
+    if not lam:
         raise ValueError("empty vector")
-
-    def rec(remaining: Tuple[int, ...], running: int, blocks: int) -> int:
-        if not remaining:
-            return (-1) ** blocks
-        total = 0
-        for k in range(1, len(remaining) + 1):
-            for block in combinations(remaining, k):
-                sub = running + sum(lam[i] for i in block)
-                if sub > 0:
-                    left = tuple(i for i in remaining if i not in block)
-                    total += rec(left, sub, blocks + 1)
-        return total
-
-    return rec(tuple(range(n)), 0, 0)
+    sums = _subset_sums(lam)
+    h = [0] * len(sums)
+    h[0] = 1
+    for a in range(1, len(sums)):
+        if sums[a] > 0:
+            total = 1  # h of the empty set
+            b = (a - 1) & a
+            while b:
+                total += h[b]
+                b = (b - 1) & a
+            h[a] = -total
+    return h[-1]
 
 
 def two_partition_hypothesis(lam: Sequence) -> bool:
     """True when the total is positive and no 2-partition has both sums positive."""
-    lam = _scale_to_ints(lam)
-    n = len(lam)
-    if sum(lam) <= 0:
-        return False
-    for bits in range(1, 2 ** (n - 1)):
-        s1 = sum(lam[i] for i in range(n) if bits >> i & 1)
-        s2 = sum(lam) - s1
-        if s1 > 0 and s2 > 0:
-            return False
-    return True
+    sums = _subset_sums(_scale_to_ints(lam))
+    total = sums[-1]  # {A, complement} has both sums positive iff 0 < sums[A] < total
+    return total > 0 and not any(0 < x < total for x in sums[1 : len(sums) // 2])
 
 
 def rotation_orbit_hits(lam: Sequence) -> int:
@@ -150,15 +151,27 @@ def positive_rotation_count(lam: Sequence) -> int:
     """Count permutations with all prefix sums positive; (n-1)! under the hypothesis.
 
     Requires a positive total and no 2-partition with both block sums
-    positive (HypothesisError otherwise).
+    positive (HypothesisError otherwise).  The prefix sets of such a
+    permutation form a maximal chain of subsets with positive sums:
+    f(A) = [sum_A > 0] * sum of f(A - {x}) over x in A, with f({}) = 1,
+    counts them in O(2^n n).
     """
     lam = _scale_to_ints(lam)
     if not lam:
         raise ValueError("empty vector")
     if not two_partition_hypothesis(lam):
         raise HypothesisError("total <= 0 or a 2-partition with positive parts exists")
-    full = (1 << len(lam)) - 1
-    return sum(1 for p in permutations(lam) if _prefix_positive_mask(p) == full)
+    sums = _subset_sums(lam)
+    f = [0] * len(sums)
+    f[0] = 1
+    for a in range(1, len(sums)):
+        if sums[a] > 0:
+            rest = a
+            while rest:
+                bit = rest & -rest
+                f[a] += f[a ^ bit]
+                rest ^= bit
+    return f[-1]
 
 
 # -- weights ---------------------------------------------------------------------
@@ -217,6 +230,25 @@ def pairing_coroot(vec: Sequence[int], r: int) -> int:
     return vec[r - 1] - vec[len(vec) - r]
 
 
+@cache
+def _shuffles(sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The permutations w of 1..n whose inverse maps each run of consecutive
+    values (of the given sizes, in order) to an increasing set, sorted."""
+
+    def inverses(free: Tuple[int, ...], rest: Tuple[int, ...]):
+        # w^{-1} in one-line form: each run takes an increasing set from free
+        if not rest:
+            yield ()
+            return
+        for chosen in combinations(free, rest[0]):
+            left = tuple(x for x in free if x not in chosen)
+            for tail in inverses(left, rest[1:]):
+                yield chosen + tail
+
+    values = tuple(range(1, sum(sizes) + 1))
+    return tuple(sorted(perm.inverse(inv) for inv in inverses(values, sizes)))
+
+
 @dataclass(frozen=True)
 class KostantDatum:
     """GU(p, q) together with a Levi subset S' of {1..q}."""
@@ -246,22 +278,9 @@ class KostantDatum:
         return out
 
     def coset_reps(self) -> List[Tuple[int, ...]]:
-        """Permutations whose inverse is increasing on each Levi block."""
-        blocks = self.blocks()
-        reps = []
-        for w in permutations(range(1, self.n + 1)):
-            inv = perm.inverse(w)
-            ok = True
-            for b in blocks:
-                for x, y in zip(b, b[1:]):
-                    if inv[x - 1] > inv[y - 1]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                reps.append(w)
-        return reps
+        """Permutations whose inverse is increasing on each Levi block, in
+        lexicographic order."""
+        return list(_shuffles(tuple(len(b) for b in self.blocks())))
 
     def levi_group(self) -> List[Tuple[Tuple[int, ...], int]]:
         """Block permutations with their signs."""
@@ -336,13 +355,14 @@ def truncate_cohomology(
 
 
 class SignedWeightSum:
-    """Finite multiset of weight vectors with exact signed multiplicities."""
+    """Finite multiset of weight vectors with exact signed multiplicities;
+    int multiplicities stay ints."""
 
     def __init__(self):
-        self._entries: Dict[Tuple[int, ...], Fraction] = {}
+        self._entries: Dict[Tuple[int, ...], int | Fraction] = {}
 
     def add(self, vec: Tuple[int, ...], coeff) -> None:
-        _merge(self._entries, ((vec, coeff),))
+        _merge(self._entries, ((vec, coeff),), 0)
 
     def items(self):
         return sorted(self._entries.items())
@@ -353,26 +373,14 @@ class SignedWeightSum:
     def __eq__(self, other):
         return isinstance(other, SignedWeightSum) and self._entries == other._entries
 
-    def difference(self, other: "SignedWeightSum") -> List[Tuple[Tuple[int, ...], Fraction]]:
+    def difference(self, other: "SignedWeightSum") -> List[Tuple[Tuple[int, ...], int | Fraction]]:
         keys = set(self._entries) | set(other._entries)
         out = []
         for k in sorted(keys):
-            d = self._entries.get(k, Fraction(0)) - other._entries.get(k, Fraction(0))
+            d = self._entries.get(k, 0) - other._entries.get(k, 0)
             if d:
                 out.append((k, d))
         return out
-
-
-def _sigma_act(vec: Sequence[int], sigma: Sequence[int], s: int) -> Tuple[int, ...]:
-    """Permute the first s linear slots and their mirrors simultaneously."""
-    n = len(vec)
-    inv = perm.inverse(sigma)
-    out = list(vec)
-    for j in range(1, s + 1):
-        src = inv[j - 1]
-        out[j - 1] = vec[src - 1]
-        out[n - j] = vec[n - src]
-    return tuple(out)
 
 
 def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str = ">") -> Dict:
@@ -386,6 +394,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
     moving a slot together with its mirror).  Side B: the full Weyl sum
     filtered by strict positivity (resp. negativity) of the pairings with
     the first s real coroots.  The report records the exact difference.
+    Both sides are kept as integers scaled by s!, which every w_{S'} divides.
     """
     if direction not in (">", "<"):
         raise ValueError("direction must be '>' or '<'")
@@ -398,6 +407,15 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         raise ValueError("weight must be dominant regular")
     lam2 = tuple(2 * x for x in weight.blocks[0])
     want_pos = direction == ">"
+    s_fact = factorial(s)
+    # each sigma permutes the first s linear slots and their mirrors together:
+    # slot j takes its entry from slot sigma^{-1}(j)
+    sources = []
+    for sigma in permutations(range(1, s + 1)):
+        src = list(range(n))
+        for j, i in enumerate(perm.inverse(sigma)):
+            src[j], src[n - 1 - j] = i - 1, n - i
+        sources.append(src)
 
     side_a = SignedWeightSum()
     for bits in range(2 ** (s - 1)):
@@ -406,17 +424,17 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         entries = kostant_cohomology(kd, weight)
         survivors = truncate_cohomology(entries, rs, direction)
         levi = kd.levi_group()
-        coeff_base = Fraction((-1) ** (s - len(rs)), _w_s(rs))
+        coeff_base = (-1) ** (s - len(rs)) * (s_fact // _w_s(rs))
         for e in survivors:
             for w_m, det_m in levi:
                 expanded = perm.act(w_m, e.shifted2)
                 coeff = coeff_base * det_m * e.det
-                for sigma in permutations(range(1, s + 1)):
-                    side_a.add(_sigma_act(expanded, sigma, s), coeff)
+                for src in sources:
+                    side_a.add(tuple([expanded[i] for i in src]), coeff)
 
     side_b = SignedWeightSum()
-    for w in permutations(range(1, n + 1)):
-        v = perm.act(w, lam2)
+    # v = w(lam2) runs over the permutations of lam2 in step with w^{-1}
+    for w_inv, v in zip(permutations(range(1, n + 1)), permutations(lam2)):
         ok = True
         for r in range(1, s + 1):
             val = pairing_coroot(v, r)
@@ -426,7 +444,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
                 ok = False
                 break
         if ok:
-            side_b.add(v, perm.parity(w))
+            side_b.add(v, perm.parity(w_inv) * s_fact)
 
     diff = side_a.difference(side_b)
     return {
@@ -437,7 +455,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         "side_a_terms": len(side_a),
         "side_b_terms": len(side_b),
         "equal": not diff,
-        "differences": [(list(k), str(c)) for k, c in diff],
+        "differences": [(list(k), str(Fraction(c, s_fact))) for k, c in diff],
     }
 
 

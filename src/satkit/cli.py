@@ -255,8 +255,11 @@ def cmd_verify_rotation(args) -> tuple:
     return "rotation-count", cases, failures
 
 
+WEIGHT_ENTRIES = range(-24, 25)
+
+
 def sample_regular_weight(rng: random.Random, n: int) -> Weight:
-    entries = sorted(rng.sample(range(-24, 25), n), reverse=True)
+    entries = sorted(rng.sample(WEIGHT_ENTRIES, n), reverse=True)
     return Weight(0, (tuple(entries),))
 
 
@@ -264,6 +267,10 @@ def cmd_verify_phi_identity(args) -> tuple:
     p, q = args.pq
     if p < 0 or not 1 <= args.s <= q:
         raise ValueError("need p >= 0 and 1 <= s <= q")
+    if p + q > len(WEIGHT_ENTRIES):
+        raise ValueError(
+            f"--pq: p + q must be at most {len(WEIGHT_ENTRIES)}, the distinct entries in -24..24"
+        )
     at_least(1, count=args.count)
     rng = random.Random(args.seed)
     cases = 0

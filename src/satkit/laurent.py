@@ -78,14 +78,15 @@ def mono_pow(a: Monomial, k: int) -> Monomial:
 _ZERO = Fraction(0)
 
 
-def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Fraction]]) -> dict:
+def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Fraction]], zero=_ZERO) -> dict:
     """Add (key, coefficient) pairs into out, dropping keys whose coefficients cancel.
 
     Keys are monomials here and weight vectors in characters.SignedWeightSum.
-    Coefficients may be int or Fraction; every stored one is a nonzero Fraction.
+    Coefficients may be int or Fraction; a new key starts from zero, by default
+    Fraction(0), so that every stored coefficient is a nonzero Fraction.
     """
     for m, c in pairs:
-        s = out.get(m, _ZERO) + c
+        s = out.get(m, zero) + c
         if s:
             out[m] = s
         else:

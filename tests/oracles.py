@@ -1,8 +1,12 @@
 """Slow reference implementations that the library's results are checked against."""
 
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 from satkit import perm
+from satkit.characters import (
+    KostantDatum, KostantEntry, WallError, _w_s, pairing_coroot, rho2, truncate_cohomology
+)
 from satkit.laurent import LaurentPoly, _act_monomial, _mono, tor
 
 
@@ -107,3 +111,131 @@ def semistandard_tableaux_schur(lam, n):
             del tab[i, j]
 
     return LaurentPoly.from_terms((m, 1) for m in fillings(0, {}))
+
+
+def _all_prefixes_positive(seq):
+    run = 0
+    for x in seq:
+        run += x
+        if run <= 0:
+            return False
+    return True
+
+
+def positive_rotation_count_by_permutations(lam):
+    """The n! count of permutations of lam with all prefix sums positive that
+    the subset DP in characters.positive_rotation_count replaces; None when
+    the total is not positive or a 2-partition has both block sums positive."""
+    lam = [Fraction(x) for x in lam]
+    n, total = len(lam), sum(lam)
+    for bits in range(1, 2 ** (n - 1)):
+        part = sum(lam[i] for i in range(n) if bits >> i & 1)
+        if part > 0 and total - part > 0:
+            return None
+    if total <= 0:
+        return None
+    return sum(1 for p in permutations(lam) if _all_prefixes_positive(p))
+
+
+def ordered_partition_sum_by_enumeration(lam):
+    """Sum of (-1)^k over the ordered set partitions (I_1, ..., I_k) with
+    positive prefix block sums, enumerated block by block: the recursion that
+    the subset DP in characters.ordered_partition_sum replaces."""
+    lam = [Fraction(x) for x in lam]
+
+    def rec(remaining, running, blocks):
+        if not remaining:
+            return (-1) ** blocks
+        total = 0
+        for k in range(1, len(remaining) + 1):
+            for block in combinations(remaining, k):
+                sub = running + sum(lam[i] for i in block)
+                if sub > 0:
+                    left = tuple(i for i in remaining if i not in block)
+                    total += rec(left, sub, blocks + 1)
+        return total
+
+    return rec(tuple(range(len(lam))), 0, 0)
+
+
+def coset_reps_by_filter(kd):
+    """The permutations of 1..n whose inverse is increasing on each Levi block,
+    kept from all n! in lexicographic order: the filter that the shuffle
+    construction in characters.KostantDatum.coset_reps replaces."""
+    blocks = kd.blocks()
+    reps = []
+    for w in permutations(range(1, kd.n + 1)):
+        inv = perm.inverse(w)
+        if all(inv[x - 1] < inv[y - 1] for b in blocks for x, y in zip(b, b[1:])):
+            reps.append(w)
+    return reps
+
+
+def phi_identity_by_fractions(p, q, s, weight, direction=">"):
+    """The report of characters.verify_phi_identity, computed with Fraction
+    multiplicities 1/w_S', the filtered coset representatives and one
+    inversion per sigma-translate, as it was before both sides were scaled
+    to integers."""
+    n = p + q
+    lam2 = tuple(2 * x for x in weight.blocks[0])
+    r2 = rho2(n)
+
+    def sigma_act(vec, sigma):
+        inv = perm.inverse(sigma)
+        out = list(vec)
+        for j in range(1, s + 1):
+            out[j - 1] = vec[inv[j - 1] - 1]
+            out[n - j] = vec[n - inv[j - 1]]
+        return tuple(out)
+
+    def add(side, vec, c):
+        side[vec] = side.get(vec, Fraction(0)) + c
+        if not side[vec]:
+            del side[vec]
+
+    side_a = {}
+    for bits in range(2 ** (s - 1)):
+        rs = sorted([r + 1 for r in range(s - 1) if bits >> r & 1] + [s])
+        kd = KostantDatum(p, q, frozenset(rs))
+        entries = []
+        for w in coset_reps_by_filter(kd):
+            shifted2 = perm.act(w, lam2)
+            weight2 = tuple(x - y for x, y in zip(shifted2, r2))
+            entries.append(KostantEntry(perm.length(w), w, weight2, shifted2))
+        entries.sort(key=lambda e: (e.degree, e.omega))
+        coeff_base = Fraction((-1) ** (s - len(rs)), _w_s(rs))
+        for e in truncate_cohomology(entries, rs, direction):
+            for w_m, det_m in kd.levi_group():
+                expanded = perm.act(w_m, e.shifted2)
+                for sigma in permutations(range(1, s + 1)):
+                    add(side_a, sigma_act(expanded, sigma), coeff_base * det_m * e.det)
+
+    side_b = {}
+    for w in permutations(range(1, n + 1)):
+        v = perm.act(w, lam2)
+        ok = True
+        for r in range(1, s + 1):
+            val = pairing_coroot(v, r)
+            if val == 0:
+                raise WallError(f"coroot wall at r={r}")
+            if (val > 0) != (direction == ">"):
+                ok = False
+                break
+        if ok:
+            add(side_b, v, Fraction(perm.parity(w)))
+
+    diff = []
+    for k in sorted(set(side_a) | set(side_b)):
+        d = side_a.get(k, Fraction(0)) - side_b.get(k, Fraction(0))
+        if d:
+            diff.append((list(k), str(d)))
+    return {
+        "p": p,
+        "q": q,
+        "s": s,
+        "direction": direction,
+        "side_a_terms": len(side_a),
+        "side_b_terms": len(side_b),
+        "equal": not diff,
+        "differences": diff,
+    }

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satkit import characters
 from satkit.characters import (
     HypothesisError,
     KostantDatum,
@@ -36,7 +37,14 @@ from satkit.characters import (
 from satkit.laurent import QVAR, SIM, ExponentOverflowError, LaurentPoly, tor
 from satkit.rootdata import EndoTriple, PlaceContext, SignedGroupDatum
 
-from oracles import bialternant_character, semistandard_tableaux_schur
+from oracles import (
+    bialternant_character,
+    coset_reps_by_filter,
+    ordered_partition_sum_by_enumeration,
+    phi_identity_by_fractions,
+    positive_rotation_count_by_permutations,
+    semistandard_tableaux_schur,
+)
 
 # -- signed partition lemmas ------------------------------------------------------
 
@@ -96,6 +104,83 @@ def test_rotation_uniqueness_subclaim():
                 continue
             assert rotation_orbit_hits(lam) == 1
             assert positive_rotation_count(lam) == factorial(n - 1)
+
+
+def test_ordered_partition_sum_closed_form_n_10_to_12():
+    # the lemma: (-1)^n when every entry is positive, 0 otherwise
+    rng = random.Random(1012)
+    for n in range(10, 13):
+        positive = [rng.choice((1, 2)) for _ in range(n)]
+        mixed = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+        one_negative = list(positive)
+        one_negative[rng.randrange(n)] = -rng.choice((1, 2))
+        mixed[rng.randrange(n)] = -1
+        assert ordered_partition_sum(positive) == (-1) ** n
+        assert ordered_partition_sum(mixed) == 0
+        assert ordered_partition_sum(one_negative) == 0
+
+
+# -- the subset DPs and shuffles against their enumerating oracles ------------------
+
+RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def rotation_hypothesis_vectors(draw):
+    """One entry outweighs all the others, which are <= 0 (zeros and ties
+    included), so no 2-partition has both sums positive."""
+    rest = draw(st.lists(RATIONAL.map(lambda x: -abs(x)), max_size=6))
+    big = -sum(rest) + draw(RATIONAL.filter(lambda x: x > 0))
+    pos = draw(st.integers(0, len(rest)))
+    return rest[:pos] + [big] + rest[pos:]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(rotation_hypothesis_vectors(), st.lists(RATIONAL, min_size=1, max_size=7)))
+def test_rotation_count_matches_permutations(lam):
+    want = positive_rotation_count_by_permutations(lam)
+    if want is None:
+        with pytest.raises(HypothesisError):
+            positive_rotation_count(lam)
+    else:
+        assert positive_rotation_count(lam) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(RATIONAL, min_size=1, max_size=7))
+def test_ordered_partition_sum_matches_enumeration(lam):
+    assert ordered_partition_sum(lam) == ordered_partition_sum_by_enumeration(lam)
+
+
+def test_coset_reps_match_filter():
+    for n in range(1, 8):
+        for q in range(n + 1):
+            top = min(q, n // 2)
+            for bits in range(2 ** top):
+                kd = KostantDatum(n - q, q, {r + 1 for r in range(top) if bits >> r & 1})
+                assert kd.coset_reps() == coset_reps_by_filter(kd), (kd.p, kd.q, kd.s_set)
+
+
+@st.composite
+def phi_cases(draw):
+    s = draw(st.integers(1, 2))
+    n = draw(st.integers(2 * s, 6))
+    q = draw(st.integers(s, n))
+    entries = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n, unique=True))
+    weight = Weight(0, (tuple(sorted(entries, reverse=True)),))
+    return n - q, q, s, weight, draw(st.sampled_from("><"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(phi_cases())
+def test_phi_identity_matches_fraction_oracle(case):
+    try:
+        want = phi_identity_by_fractions(*case)
+    except WallError:
+        with pytest.raises(WallError):
+            verify_phi_identity(*case)
+        return
+    assert verify_phi_identity(*case) == want
 
 
 # -- Kostant machinery -------------------------------------------------------------
@@ -222,6 +307,15 @@ def test_phi_identity_gu21_seeded():
 def test_phi_identity_lt_direction():
     rep = verify_phi_identity(2, 1, 1, Weight(0, ((5, 1, -4),)), direction="<")
     assert rep["equal"]
+
+
+def test_phi_identity_differences_are_unscaled(monkeypatch):
+    # with every Kostant entry truncated away, the difference is minus side B,
+    # whose multiplicities are the signs of the Weyl elements
+    monkeypatch.setattr(characters, "truncate_cohomology", lambda entries, rs, direction: [])
+    rep = verify_phi_identity(2, 2, 2, Weight(0, ((13, 5, -2, -9),)))
+    assert rep["side_a_terms"] == 0 and len(rep["differences"]) == rep["side_b_terms"] > 0
+    assert {c for _, c in rep["differences"]} == {"1", "-1"}
 
 
 def test_signed_weight_sum_cancellation():

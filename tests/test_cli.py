@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -98,6 +99,7 @@ def test_precondition_violation_exit_code(capsys):
     [
         ["phi-identity", "--pq", "3,-1", "--s", "0", "--count", "0", "--seed", "1"],
         ["phi-identity", "--pq", "2,1", "--s", "1", "--count", "0", "--seed", "1"],
+        ["phi-identity", "--pq", "30,30", "--s", "1", "--count", "1", "--seed", "1"],
         ["rotation-count", "--count", "-5", "--seed", "1", "--n-max", "5"],
         ["rotation-count", "--count", "5", "--seed", "1", "--n-max", "-2"],
         ["partition-lemmas", "--n-max", "-1"],
@@ -108,6 +110,16 @@ def test_suite_parameters_are_checked_before_any_case(capsys, argv):
     # each of these would otherwise report 0 cases and exit 0
     code, out = invoke(capsys, ["verify", *argv, "--json"])
     assert code == 3 and out == ""
+
+
+def test_rotation_count_reaches_n_12(capsys):
+    started = time.monotonic()
+    code, out = invoke(
+        capsys, ["verify", "rotation-count", "--n-max", "12", "--count", "3", "--seed", "1", "--json"]
+    )
+    assert time.monotonic() - started < 10
+    payload = json.loads(out)
+    assert code == 0 and payload["failures"] == [] and payload["cases"] == 36
 
 
 def test_usage_error_exit_code():
