@@ -128,11 +128,14 @@ def ordered_partition_sum(lam: Sequence) -> int:
     return h[-1]
 
 
-def two_partition_hypothesis(lam: Sequence) -> bool:
-    """True when the total is positive and no 2-partition has both sums positive."""
-    sums = _subset_sums(_scale_to_ints(lam))
+def _hypothesis_holds(sums: List[int]) -> bool:
     total = sums[-1]  # {A, complement} has both sums positive iff 0 < sums[A] < total
     return total > 0 and not any(0 < x < total for x in sums[1 : len(sums) // 2])
+
+
+def two_partition_hypothesis(lam: Sequence) -> bool:
+    """True when the total is positive and no 2-partition has both sums positive."""
+    return _hypothesis_holds(_subset_sums(_scale_to_ints(lam)))
 
 
 def rotation_orbit_hits(lam: Sequence) -> int:
@@ -159,9 +162,9 @@ def positive_rotation_count(lam: Sequence) -> int:
     lam = _scale_to_ints(lam)
     if not lam:
         raise ValueError("empty vector")
-    if not two_partition_hypothesis(lam):
-        raise HypothesisError("total <= 0 or a 2-partition with positive parts exists")
     sums = _subset_sums(lam)
+    if not _hypothesis_holds(sums):
+        raise HypothesisError("total <= 0 or a 2-partition with positive parts exists")
     f = [0] * len(sums)
     f[0] = 1
     for a in range(1, len(sums)):

@@ -14,7 +14,7 @@ Variables are identified by small tuples:
     tor(i, j)       = ("t", i, j)   the torus variable X_{i,j}
 
 Tuple comparison realises the canonical variable order
-Sim < SimFactor(1) < ... < Tor(1,1) < Tor(1,2) < ...
+q < Sim < SimFactor(1) < ... < Tor(1,1) < Tor(1,2) < ...
 """
 
 from __future__ import annotations
@@ -138,10 +138,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(exps: Mapping[Var, int], coeff=1, q_exp: int = 0) -> "LaurentPoly":
-        pairs = list(exps.items())
-        if q_exp:
-            pairs.append((QVAR, q_exp))
-        return LaurentPoly({_mono(pairs): Fraction(coeff)})
+        return LaurentPoly({_mono([*exps.items(), (QVAR, q_exp)]): Fraction(coeff)})
 
     @staticmethod
     def q_power(k: int) -> "LaurentPoly":
@@ -241,19 +238,41 @@ class LaurentPoly:
 # -- substitution -----------------------------------------------------------
 
 
+def _split_q(m: Monomial) -> Tuple[int, Monomial]:
+    """(q exponent, q-free rest) of a canonical monomial; QVAR sorts first."""
+    if m and m[0][0] == QVAR:
+        return m[0][1], m[1:]
+    return 0, m
+
+
 def _split_term(p: LaurentPoly) -> Tuple[Fraction, int, Monomial]:
     """Decompose a single-term polynomial into (coeff, q_exp, q-free monomial)."""
     if not p.is_term():
         raise SubstitutionError("image is not a single term")
     ((m, c),) = p.terms()
-    q_exp = 0
-    rest = []
-    for v, e in m:
-        if v == QVAR:
-            q_exp = e
-        else:
-            rest.append((v, e))
-    return c, q_exp, tuple(rest)
+    return (c, *_split_q(m))
+
+
+def _image(table: Mapping, m: Monomial, coeff: Fraction) -> Tuple[Monomial, Fraction]:
+    """Map one term through a table v -> (negative, q shift, image monomial)."""
+    q_exp, rest = _split_q(m)
+    parts = []
+    for v, e in rest:
+        if v not in table:
+            raise SubstitutionError(f"no image for variable {v}")
+        negative, iq, im = table[v]
+        if negative and e & 1:  # (-1)**e
+            coeff = -coeff
+        q_exp += iq * e
+        for u, ue in im:
+            parts.append((u, ue * e))
+    if q_exp:
+        parts.append((QVAR, q_exp))
+    return _mono(parts), coeff
+
+
+def _apply(table: Mapping, f: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly.from_terms(_image(table, m, c) for m, c in f.terms())
 
 
 def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly:
@@ -268,26 +287,7 @@ def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly
         if c * c != 1:
             raise SubstitutionError(f"image of {v} has non-unit coefficient {c}")
         table[v] = (c < 0, qe, m)
-
-    def image(m: Monomial, coeff: Fraction) -> Tuple[Monomial, Fraction]:
-        q_exp = 0
-        parts = []
-        for v, e in m:
-            if v == QVAR:
-                q_exp += e
-                continue
-            if v not in table:
-                raise SubstitutionError(f"no image for variable {v}")
-            negative, iq, im = table[v]
-            if negative and e & 1:  # (-1)**e
-                coeff = -coeff
-            q_exp += iq * e
-            parts.extend((w, we * e) for w, we in im)
-        if q_exp:
-            parts.append((QVAR, q_exp))
-        return _mono(parts), coeff
-
-    return LaurentPoly.from_terms(image(m, c) for m, c in f.terms())
+    return _apply(table, f)
 
 
 # -- Weyl elements and actions -----------------------------------------------
@@ -426,34 +426,25 @@ def weyl_generators(shape: WeylShape, linear: Optional[Sequence[int]] = None) ->
     return tuple(gens)
 
 
-def _act_monomial(w: WeylElement, m: Monomial, shape: WeylShape) -> Monomial:
-    pairs = []
-    for v, e in m:
-        if v == QVAR:
-            pairs.append((v, e))
-        elif v[0] == "t":
-            i, j = v[1], v[2]
-            p = w.perms[i - 1]
-            img = p[j - 1]
-            if shape.split:
-                pairs.append((tor(i, img), e))
-            else:
-                pairs.append((tor(i, img), e * w.signs[i - 1][img - 1]))
-        elif v[0] == "sf":
-            i = v[1]
-            pairs.append((v, e))
-            if not shape.split and shape.sizes[i - 1] % 2 == 0:
-                for j, s in enumerate(w.signs[i - 1], start=1):
-                    if s == -1:
-                        pairs.append((tor(i, j), -e))
-        else:  # SIM
-            pairs.append((v, e))
-            if not shape.split and shape.all_even:
-                for i, eps in enumerate(w.signs, start=1):
-                    for j, s in enumerate(eps, start=1):
-                        if s == -1:
-                            pairs.append((tor(i, j), -e))
-    return _mono(pairs)
+def _weyl_table(w: WeylElement, shape: WeylShape) -> dict:
+    """w as a substitution table over every variable of the shape's ring.
+
+    X_{i,j} goes to X_{i,w(j)}, inverted when w flips slot w(j).  Each flipped
+    slot also divides sf_i (even inert factors) and SIM (every inert factor
+    even) by its torus variable.
+    """
+    table = {}
+    all_flips = []
+    for i, n in enumerate(shape.sizes, start=1):
+        signs = (1,) * len(w.perms[i - 1]) if shape.split else w.signs[i - 1]
+        for j, img in enumerate(w.perms[i - 1], start=1):
+            table[tor(i, j)] = (False, 0, ((tor(i, img), signs[img - 1]),))
+        flips = [(tor(i, j), -1) for j, s in enumerate(signs, start=1) if s == -1]
+        all_flips += flips
+        own = flips if n % 2 == 0 else []
+        table[sim_factor(i)] = (False, 0, _mono([(sim_factor(i), 1)] + own))
+    table[SIM] = (False, 0, _mono([(SIM, 1)] + (all_flips if shape.all_even else [])))
+    return table
 
 
 def group_act(w: WeylElement, f: LaurentPoly, shape: WeylShape) -> LaurentPoly:
@@ -463,8 +454,9 @@ def group_act(w: WeylElement, f: LaurentPoly, shape: WeylShape) -> LaurentPoly:
     permutations; a sign flip at slot j inverts X_{i,j} and multiplies the
     relevant similitude variable by X_{i,j}^{-1} (per-factor variables for
     even-size factors, the global variable only when every factor is even).
+    A variable outside the shape's ring raises SubstitutionError.
     """
-    return LaurentPoly.from_terms((_act_monomial(w, m, shape), c) for m, c in f.terms())
+    return _apply(_weyl_table(w, shape), f)
 
 
 def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -> LaurentPoly:
@@ -478,14 +470,15 @@ def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -
     weyl_generators(shape): each orbit is the closure of its term under the
     given elements, so it costs |orbit| * len(group) actions, not |W|.
     """
+    tables = [_weyl_table(w, shape) for w in group]
 
     def orbit(m: Monomial) -> set:
         seen = {m}
         todo = [m]
         while todo:
             x = todo.pop()
-            for w in group:
-                y = _act_monomial(w, x, shape)
+            for t in tables:
+                y = _image(t, x, 1)[0]
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
@@ -528,28 +521,20 @@ def _parse_name(name: str) -> Var:
 
 
 def _term_record(m: Monomial, c: Fraction):
-    q_exp = 0
-    exps = []
-    for v, e in m:
-        if v == QVAR:
-            q_exp = e
-        else:
-            exps.append((v, e))
-    exps.sort()
+    q_exp, rest = _split_q(m)
     return {
         "q": q_exp,
         "num": c.numerator,
         "den": c.denominator,
-        "exps": {_var_name(v): e for v, e in exps},
+        "exps": {_var_name(v): e for v, e in rest},
     }
 
 
 def _term_sort_key(poly_vars):
     def key(item):
-        m, _ = item
-        d = dict(m)
-        vec = tuple(d.get(v, 0) for v in poly_vars)
-        return (vec, d.get(QVAR, 0))
+        q_exp, rest = _split_q(item[0])
+        d = dict(rest)
+        return (tuple(d.get(v, 0) for v in poly_vars), q_exp)
 
     return key
 
@@ -582,19 +567,12 @@ def pretty(f: LaurentPoly) -> str:
     poly_vars = sorted(f.variables())
     parts = []
     for m, c in sorted(f.terms(), key=_term_sort_key(poly_vars)):
-        d = dict(m)
-        q_exp = d.pop(QVAR, 0)
-        factors = []
-        if c == -1 and (d or q_exp):
-            sign = "-"
-        else:
-            sign = ""
-            if c != 1 or (not d and not q_exp):
-                factors.append(str(c))
+        q_exp, rest = _split_q(m)
+        sign = "-" if m and c == -1 else ""
+        factors = [str(c)] if not m or c * c != 1 else []
         if q_exp:
             factors.append("q" if q_exp == 1 else f"q^{q_exp}")
-        for v in sorted(d):
-            e = d[v]
+        for v, e in rest:
             factors.append(_var_name(v) if e == 1 else f"{_var_name(v)}^{e}")
         parts.append(sign + "*".join(factors))
     out = " + ".join(parts)

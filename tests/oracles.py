@@ -7,7 +7,7 @@ from satkit import perm
 from satkit.characters import (
     KostantDatum, KostantEntry, WallError, _w_s, pairing_coroot, rho2, truncate_cohomology
 )
-from satkit.laurent import LaurentPoly, _act_monomial, _mono, tor
+from satkit.laurent import QVAR, LaurentPoly, _mono, tor
 
 
 def brute_force_endoscopic_classes(g):
@@ -40,12 +40,46 @@ def sum_terms_by_addition(pairs):
     return total
 
 
+def act_monomial_by_cases(w, m, shape):
+    """The image of a monomial under a Weyl element, branching on each
+    variable's kind: the per-monomial action that laurent.group_act replaces
+    with a substitution table."""
+    pairs = []
+    for v, e in m:
+        if v == QVAR:
+            pairs.append((v, e))
+        elif v[0] == "t":
+            i, j = v[1], v[2]
+            img = w.perms[i - 1][j - 1]
+            if shape.split:
+                pairs.append((tor(i, img), e))
+            else:
+                pairs.append((tor(i, img), e * w.signs[i - 1][img - 1]))
+        elif v[0] == "sf":
+            i = v[1]
+            pairs.append((v, e))
+            if not shape.split and shape.sizes[i - 1] % 2 == 0:
+                for j, s in enumerate(w.signs[i - 1], start=1):
+                    if s == -1:
+                        pairs.append((tor(i, j), -e))
+        else:  # SIM
+            pairs.append((v, e))
+            if not shape.split and shape.all_even:
+                for i, eps in enumerate(w.signs, start=1):
+                    for j, s in enumerate(eps, start=1):
+                        if s == -1:
+                            pairs.append((tor(i, j), -e))
+    return _mono(pairs)
+
+
 def symmetrize_over_group(f, group, shape):
     """Orbit sums from the images of each term under every element of the group,
     the |W| actions per term that closure under generators in
     laurent.symmetrize replaces."""
     return LaurentPoly.from_terms(
-        (mono, c) for m, c in f.terms() for mono in {_act_monomial(w, m, shape) for w in group}
+        (mono, c)
+        for m, c in f.terms()
+        for mono in {act_monomial_by_cases(w, m, shape) for w in group}
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import sum_terms_by_addition, symmetrize_over_group
+from oracles import act_monomial_by_cases, sum_terms_by_addition, symmetrize_over_group
 
 from satkit.laurent import (
     SIM,
@@ -18,6 +18,7 @@ from satkit.laurent import (
     group_act,
     is_invariant,
     parse_poly,
+    pretty,
     serialize_poly,
     sim_factor,
     substitute,
@@ -244,20 +245,24 @@ def test_weyl_generators_generate_the_group(shape, linear):
 
 
 @st.composite
-def weyl_cases(draw):
-    """A split or inert shape with 1-3 factors of size up to 5 and a random
-    Levi linear part, plus a polynomial in SIM, the per-factor similitudes,
-    the torus variables and q, with negative exponents."""
+def weyl_shapes(draw, max_size):
+    """A split or inert shape with 1-3 factors of size up to max_size."""
     split = draw(st.booleans())
-    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    sizes = tuple(draw(st.lists(st.integers(1, max_size), min_size=1, max_size=3)))
     shape = WeylShape(split=split, sizes=sizes)
     assume(shape.order() <= 240)
-    linear = draw(st.one_of(st.none(), st.tuples(*(st.integers(0, n // 2) for n in sizes))))
-    vars_ = [SIM] + [sim_factor(i) for i in range(1, len(sizes) + 1)]
+    return shape
+
+
+@st.composite
+def ring_polys(draw, shape):
+    """A polynomial in SIM, the per-factor similitudes, the torus variables of
+    the shape's ring and q, with negative exponents."""
+    vars_ = [SIM] + [sim_factor(i) for i in range(1, len(shape.sizes) + 1)]
     vars_ += [
         tor(i, j)
-        for i, n in enumerate(sizes, start=1)
-        for j in range(1, (n if split else n // 2) + 1)
+        for i, n in enumerate(shape.sizes, start=1)
+        for j in range(1, (n if shape.split else n // 2) + 1)
     ]
     terms = draw(
         st.lists(
@@ -270,8 +275,43 @@ def weyl_cases(draw):
             max_size=3,
         )
     )
-    f = sum((LaurentPoly.monomial(e, coeff=c, q_exp=q) for e, c, q in terms), LaurentPoly.zero())
-    return shape, linear, f
+    return sum((LaurentPoly.monomial(e, coeff=c, q_exp=q) for e, c, q in terms), LaurentPoly.zero())
+
+
+@st.composite
+def weyl_cases(draw):
+    """A shape with factors of size up to 5, a random Levi linear part and a
+    polynomial of its ring."""
+    shape = draw(weyl_shapes(5))
+    linear = draw(st.one_of(st.none(), st.tuples(*(st.integers(0, n // 2) for n in shape.sizes))))
+    return shape, linear, draw(ring_polys(shape))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_group_act_matches_action_by_cases(data):
+    shape = data.draw(weyl_shapes(4))
+    f = data.draw(ring_polys(shape))
+    for w in weyl_group(shape):
+        want = LaurentPoly.from_terms((act_monomial_by_cases(w, m, shape), c) for m, c in f.terms())
+        assert group_act(w, f, shape) == want
+
+
+@pytest.mark.parametrize(
+    "shape, v",
+    [
+        (WeylShape(split=False, sizes=(4,)), tor(2, 1)),
+        (WeylShape(split=False, sizes=(4,)), tor(1, 3)),
+        (WeylShape(split=True, sizes=(2,)), sim_factor(2)),
+    ],
+)
+def test_weyl_action_rejects_variables_outside_the_ring(shape, v):
+    f = LaurentPoly.var(v) + LaurentPoly.var(SIM)
+    gens = weyl_generators(shape)
+    with pytest.raises(SubstitutionError):
+        group_act(gens[0], f, shape)
+    with pytest.raises(SubstitutionError):
+        symmetrize(f, gens, shape)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -328,9 +368,20 @@ def test_is_invariant_examples():
 
 
 def test_serialization_fixed_forms():
-    assert serialize_poly(LaurentPoly.zero()) == "[]"
-    assert serialize_poly(LaurentPoly.one()) == '[{"q":0,"num":1,"den":1,"exps":{}}]'
-    assert parse_poly("[]") == LaurentPoly.zero()
+    cases = [
+        (LaurentPoly.zero(), "0", "[]"),
+        (LaurentPoly.one(), "1", '[{"q":0,"num":1,"den":1,"exps":{}}]'),
+        (LaurentPoly.q_power(-2) * -1, "-q^-2", '[{"q":-2,"num":-1,"den":1,"exps":{}}]'),
+        (
+            LaurentPoly.monomial({SIM: 1, tor(1, 2): -3}, coeff=Fraction(2, 3)),
+            "2/3*X*X_1_2^-3",
+            '[{"q":0,"num":2,"den":3,"exps":{"X":1,"X_1_2":-3}}]',
+        ),
+    ]
+    for f, text, json_text in cases:
+        assert pretty(f) == text
+        assert serialize_poly(f) == json_text
+        assert parse_poly(json_text) == f
 
 
 def test_serialization_round_trip_seeded():
