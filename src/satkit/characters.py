@@ -44,6 +44,8 @@ class UnsupportedCaseError(ValueError):
 
 def _scale_to_ints(lam: Sequence) -> List[int]:
     """Clear denominators: an exact positive rescaling preserving all sign tests."""
+    if all(type(x) is int for x in lam):
+        return list(lam)
     fracs = [Fraction(x) for x in lam]
     denom = lcm(*(x.denominator for x in fracs))
     return [int(x * denom) for x in fracs]
@@ -365,7 +367,10 @@ class SignedWeightSum:
         self._entries: Dict[Tuple[int, ...], int | Fraction] = {}
 
     def add(self, vec: Tuple[int, ...], coeff) -> None:
-        _merge(self._entries, ((vec, coeff),), 0)
+        self.add_all(((vec, coeff),))
+
+    def add_all(self, pairs: Iterable[Tuple[Tuple[int, ...], int | Fraction]]) -> None:
+        _merge(self._entries, pairs, 0)
 
     def items(self):
         return sorted(self._entries.items())
@@ -398,6 +403,16 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
     filtered by strict positivity (resp. negativity) of the pairings with
     the first s real coroots.  The report records the exact difference.
     Both sides are kept as integers scaled by s!, which every w_{S'} divides.
+
+    Neither side reads the middle slots s+1..n-s: the truncations and the
+    coroot filter read the outer 2s slots, every translate fixes the middle,
+    and each Levi group holds the whole symmetric group of the middle block.
+    So both sides alternate under the permutations of the middle, and they
+    are compared modulo them: each keeps one term per orbit, the one whose
+    middle decreases, walking only the Levi and Weyl elements that fix the
+    middle.  Each kept term stands for (n-2s)! terms of the full side, and
+    the kept terms that differ are expanded back into every signed
+    arrangement of their middle.
     """
     if direction not in (">", "<"):
         raise ValueError("direction must be '>' or '<'")
@@ -426,39 +441,60 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         kd = KostantDatum(p, q, frozenset(rs))
         entries = kostant_cohomology(kd, weight)
         survivors = truncate_cohomology(entries, rs, direction)
-        levi = kd.levi_group()
+        # the Levi elements fixing the middle: its block split into single slots
+        blocks = []
+        for b in kd.blocks():
+            blocks += [[j] for j in b] if s < b[0] <= n - s else [b]
+        # a Levi element w followed by a translate, as one map of slots (slot
+        # k of the term takes the entry at slot idx[k]); translates of
+        # different elements often coincide, so their signs are summed once
+        moves: Dict[Tuple[int, ...], int] = {}
+        for w in perm.block_perms(blocks):
+            w_inv, det = perm.inverse(w), perm.parity(w)
+            _merge(moves, ((tuple([w_inv[i] - 1 for i in src]), det) for src in sources), 0)
         coeff_base = (-1) ** (s - len(rs)) * (s_fact // _w_s(rs))
         for e in survivors:
-            for w_m, det_m in levi:
-                expanded = perm.act(w_m, e.shifted2)
-                coeff = coeff_base * det_m * e.det
-                for src in sources:
-                    side_a.add(tuple([expanded[i] for i in src]), coeff)
+            # a Kostant entry is Levi-dominant, so its middle already decreases
+            v, coeff = e.shifted2, coeff_base * e.det
+            side_a.add_all((tuple([v[j] for j in idx]), coeff * c) for idx, c in moves.items())
 
+    m = n - 2 * s  # the middle slots; side A has raised ValueError unless m >= 0
     side_b = SignedWeightSum()
-    # v = w(lam2) runs over the permutations of lam2 in step with w^{-1}
-    for w_inv, v in zip(permutations(range(1, n + 1)), permutations(lam2)):
-        ok = True
-        for r in range(1, s + 1):
-            val = pairing_coroot(v, r)
-            if val == 0:
-                raise WallError(f"coroot wall at r={r}")
-            if (val > 0) != want_pos:
-                ok = False
-                break
-        if ok:
-            side_b.add(v, perm.parity(w_inv) * s_fact)
+    # a kept term of side B: the positions of lam2 that fill the middle, in
+    # increasing order (so its entries decrease), and an ordering of the rest
+    # in slots 1..s and n-s+1..n
+    for rest in combinations(range(1, n + 1), m):
+        middle = tuple([lam2[i - 1] for i in rest])
+        outer_pos = [i for i in range(1, n + 1) if i not in rest]
+        outer_vals = [lam2[i - 1] for i in outer_pos]
+        for outer_inv, outer in zip(permutations(outer_pos), permutations(outer_vals)):
+            ok = True
+            for r in range(1, s + 1):
+                val = pairing_coroot(outer, r)  # slots r and n+1-r of the term
+                if val == 0:
+                    raise WallError(f"coroot wall at r={r}")
+                if (val > 0) != want_pos:
+                    ok = False
+                    break
+            if ok:
+                w_inv = outer_inv[:s] + rest + outer_inv[s:]
+                side_b.add(outer[:s] + middle + outer[s:], perm.parity(w_inv) * s_fact)
 
-    diff = side_a.difference(side_b)
+    diff = []
+    for key, c in side_a.difference(side_b):
+        for order, arranged in zip(permutations(range(1, m + 1)), permutations(key[s : n - s])):
+            c_order = Fraction(c * perm.parity(order), s_fact)
+            diff.append((list(key[:s] + arranged + key[n - s :]), str(c_order)))
+    diff.sort()
     return {
         "p": p,
         "q": q,
         "s": s,
         "direction": direction,
-        "side_a_terms": len(side_a),
-        "side_b_terms": len(side_b),
+        "side_a_terms": len(side_a) * factorial(m),
+        "side_b_terms": len(side_b) * factorial(m),
         "equal": not diff,
-        "differences": [(list(k), str(Fraction(c, s_fact))) for k, c in diff],
+        "differences": diff,
     }
 
 

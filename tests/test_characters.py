@@ -7,7 +7,7 @@ from itertools import product as iproduct
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satkit import characters
@@ -37,6 +37,7 @@ from satkit.characters import (
 from satkit.laurent import QVAR, SIM, ExponentOverflowError, LaurentPoly, tor
 from satkit.rootdata import EndoTriple, PlaceContext, SignedGroupDatum
 
+import oracles
 from oracles import (
     bialternant_character,
     coset_reps_by_filter,
@@ -68,6 +69,17 @@ def test_partition_identity_small_exhaustive():
             mid = ordered_partition_sum(lam)
             expect = (-1) ** n if all(x > 0 for x in lam) else 0
             assert lhs == mid == expect, lam
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.fractions(-6, 6, max_denominator=5), min_size=1, max_size=6).flatmap(
+        lambda lam: st.tuples(st.just(lam), st.permutations(lam))
+    )
+)
+def test_partial_sum_signature_depends_only_on_the_multiset(pair):
+    lam, shuffled = pair
+    assert partial_sum_signature(shuffled) == partial_sum_signature(lam)
 
 
 def test_partition_identity_rational_entries():
@@ -163,16 +175,23 @@ def test_coset_reps_match_filter():
 
 @st.composite
 def phi_cases(draw):
-    s = draw(st.integers(1, 2))
-    n = draw(st.integers(2 * s, 6))
+    n, s = draw(st.sampled_from([(n, s) for s in (1, 2, 3) for n in range(2 * s, 8)]))
     q = draw(st.integers(s, n))
-    entries = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        # signed distinct powers of two: disjoint sets of them never have equal
+        # sums, so no truncation pairing vanishes
+        exps = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
+        entries = [draw(st.sampled_from((1, -1))) << e for e in exps]
+    else:  # small entries often sit on a wall
+        entries = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n, unique=True))
     weight = Weight(0, (tuple(sorted(entries, reverse=True)),))
     return n - q, q, s, weight, draw(st.sampled_from("><"))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(phi_cases())
+@example((3, 3, 3, Weight(0, ((14, 7, 3, 0, -18, -23),)), ">"))  # n = 2s: no middle
+@example((0, 6, 3, Weight(0, ((32, 8, 2, -1, -4, -16),)), "<"))
 def test_phi_identity_matches_fraction_oracle(case):
     try:
         want = phi_identity_by_fractions(*case)
@@ -316,6 +335,20 @@ def test_phi_identity_differences_are_unscaled(monkeypatch):
     rep = verify_phi_identity(2, 2, 2, Weight(0, ((13, 5, -2, -9),)))
     assert rep["side_a_terms"] == 0 and len(rep["differences"]) == rep["side_b_terms"] > 0
     assert {c for _, c in rep["differences"]} == {"1", "-1"}
+
+
+@pytest.mark.parametrize(
+    "truncate", [lambda entries, rs, direction: [], lambda entries, rs, direction: list(entries)],
+    ids=["none", "all"],
+)
+def test_phi_identity_differences_expand_the_middle(monkeypatch, truncate):
+    # n = 6, s = 1 leaves a middle block of four slots, so every differing
+    # term is expanded back into its 4! signed arrangements
+    monkeypatch.setattr(characters, "truncate_cohomology", truncate)
+    monkeypatch.setattr(oracles, "truncate_cohomology", truncate)
+    case = (3, 3, 1, Weight(0, ((11, 6, 2, -1, -5, -12),)))
+    rep = verify_phi_identity(*case)
+    assert rep["differences"] and rep == phi_identity_by_fractions(*case)
 
 
 def test_signed_weight_sum_cancellation():

@@ -47,10 +47,10 @@ def test_endoscopy_output(capsys):
 
 
 def test_verify_partition_lemmas(capsys):
-    code, out = invoke(capsys, ["verify", "partition-lemmas", "--n-max", "4", "--json"])
+    code, out = invoke(capsys, ["verify", "partition-lemmas", "--n-max", "5", "--json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["failures"] == [] and payload["cases"] == 340
+    assert payload["failures"] == [] and payload["cases"] == 1364
 
 
 def test_verify_transfer_square_single(capsys):
@@ -120,6 +120,17 @@ def test_rotation_count_reaches_n_12(capsys):
     assert time.monotonic() - started < 10
     payload = json.loads(out)
     assert code == 0 and payload["failures"] == [] and payload["cases"] == 36
+
+
+def test_phi_identity_reaches_n_10(capsys):
+    # the outer slots of GU(5, 5) with s = 1 have 90 orderings; all of W has 10!
+    started = time.monotonic()
+    code, out = invoke(
+        capsys, ["verify", "phi-identity", "--pq", "5,5", "--s", "1", "--count", "2", "--seed", "1", "--json"]
+    )
+    assert time.monotonic() - started < 5
+    payload = json.loads(out)
+    assert code == 0 and payload["failures"] == [] and payload["cases"] == 2
 
 
 def test_usage_error_exit_code():
