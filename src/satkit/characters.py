@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import perm
@@ -370,7 +370,7 @@ class SignedWeightSum:
         self.add_all(((vec, coeff),))
 
     def add_all(self, pairs: Iterable[Tuple[Tuple[int, ...], int | Fraction]]) -> None:
-        _merge(self._entries, pairs, 0)
+        _merge(self._entries, pairs)
 
     def items(self):
         return sorted(self._entries.items())
@@ -451,7 +451,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         moves: Dict[Tuple[int, ...], int] = {}
         for w in perm.block_perms(blocks):
             w_inv, det = perm.inverse(w), perm.parity(w)
-            _merge(moves, ((tuple([w_inv[i] - 1 for i in src]), det) for src in sources), 0)
+            _merge(moves, ((tuple([w_inv[i] - 1 for i in src]), det) for src in sources))
         coeff_base = (-1) ** (s - len(rs)) * (s_fact // _w_s(rs))
         for e in survivors:
             # a Kostant entry is Levi-dominant, so its middle already decreases
@@ -500,6 +500,18 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
 
 # -- Weyl characters ----------------------------------------------------------------
 
+MAX_CHARACTER_TERMS = 2**22  # weyl_character refuses a weight that may give more terms
+
+
+def _character_term_bound(lam: Sequence[int]) -> int:
+    """The smaller of the Weyl dimension of a dominant lam and (lam_1 - lam_n + 1)^(n-1),
+    a bound on its character's terms: their exponents lie in [lam_n, lam_1] and add
+    up to |lam|, so the first n-1 of them determine a term."""
+    dim = 1
+    for j in range(1, len(lam)):  # the dimension for lam_1..lam_{j+1}, an integer
+        dim = dim * prod(lam[i] - lam[j] + j - i for i in range(j)) // factorial(j)
+    return min(dim, (lam[0] - lam[-1] + 1) ** (len(lam) - 1)) if lam else 1
+
 
 def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
     """Schur-type character s_lambda(x_1..x_n) of the dominant block weight.
@@ -511,7 +523,8 @@ def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
     s_mu(x_1..x_{n-1}) * x_n^{|lambda| - |mu|}.  The rule holds for every
     non-increasing integer weight, negative entries included.  Each layer
     maps a weight mu to the exponent tails (of x_{k+1}..x_n) that reach it,
-    so a mu met along several branches is expanded once.
+    so a mu met along several branches is expanded once.  A weight whose
+    character may have more than MAX_CHARACTER_TERMS terms is refused.
     """
     lam = tuple(int(x) for x in block_weight)
     if len(lam) != size:
@@ -521,6 +534,9 @@ def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
     # the same range as the numerator x^(lambda + delta) of Weyl's character formula
     if lam and (lam[0] + size - 1 > INT32_MAX or lam[-1] < -INT32_MAX):
         raise ExponentOverflowError(f"weight {lam} leaves the 32-bit exponent range")
+    bound = _character_term_bound(lam)
+    if bound > MAX_CHARACTER_TERMS:
+        raise ValueError(f"weight {lam} may give {bound} terms (limit {MAX_CHARACTER_TERMS})")
     layer = {lam: {(): 1}}
     for _ in range(size):
         below: dict = {}

@@ -229,14 +229,15 @@ def cmd_verify_partition_lemmas(args) -> tuple:
 
 
 def sample_rotation_vector(rng: random.Random, n: int) -> List[Fraction]:
-    """Hypothesis-satisfying vector: one large positive entry, negative rest."""
-    while True:
-        rest = [Fraction(-rng.randint(1, 40), rng.randint(1, 7)) for _ in range(n - 1)]
-        big = -sum(rest) + Fraction(rng.randint(1, 30), rng.randint(1, 7))
-        lam = [big] + rest
-        rng.shuffle(lam)
-        if characters.two_partition_hypothesis(lam):
-            return lam
+    """Hypothesis-satisfying vector: one large positive entry, negative rest.
+
+    No check is needed: the total is positive, and of two complementary blocks
+    the one without the positive entry has a negative sum."""
+    rest = [Fraction(-rng.randint(1, 40), rng.randint(1, 7)) for _ in range(n - 1)]
+    big = -sum(rest) + Fraction(rng.randint(1, 30), rng.randint(1, 7))
+    lam = [big] + rest
+    rng.shuffle(lam)
+    return lam
 
 
 def cmd_verify_rotation(args) -> tuple:
@@ -299,16 +300,19 @@ def cmd_verify_transfer_square(args) -> tuple:
     cases = 0
     failures = []
     combos = []
+    ctx = PlaceContext(split=True, d=1)
     if args.n is not None:
         if not args.endo:
             raise ValueError("--endo is required together with --n")
         g = GroupDatum(args.n)
         h = EndoTriple(*args.endo)
-        combos.append((g, h, LeviDatum(args.levi_s), list(args.A)))
+        # generators=None: the suite checks the case before it builds them
+        combos.append((g, h, LeviDatum(args.levi_s), list(args.A), None))
     else:
         at_least(2, n_max=args.n_max)
         for n in range(2, args.n_max + 1):
             g = GroupDatum((n,))
+            gens = satake.default_generators(g, ctx)  # shared by every case of this group
             hs = [
                 EndoTriple((n1,), (n2,))
                 for n2 in range(0, n + 1, 2)
@@ -322,10 +326,9 @@ def cmd_verify_transfer_square(args) -> tuple:
                             satake.levi_sign_data(g, h, LeviDatum(s), a_set)
                         except ValueError:
                             continue
-                        combos.append((g, h, LeviDatum(s), a_set))
-    ctx = PlaceContext(split=True, d=1)
-    for g, h, levi, a_set in combos:
-        report = satake.verify_transfer_square(g, h, levi, a_set, ctx)
+                        combos.append((g, h, LeviDatum(s), a_set, gens))
+    for g, h, levi, a_set, gens in combos:
+        report = satake.verify_transfer_square(g, h, levi, a_set, ctx, generators=gens)
         cases += report["cases"]
         for fail in report["failures"]:
             failures.append(

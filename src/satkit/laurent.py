@@ -4,7 +4,8 @@ Polynomials have coefficients in Q adjoined a formal invertible symbol q
 (standing for p^{1/2}, so half-integral powers of p are always integral in
 q).  Internally q is carried as a reserved variable, which keeps all ring
 operations uniform; the canonical JSON form pulls it back out into each
-term's coefficient.
+term's coefficient.  A stored coefficient is a nonzero int when it is
+integral and a Fraction only when it is not; never a float or a bool.
 
 Variables are identified by small tuples:
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from . import perm
 
@@ -75,18 +76,23 @@ def mono_pow(a: Monomial, k: int) -> Monomial:
     return _mono((v, e * k) for v, e in a)
 
 
-_ZERO = Fraction(0)
+Coeff = Union[int, Fraction]
 
 
-def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Fraction]], zero=_ZERO) -> dict:
+def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Coeff]]) -> dict:
     """Add (key, coefficient) pairs into out, dropping keys whose coefficients cancel.
 
     Keys are monomials here and weight vectors in characters.SignedWeightSum.
-    Coefficients may be int or Fraction; a new key starts from zero, by default
-    Fraction(0), so that every stored coefficient is a nonzero Fraction.
+    A new key starts from 0 (so a bool becomes an int) and an integral sum is
+    stored as an int, so every stored coefficient is a nonzero int, or a
+    Fraction that is not integral.  A float raises TypeError.
     """
     for m, c in pairs:
-        s = out.get(m, zero) + c
+        s = out.get(m, 0) + c
+        if type(s) is not int:
+            if type(s) is not Fraction:
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            s = s.numerator if s.denominator == 1 else s
         if s:
             out[m] = s
         else:
@@ -95,16 +101,16 @@ def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Fraction]], zero=_ZERO) ->
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial; terms map monomials to rational coefficients."""
+    """Immutable Laurent polynomial; monomials map to int or Fraction coefficients (see _merge)."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
+    def __init__(self, terms: Optional[Mapping[Monomial, Coeff]] = None):
         self._terms = _merge({}, terms.items()) if terms else {}
 
     @staticmethod
     def _adopt(terms: dict) -> "LaurentPoly":
-        """Wrap a dict that already holds only nonzero Fraction coefficients."""
+        """Wrap a dict whose coefficients already are nonzero ints or non-integral Fractions."""
         p = LaurentPoly.__new__(LaurentPoly)
         p._terms = terms
         return p
@@ -112,7 +118,7 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_terms(pairs: Iterable[Tuple[Monomial, Fraction]]) -> "LaurentPoly":
+    def from_terms(pairs: Iterable[Tuple[Monomial, Coeff]]) -> "LaurentPoly":
         """Sum (canonical monomial, coefficient) pairs in time linear in their number.
 
         Repeated monomials add up and cancelled ones are dropped.  Building a
@@ -126,19 +132,19 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({(): Fraction(1)})
+        return LaurentPoly({(): 1})
 
     @staticmethod
-    def const(c) -> "LaurentPoly":
-        return LaurentPoly({(): Fraction(c)})
+    def const(c: Coeff) -> "LaurentPoly":
+        return LaurentPoly({(): c})
 
     @staticmethod
     def var(v: Var, e: int = 1) -> "LaurentPoly":
-        return LaurentPoly({_mono([(v, e)]): Fraction(1)})
+        return LaurentPoly({_mono([(v, e)]): 1})
 
     @staticmethod
-    def monomial(exps: Mapping[Var, int], coeff=1, q_exp: int = 0) -> "LaurentPoly":
-        return LaurentPoly({_mono([*exps.items(), (QVAR, q_exp)]): Fraction(coeff)})
+    def monomial(exps: Mapping[Var, int], coeff: Coeff = 1, q_exp: int = 0) -> "LaurentPoly":
+        return LaurentPoly({_mono([*exps.items(), (QVAR, q_exp)]): coeff})
 
     @staticmethod
     def q_power(k: int) -> "LaurentPoly":
@@ -146,7 +152,7 @@ class LaurentPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[Tuple[Monomial, Coeff]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
@@ -166,8 +172,8 @@ class LaurentPoly:
                     out.add(v)
         return out
 
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coeff(self, mono: Monomial) -> Coeff:
+        return self._terms.get(mono, 0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -204,7 +210,7 @@ class LaurentPoly:
             ((m, c),) = self._terms.items()
             if c * c != 1:
                 raise ValueError("negative power needs a unit coefficient")
-            return LaurentPoly({mono_pow(m, k): c**k})
+            return LaurentPoly({mono_pow(m, k): c ** -k})  # c is +-1: exact, unlike c**k
         out = LaurentPoly.one()
         base = self
         while k:
@@ -245,15 +251,7 @@ def _split_q(m: Monomial) -> Tuple[int, Monomial]:
     return 0, m
 
 
-def _split_term(p: LaurentPoly) -> Tuple[Fraction, int, Monomial]:
-    """Decompose a single-term polynomial into (coeff, q_exp, q-free monomial)."""
-    if not p.is_term():
-        raise SubstitutionError("image is not a single term")
-    ((m, c),) = p.terms()
-    return (c, *_split_q(m))
-
-
-def _image(table: Mapping, m: Monomial, coeff: Fraction) -> Tuple[Monomial, Fraction]:
+def _image(table: Mapping, m: Monomial, coeff: Coeff) -> Tuple[Monomial, Coeff]:
     """Map one term through a table v -> (negative, q shift, image monomial)."""
     q_exp, rest = _split_q(m)
     parts = []
@@ -275,19 +273,26 @@ def _apply(table: Mapping, f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.from_terms(_image(table, m, c) for m, c in f.terms())
 
 
+def _substitution_table(images: Mapping[Var, LaurentPoly]) -> dict:
+    """Compile variable images into the _image table v -> (negative, q shift, monomial)."""
+    table = {}
+    for v, img in images.items():
+        if not img.is_term():
+            raise SubstitutionError("image is not a single term")
+        ((m, c),) = img.terms()
+        if c * c != 1:
+            raise SubstitutionError(f"image of {v} has non-unit coefficient {c}")
+        table[v] = (c < 0, *_split_q(m))
+    return table
+
+
 def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly:
     """Apply the ring homomorphism sending each variable to a signed q-monomial.
 
     Every non-q variable of f must have an image; images must be single terms
     with coefficient +-1 times a power of q.  q itself maps to q.
     """
-    table = {}
-    for v, img in images.items():
-        c, qe, m = _split_term(img)
-        if c * c != 1:
-            raise SubstitutionError(f"image of {v} has non-unit coefficient {c}")
-        table[v] = (c < 0, qe, m)
-    return _apply(table, f)
+    return _apply(_substitution_table(images), f)
 
 
 # -- Weyl elements and actions -----------------------------------------------
@@ -520,7 +525,7 @@ def _parse_name(name: str) -> Var:
     return tor(int(i), int(j))
 
 
-def _term_record(m: Monomial, c: Fraction):
+def _term_record(m: Monomial, c: Coeff):
     q_exp, rest = _split_q(m)
     return {
         "q": q_exp,
@@ -551,7 +556,7 @@ def parse_poly(text: str) -> LaurentPoly:
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be an array of terms")
 
-    def term(rec) -> Tuple[Monomial, Fraction]:
+    def term(rec) -> Tuple[Monomial, Coeff]:
         exps = {_parse_name(k): int(e) for k, e in rec["exps"].items()}
         c = Fraction(int(rec["num"]), int(rec["den"]))
         exps[QVAR] = int(rec.get("q", 0))

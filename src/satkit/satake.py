@@ -20,7 +20,7 @@ check (verify_transfer_square).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,11 +31,13 @@ from .laurent import (
     Var,
     WeylElement,
     WeylShape,
+    _apply,
     _mono,
+    _substitution_table,
     _var_name,
     is_invariant,
     serialize_poly,
-    substitute,
+    substitute,  # not called here; the benchmark's span test reads it through this module
     symmetrize,
     tor,
     weyl_generators,
@@ -154,14 +156,19 @@ def norm_similitude(ring: HeckeRing) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class Substitution:
-    """A morphism of Satake models given by variable images (signed q-monomials)."""
+    """A morphism of Satake models given by variable images (signed q-monomials),
+    compiled into a substitution table on the first call and reused by later ones."""
 
     source: HeckeRing
     target: HeckeRing
     images: Dict[Var, LaurentPoly]
 
+    @cached_property
+    def _table(self) -> dict:
+        return _substitution_table(self.images)
+
     def __call__(self, f: LaurentPoly) -> LaurentPoly:
-        return substitute(f, self.images)
+        return _apply(self._table, f)
 
     def as_json_dict(self) -> Dict[str, str]:
         return {_var_name(v): serialize_poly(img) for v, img in sorted(self.images.items())}
@@ -301,8 +308,7 @@ def twisted_transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Sub
             if j <= npl:
                 images[tor(i, j)] = resolve_tor(target, fp[i - 1], j) ** a
             else:
-                img = resolve_tor(target, fm[i - 1], j - npl) ** a
-                images[tor(i, j)] = img * Fraction(-1)
+                images[tor(i, j)] = -resolve_tor(target, fm[i - 1], j - npl) ** a
     return Substitution(source, target, images)
 
 
@@ -458,7 +464,7 @@ def levi_twisted_transfer(
         levi_linear=tuple(lin_by_factor.get(k, 0) for k in range(1, h_datum.r + 1)),
     )
     a = ctx.a
-    eps = Fraction(-1 if variant == "s_M" else 1)
+    eps = -1 if variant == "s_M" else 1
 
     def t_image(block: int, pos: int) -> LaurentPoly:
         factor = fp[0] if block == 1 else fm[0]
@@ -477,7 +483,7 @@ def levi_twisted_transfer(
         if i <= s + m1:
             images[tor(1, i)] = t_image(1, i - r2)
         else:
-            images[tor(1, i)] = t_image(2, i - (r1 + m1)) * Fraction(-1)
+            images[tor(1, i)] = -t_image(2, i - (r1 + m1))
     return Substitution(source, target, images)
 
 

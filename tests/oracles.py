@@ -112,7 +112,7 @@ def exact_divide(num, den, vars_):
     while not rem.is_zero():
         rkey, rmono, rcoeff = _lex_lead(rem, vars_)
         qexps = {v: rk - dk for v, rk, dk in zip(vars_, rkey, dkey) if rk - dk}
-        term = LaurentPoly.monomial(qexps, coeff=rcoeff / dcoeff)
+        term = LaurentPoly.monomial(qexps, coeff=Fraction(rcoeff) / dcoeff)
         quot.extend(term.terms())
         rem = rem - term * den
     return LaurentPoly.from_terms(quot)

@@ -421,6 +421,25 @@ def test_weyl_character_size_7():
     assert sum(c for _, c in f.terms()) == 2**21  # the value at x = (1, ..., 1)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-6, 8), min_size=1, max_size=4).map(lambda xs: tuple(sorted(xs, reverse=True))))
+@example((5, 5, 5, 5))
+@example((8, 0, 0, 0))
+def test_character_term_bound_covers_the_character(lam):
+    f = weyl_character(len(lam), lam)
+    bound = characters._character_term_bound(lam)
+    assert len(f) <= bound <= sum(c for _, c in f.terms())  # at most the dimension
+
+
+def test_weyl_character_refuses_a_weight_past_the_term_ceiling():
+    lam = (2147483645, 0, 0)
+    with pytest.raises(ValueError, match="2305843005992468481 terms"):
+        weyl_character(3, lam)
+    # the widest weights that run today stay under the ceiling
+    assert characters._character_term_bound((10, 8, 6, 4, 3, 1, 0)) == 11**6
+    assert characters._character_term_bound((7, 6, 5, 4, 3, 2, 1)) == 7**6
+
+
 def test_weyl_character_exponent_range():
     # refused exactly when the Weyl numerator x^(lambda + delta) leaves the 32-bit range
     top, bottom = 2**31 - 2, -(2**31 - 1)

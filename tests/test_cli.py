@@ -4,14 +4,20 @@ import contextlib
 import io
 import json
 import os
+import random
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satkit import cli
+from satkit import cli, satake
+from satkit.characters import two_partition_hypothesis
 from satkit.cli import build_parser, run
+from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
+from satkit.satake import LeviDatum
+
+SPLIT = PlaceContext(split=True, d=1)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -131,6 +137,56 @@ def test_phi_identity_reaches_n_10(capsys):
     assert time.monotonic() - started < 5
     payload = json.loads(out)
     assert code == 0 and payload["failures"] == [] and payload["cases"] == 2
+
+
+def test_weyl_char_refuses_a_weight_with_too_many_terms(capsys):
+    started = time.monotonic()
+    code = run(["weyl-char", "--size", "3", "--weight", "2147483645,0,0"])
+    assert time.monotonic() - started < 1
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "2305843005992468481 terms" in err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 12))
+def test_sampled_rotation_vectors_satisfy_the_hypothesis(seed, n):
+    assert two_partition_hypothesis(cli.sample_rotation_vector(random.Random(seed), n))
+
+
+def transfer_square_cases(n_max):
+    """Every (group, datum, Levi, A) case of `verify transfer-square --n-max`."""
+    for n in range(2, n_max + 1):
+        g = GroupDatum((n,))
+        for n2 in range(0, n + 1, 2):
+            h = EndoTriple((n - n2,), (n2,))
+            for s in range(1, n // 2 + 1):
+                for bits in range(2**s):
+                    a_set = [j + 1 for j in range(s) if bits >> j & 1]
+                    try:
+                        satake.levi_sign_data(g, h, LeviDatum(s), a_set)
+                    except ValueError:
+                        continue
+                    yield g, h, LeviDatum(s), a_set
+
+
+@pytest.mark.parametrize("variant", ["s_M", "s'_M"])
+def test_transfer_square_suite_matches_per_case_reports(capsys, monkeypatch, variant):
+    # the s'_M variant makes some cases fail, so that failure records are compared too
+    levi_map = satake.levi_twisted_transfer
+    monkeypatch.setattr(
+        satake, "levi_twisted_transfer", lambda *args, **kw: levi_map(*args[:5], variant=variant)
+    )
+    code, out = invoke(capsys, ["verify", "transfer-square", "--n-max", "6", "--json"])
+    cases, failures = 0, []
+    for g, h, levi, a_set in transfer_square_cases(6):
+        report = satake.verify_transfer_square(g, h, levi, a_set, SPLIT, generators=None)
+        cases += report["cases"]
+        keys = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
+        failures += [{**keys, **fail} for fail in report["failures"]]
+    assert json.loads(out) == {"suite": "transfer-square", "cases": cases, "failures": failures}
+    assert code == (1 if failures else 0)
+    assert (cases, bool(failures)) == (354, variant == "s'_M")
 
 
 def test_usage_error_exit_code():

@@ -1,5 +1,7 @@
 """Ring laws, group actions, symmetrization and the canonical JSON form."""
 
+import ast
+import os
 import random
 from fractions import Fraction
 
@@ -90,7 +92,89 @@ def term_lists(draw):
 def test_from_terms_matches_repeated_addition(pairs):
     fast = LaurentPoly.from_terms(iter(pairs))
     assert fast == sum_terms_by_addition(pairs)
-    assert all(type(c) is Fraction and c != 0 for _, c in fast.terms())
+    assert all(is_exact_coefficient(c) and c != 0 for _, c in fast.terms())
+
+
+def is_exact_coefficient(c):
+    """An int when integral, else a Fraction with denominator > 1; never a float or a bool."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def with_fraction_coefficients(f):
+    """f with every coefficient stored as a Fraction, integral ones included."""
+    return LaurentPoly._adopt({m: Fraction(c) for m, c in f.terms()})
+
+
+unit_terms = st.builds(
+    lambda exps, sign, q: LaurentPoly.monomial(exps, coeff=sign, q_exp=q),
+    st.dictionaries(st.sampled_from(VARS), exps, max_size=3),
+    st.sampled_from((1, -1)),
+    st.integers(-2, 2),
+)
+images = st.fixed_dictionaries({v: unit_terms for v in VARS})
+SHAPE_OF_VARS = WeylShape(split=True, sizes=(2, 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys(), polys(), unit_terms, st.integers(0, 3), images)
+def test_int_coefficients_match_fraction_coefficients(a, b, unit, k, imgs):
+    gens = weyl_generators(SHAPE_OF_VARS)
+    ops = [
+        lambda a, b, u: a + b,
+        lambda a, b, u: a - b,
+        lambda a, b, u: a * b,
+        lambda a, b, u: -a,
+        lambda a, b, u: a**k,
+        lambda a, b, u: u ** -(k + 1),
+        lambda a, b, u: a * 3,
+        lambda a, b, u: Fraction(-3, 2) * a,
+        lambda a, b, u: a * Fraction(4, 2),
+        lambda a, b, u: substitute(a, imgs),
+        lambda a, b, u: symmetrize(a, gens, SHAPE_OF_VARS),
+    ]
+    fa, fb, fu = map(with_fraction_coefficients, (a, b, unit))
+    for op in ops:
+        got, want = op(a, b, unit), op(fa, fb, fu)
+        assert got == want
+        assert serialize_poly(got) == serialize_poly(want)
+        assert pretty(got) == pretty(want)
+        assert all(is_exact_coefficient(c) for _, c in got.terms())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly.const(0.5),
+        lambda: LaurentPoly.const(2.0),
+        lambda: LaurentPoly.monomial({SIM: 1}, coeff=0.25),
+        lambda: LaurentPoly.from_terms([((), 1), ((), 0.0)]),
+        lambda: LaurentPoly.var(SIM) * 1.5,
+    ],
+)
+def test_float_coefficients_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_bool_coefficients_are_stored_as_ints():
+    assert [type(c) for _, c in LaurentPoly.const(True).terms()] == [int]
+    assert LaurentPoly.monomial({SIM: 1}, coeff=True) == LaurentPoly.var(SIM)
+
+
+def test_library_has_no_float_literals_or_calls():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "satkit")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((name, node.lineno, node.value))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append((name, node.lineno, "float("))
+    assert found == []
 
 
 def test_make_monomial_examples():

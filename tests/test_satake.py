@@ -6,20 +6,25 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satkit.laurent import (
     SIM,
     LaurentPoly,
+    SubstitutionError,
     is_invariant,
+    serialize_poly,
     substitute,
     symmetrize,
     tor,
 )
-from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
+from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext, enumerate_endoscopic
 from satkit.satake import (
     HeckeRing,
     LeviDatum,
     PlaceError,
+    Substitution,
     base_change_map,
     default_generators,
     exponent_identity_holds,
@@ -414,6 +419,52 @@ def test_maps_are_homomorphisms_on_products():
     for _ in range(20):
         f1, f2 = rng.choice(gens), rng.choice(gens)
         assert tw(f1 * f2) == tw(f1) * tw(f2)
+
+
+@st.composite
+def substitution_cases(draw):
+    """A morphism of one of the three substitution families and a polynomial
+    with int and Fraction coefficients in its source ring's variables."""
+    g = GroupDatum(tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))))
+    ctx = draw(st.sampled_from([SPLIT, INERT1, INERT2]))
+    h = draw(st.sampled_from([t for t, _ in enumerate_endoscopic(g)]))
+    build = draw(st.sampled_from(["base", "transfer", "twisted"]))
+    if build == "twisted" and not ctx.splits_over_l:
+        ctx = SPLIT
+    sub = {
+        "base": lambda: base_change_map(g, ctx),
+        "transfer": lambda: transfer_map(g, h, ctx),
+        "twisted": lambda: twisted_transfer_map(g, h, ctx),
+    }[build]()
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.dictionaries(st.sampled_from(sub.source.variables()), st.integers(-2, 2), max_size=3),
+                st.fractions(-3, 3, max_denominator=3),
+                st.integers(-1, 1),
+            ),
+            max_size=4,
+        )
+    )
+    return sub, sum((mono(e, c, q) for e, c, q in terms), LaurentPoly.zero())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(substitution_cases())
+def test_compiled_substitution_matches_substitute(case):
+    sub, f = case
+    want = substitute(f, sub.images)
+    assert sub(f) == want and sub(f + f) == substitute(f + f, sub.images)
+    assert serialize_poly(sub(f)) == serialize_poly(want)
+
+
+def test_substitution_with_a_bad_image_raises_when_called():
+    r = hecke_ring(GroupDatum((2,)), SPLIT)
+    images = {SIM: LaurentPoly.var(SIM), tor(1, 1): mono({tor(1, 1): 1}, coeff=2)}
+    sub = Substitution(r, r, images)  # built without complaint, as before
+    for _ in range(2):
+        with pytest.raises(SubstitutionError):
+            sub(LaurentPoly.var(SIM))
 
 
 def test_exponent_identity():
