@@ -356,39 +356,7 @@ def truncate_cohomology(
     return kept
 
 
-# -- the signed weight-sum identity engine ----------------------------------------
-
-
-class SignedWeightSum:
-    """Finite multiset of weight vectors with exact signed multiplicities;
-    int multiplicities stay ints."""
-
-    def __init__(self):
-        self._entries: Dict[Tuple[int, ...], int | Fraction] = {}
-
-    def add(self, vec: Tuple[int, ...], coeff) -> None:
-        self.add_all(((vec, coeff),))
-
-    def add_all(self, pairs: Iterable[Tuple[Tuple[int, ...], int | Fraction]]) -> None:
-        _merge(self._entries, pairs)
-
-    def items(self):
-        return sorted(self._entries.items())
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __eq__(self, other):
-        return isinstance(other, SignedWeightSum) and self._entries == other._entries
-
-    def difference(self, other: "SignedWeightSum") -> List[Tuple[Tuple[int, ...], int | Fraction]]:
-        keys = set(self._entries) | set(other._entries)
-        out = []
-        for k in sorted(keys):
-            d = self._entries.get(k, 0) - other._entries.get(k, 0)
-            if d:
-                out.append((k, d))
-        return out
+# -- the phi identity ---------------------------------------------------------------
 
 
 def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str = ">") -> Dict:
@@ -435,7 +403,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
             src[j], src[n - 1 - j] = i - 1, n - i
         sources.append(src)
 
-    side_a = SignedWeightSum()
+    side_a: Dict[Tuple[int, ...], int] = {}
     for bits in range(2 ** (s - 1)):
         rs = sorted([r + 1 for r in range(s - 1) if bits >> r & 1] + [s])
         kd = KostantDatum(p, q, frozenset(rs))
@@ -456,10 +424,10 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         for e in survivors:
             # a Kostant entry is Levi-dominant, so its middle already decreases
             v, coeff = e.shifted2, coeff_base * e.det
-            side_a.add_all((tuple([v[j] for j in idx]), coeff * c) for idx, c in moves.items())
+            _merge(side_a, ((tuple([v[j] for j in idx]), coeff * c) for idx, c in moves.items()))
 
     m = n - 2 * s  # the middle slots; side A has raised ValueError unless m >= 0
-    side_b = SignedWeightSum()
+    side_b: Dict[Tuple[int, ...], int] = {}
     # a kept term of side B: the positions of lam2 that fill the middle, in
     # increasing order (so its entries decrease), and an ordering of the rest
     # in slots 1..s and n-s+1..n
@@ -478,10 +446,13 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
                     break
             if ok:
                 w_inv = outer_inv[:s] + rest + outer_inv[s:]
-                side_b.add(outer[:s] + middle + outer[s:], perm.parity(w_inv) * s_fact)
+                _merge(side_b, ((outer[:s] + middle + outer[s:], perm.parity(w_inv) * s_fact),))
 
     diff = []
-    for key, c in side_a.difference(side_b):
+    for key in sorted(side_a.keys() | side_b.keys()):
+        c = side_a.get(key, 0) - side_b.get(key, 0)
+        if not c:
+            continue
         for order, arranged in zip(permutations(range(1, m + 1)), permutations(key[s : n - s])):
             c_order = Fraction(c * perm.parity(order), s_fact)
             diff.append((list(key[:s] + arranged + key[n - s :]), str(c_order)))
@@ -644,50 +615,31 @@ def frobenius_trace(
 # -- nonsingular incidence subsets ------------------------------------------------------
 
 
-def _det_bareiss(rows: List[List[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(rows)
-    a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+MAX_SUBSET_ENTRIES = 2**22  # nonsingular_subsets refuses a family with more entries
 
 
 def nonsingular_subsets(n: int, p: int) -> Tuple[List[Tuple[int, ...]], int]:
     """n subsets of {1..n}, each of size p, with nonsingular incidence matrix.
 
-    Built by the inductive construction: for p <= n-2 prepend {1..p} and
-    recurse on {2..n}; for p = n-1 take all complements of singletons.  The
-    exact determinant of the 0/1 incidence matrix is returned alongside.
+    The inductive construction (prepend {1..p} and recurse on {2..n} while
+    p <= n-2; for p = n-1 take all complements of singletons), unrolled: with
+    o = n-1-p, the rows are the heads {k+1..k+p} for k = 0..o-1, then the
+    complement of {i} in {o+1..n} for each i = o+1..n.  For n = 1 the family
+    is {1}, with determinant 1.
+
+    The exact determinant of the 0/1 incidence matrix is returned alongside,
+    in closed form: column k+1 meets head k and no later row, so the matrix
+    is block-triangular with a unit diagonal down to the tail rows, whose
+    block is J - I of size p+1, and the determinant is (-1)^p * p.  A family
+    of more than MAX_SUBSET_ENTRIES entries (n * p) is refused.
     """
     if n < 1 or not 1 <= p <= max(1, n - 1):
         raise ValueError(f"need n >= 1 and 1 <= p <= max(1, n-1), got p={p}, n={n}")
-
-    def build(size: int, k: int, offset: int) -> List[Tuple[int, ...]]:
-        if size == 1:
-            return [(offset + 1,)]
-        if k == size - 1:
-            return [
-                tuple(offset + j for j in range(1, size + 1) if j != i)
-                for i in range(1, size + 1)
-            ]
-        head = tuple(offset + j for j in range(1, k + 1))
-        return [head] + build(size - 1, k, offset + 1)
-
-    subsets = build(n, p, 0)
-    rows = [[1 if j in s else 0 for j in range(1, n + 1)] for s in subsets]
-    return subsets, _det_bareiss(rows)
+    if n * p > MAX_SUBSET_ENTRIES:
+        raise ValueError(f"n * p = {n * p} subset entries (limit {MAX_SUBSET_ENTRIES})")
+    if n == 1:
+        return [(1,)], 1
+    o = n - 1 - p
+    heads = [tuple(range(k + 1, k + p + 1)) for k in range(o)]
+    tail = [tuple(j for j in range(o + 1, n + 1) if j != i) for i in range(o + 1, n + 1)]
+    return heads + tail, (-1) ** p * p

@@ -82,7 +82,7 @@ Coeff = Union[int, Fraction]
 def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Coeff]]) -> dict:
     """Add (key, coefficient) pairs into out, dropping keys whose coefficients cancel.
 
-    Keys are monomials here and weight vectors in characters.SignedWeightSum.
+    Keys are monomials here and weight vectors in characters.verify_phi_identity.
     A new key starts from 0 (so a bool becomes an int) and an integral sum is
     stored as an int, so every stored coefficient is a nonzero int, or a
     Fraction that is not integral.  A float raises TypeError.
@@ -338,32 +338,6 @@ class WeylElement:
         perms = tuple(tuple(range(1, d + 1)) for d in degs)
         signs = None if shape.split else tuple(tuple(1 for _ in range(d)) for d in degs)
         return WeylElement(shape.split, perms, signs)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.split != other.split:
-            raise ValueError("mixed split/inert Weyl elements")
-        perms = tuple(
-            tuple(p1[p2[j] - 1] for j in range(len(p1)))
-            for p1, p2 in zip(self.perms, other.perms)
-        )
-        if self.split:
-            return WeylElement(True, perms)
-        signs = []
-        for p1, e1, e2 in zip(self.perms, self.signs, other.signs):
-            # (e1, p1)(e2, p2) = (e1 * p1(e2), p1 p2)
-            inv1 = perm.inverse(p1)
-            signs.append(tuple(e1[k] * e2[inv1[k] - 1] for k in range(len(e1))))
-        return WeylElement(False, perms, tuple(signs))
-
-    def inverse(self) -> "WeylElement":
-        perms = tuple(perm.inverse(p) for p in self.perms)
-        if self.split:
-            return WeylElement(True, perms)
-        signs = tuple(
-            tuple(e[p[k] - 1] for k in range(len(e)))
-            for p, e in zip(self.perms, self.signs)
-        )
-        return WeylElement(False, perms, signs)
 
 
 def _factor_slots(shape: WeylShape, linear: Optional[Sequence[int]]):

@@ -7,7 +7,7 @@ from satkit import perm
 from satkit.characters import (
     KostantDatum, KostantEntry, WallError, _w_s, pairing_coroot, rho2, truncate_cohomology
 )
-from satkit.laurent import QVAR, LaurentPoly, _mono, tor
+from satkit.laurent import QVAR, LaurentPoly, WeylElement, _mono, tor
 
 
 def brute_force_endoscopic_classes(g):
@@ -273,3 +273,76 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
         "equal": not diff,
         "differences": diff,
     }
+
+
+def compose(w1, w2):
+    """The product w1 w2 of two Weyl elements (w2 acts first)."""
+    if w1.split != w2.split:
+        raise ValueError("mixed split/inert Weyl elements")
+    perms = tuple(
+        tuple(p1[p2[j] - 1] for j in range(len(p1)))
+        for p1, p2 in zip(w1.perms, w2.perms)
+    )
+    if w1.split:
+        return WeylElement(True, perms)
+    signs = []
+    for p1, e1, e2 in zip(w1.perms, w1.signs, w2.signs):
+        # (e1, p1)(e2, p2) = (e1 * p1(e2), p1 p2)
+        inv1 = perm.inverse(p1)
+        signs.append(tuple(e1[k] * e2[inv1[k] - 1] for k in range(len(e1))))
+    return WeylElement(False, perms, tuple(signs))
+
+
+def inverse(w):
+    """The inverse of a Weyl element."""
+    perms = tuple(perm.inverse(p) for p in w.perms)
+    if w.split:
+        return WeylElement(True, perms)
+    signs = tuple(
+        tuple(e[p[k] - 1] for k in range(len(e)))
+        for p, e in zip(w.perms, w.signs)
+    )
+    return WeylElement(False, perms, signs)
+
+
+def det_bareiss(rows):
+    """Exact integer determinant by fraction-free elimination: the general
+    solver that the closed form in characters.nonsingular_subsets replaces."""
+    n = len(rows)
+    a = [list(map(int, r)) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def nonsingular_subsets_by_recursion(n, p):
+    """The subsets of characters.nonsingular_subsets by the inductive
+    construction as a recursion: for p <= n-2 prepend {1..p} and recurse on
+    {2..n}; for p = n-1 take all complements of singletons."""
+
+    def build(size, k, offset):
+        if size == 1:
+            return [(offset + 1,)]
+        if k == size - 1:
+            return [
+                tuple(offset + j for j in range(1, size + 1) if j != i)
+                for i in range(1, size + 1)
+            ]
+        head = tuple(offset + j for j in range(1, k + 1))
+        return [head] + build(size - 1, k, offset + 1)
+
+    return build(n, p, 0)

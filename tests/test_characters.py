@@ -14,7 +14,6 @@ from satkit import characters
 from satkit.characters import (
     HypothesisError,
     KostantDatum,
-    SignedWeightSum,
     UnsupportedCaseError,
     WallError,
     Weight,
@@ -41,6 +40,8 @@ import oracles
 from oracles import (
     bialternant_character,
     coset_reps_by_filter,
+    det_bareiss,
+    nonsingular_subsets_by_recursion,
     ordered_partition_sum_by_enumeration,
     phi_identity_by_fractions,
     positive_rotation_count_by_permutations,
@@ -351,13 +352,6 @@ def test_phi_identity_differences_expand_the_middle(monkeypatch, truncate):
     assert rep["differences"] and rep == phi_identity_by_fractions(*case)
 
 
-def test_signed_weight_sum_cancellation():
-    s = SignedWeightSum()
-    s.add((1, 2), 1)
-    s.add((1, 2), -1)
-    assert len(s) == 0
-
-
 # -- Weyl characters ---------------------------------------------------------------------
 
 
@@ -551,6 +545,23 @@ def test_nonsingular_subsets_range():
             assert len(subsets) == n
             assert all(len(s) == p for s in subsets)
             assert det != 0
-    for n, p in ((3, 3), (0, 1), (-1, 1)):
+    for n, p in ((3, 3), (0, 1), (-1, 1), (4097, 1024)):
         with pytest.raises(ValueError):
             nonsingular_subsets(n, p)
+
+
+def test_nonsingular_subsets_determinant_matches_bareiss():
+    cases = 0
+    for n in range(1, 41):
+        for p in range(1, max(1, n - 1) + 1):
+            subsets, det = nonsingular_subsets(n, p)
+            rows = [[1 if j in s else 0 for j in range(1, n + 1)] for s in subsets]
+            assert det == det_bareiss(rows), (n, p)
+            cases += 1
+    assert cases == 781
+
+
+def test_nonsingular_subsets_match_the_recursion():
+    for n in range(1, 61):
+        for p in range(1, max(1, n - 1) + 1):
+            assert nonsingular_subsets(n, p)[0] == nonsingular_subsets_by_recursion(n, p), (n, p)

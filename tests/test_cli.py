@@ -98,6 +98,14 @@ def test_precondition_violation_exit_code(capsys):
     # a subset family needs n >= 1
     code, out = invoke(capsys, ["subsets", "--n", "0", "--p", "1", "--json"])
     assert code == 3 and out == ""
+    # a subset family past the entry ceiling
+    code, out = invoke(capsys, ["subsets", "--n", "4097", "--p", "1024", "--json"])
+    assert code == 3 and out == ""
+
+
+def test_subsets_past_the_recursion_limit(capsys):
+    code, out = invoke(capsys, ["subsets", "--n", "1200", "--p", "1", "--json"])
+    assert code == 0 and len(json.loads(out)["subsets"]) == 1200
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import act_monomial_by_cases, sum_terms_by_addition, symmetrize_over_group
+from oracles import act_monomial_by_cases, compose, sum_terms_by_addition, symmetrize_over_group
 
+import satkit
 from satkit.laurent import (
     SIM,
     ExponentOverflowError,
@@ -161,19 +162,39 @@ def test_bool_coefficients_are_stored_as_ints():
     assert LaurentPoly.monomial({SIM: 1}, coeff=True) == LaurentPoly.var(SIM)
 
 
-def test_library_has_no_float_literals_or_calls():
+def library_modules():
+    """(file name, syntax tree) for each module of src/satkit."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "satkit")
-    found = []
     for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def test_library_has_no_float_literals_or_calls():
+    found = []
+    for name, tree in library_modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
                 found.append((name, node.lineno, node.value))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
                 found.append((name, node.lineno, "float("))
+    assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # __init__.py imports only to re-export; satake imports substitute for the
+    # benchmark's span test, as its comment says
+    kept = {("__init__.py", name) for name in satkit.__all__} | {("satake.py", "substitute")}
+    found = []
+    for name, tree in library_modules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used and (name, bound) not in kept:
+                        found.append((name, node.lineno, bound))
     assert found == []
 
 
@@ -297,7 +318,7 @@ def test_group_action_composition(shape):
             exps = {v: rng.randint(-2, 2) for v in rng.sample(vars_, 2)}
             f = f + LaurentPoly.monomial(exps, coeff=rng.randint(-3, 3))
         w1, w2 = rng.choice(group), rng.choice(group)
-        assert group_act(w1 * w2, f, shape) == group_act(w1, group_act(w2, f, shape), shape)
+        assert group_act(compose(w1, w2), f, shape) == group_act(w1, group_act(w2, f, shape), shape)
 
 
 @pytest.mark.parametrize(
@@ -321,7 +342,7 @@ def test_weyl_generators_generate_the_group(shape, linear):
     while frontier:
         w = frontier.pop()
         for s in gens:
-            ws = w * s
+            ws = compose(w, s)
             if ws not in closure:
                 closure.add(ws)
                 frontier.append(ws)

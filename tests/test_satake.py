@@ -3,7 +3,7 @@ constant-term compatibility square."""
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -484,6 +484,59 @@ def test_twisted_inert_image_invariant():
         target = HeckeRing(h.group_datum(), split_presentation=False)
         for _, f in default_generators(g, ctx):
             assert target.contains(tw(f))
+
+
+LAW_GROUPS = [GroupDatum((n,)) for n in range(1, 7)] + [
+    GroupDatum((a, b)) for a in range(1, 6) for b in range(1, 7 - a)
+]
+
+
+def _odd_odd(h):
+    """True when some factor of h has odd plus and odd minus parts."""
+    return any(npl % 2 and nmi % 2 for npl, nmi in h.pairs())
+
+
+@pytest.mark.parametrize(
+    "build, ctxs, keep",
+    [
+        pytest.param(base_change_map, [SPLIT], None, id="base-split"),
+        pytest.param(base_change_map, [INERT1, INERT2], None, id="base-inert"),
+        pytest.param(transfer_map, [SPLIT], None, id="transfer-split"),
+        pytest.param(transfer_map, [INERT1, INERT2], False, id="transfer-inert"),
+        pytest.param(
+            transfer_map, [INERT1, INERT2], True, id="transfer-inert-odd-odd",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="at an inert place, transfer_map routes a slot of a factor whose plus "
+                "and minus parts are both odd to X_{f,(n-+1)/2}, a variable the target "
+                "ring lacks",
+            ),
+        ),
+        pytest.param(twisted_transfer_map, [SPLIT], None, id="twisted-split"),
+        pytest.param(twisted_transfer_map, [INERT2], None, id="twisted-inert"),
+    ],
+)
+def test_source_invariants_map_into_the_target_ring(build, ctxs, keep):
+    """The orbit sum of each source variable maps to an invariant of the target
+    ring, for every group with r <= 2 and sum n_i <= 6.  Endoscopic data are
+    all taken when keep is None, else those for which _odd_odd(h) == keep."""
+    subs = []
+    for g, ctx in product(LAW_GROUPS, ctxs):
+        if build is base_change_map:
+            subs.append((g.sizes, ctx, None, base_change_map(g, ctx)))
+            continue
+        for h, _ in enumerate_endoscopic(g):
+            if keep is None or _odd_odd(h) == keep:
+                subs.append((g.sizes, ctx, h, build(g, h, ctx)))
+    assert subs
+    broken = []
+    for sizes, ctx, h, sub in subs:
+        for v in sub.source.variables():
+            f = symmetrize(LaurentPoly.var(v), sub.source.generators(), sub.source.shape)
+            if not sub.target.contains(sub(f)):
+                broken.append((sizes, ctx, h, v))
+    assert broken == []
 
 
 def test_levi_kottwitz_invariant_under_levi_weyl():
