@@ -236,22 +236,30 @@ def pairing_coroot(vec: Sequence[int], r: int) -> int:
 
 
 @cache
-def _shuffles(sizes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+def _shuffles(sizes: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
     """The permutations w of 1..n whose inverse maps each run of consecutive
-    values (of the given sizes, in order) to an increasing set, sorted."""
+    values (of the given sizes, in order) to an increasing set, each mapped to
+    its length, sorted by length and then lexicographically.  Each run of
+    w^{-1} takes an increasing set of the values left; the j-th (from 0), at
+    index i of them, exceeds the i - j values left behind below it, and these
+    pairs are all the inversions."""
 
     def inverses(free: Tuple[int, ...], rest: Tuple[int, ...]):
-        # w^{-1} in one-line form: each run takes an increasing set from free
+        # w^{-1} in one-line form, with its number of inversions
         if not rest:
-            yield ()
+            yield (), 0
             return
-        for chosen in combinations(free, rest[0]):
+        index = {x: i for i, x in enumerate(free)}
+        k = rest[0]
+        for chosen in combinations(free, k):
             left = tuple(x for x in free if x not in chosen)
-            for tail in inverses(left, rest[1:]):
-                yield chosen + tail
+            crossings = sum(map(index.__getitem__, chosen)) - k * (k - 1) // 2
+            for tail, length in inverses(left, rest[1:]):
+                yield chosen + tail, crossings + length
 
     values = tuple(range(1, sum(sizes) + 1))
-    return tuple(sorted(perm.inverse(inv) for inv in inverses(values, sizes)))
+    graded = sorted((length, perm.inverse(inv)) for inv, length in inverses(values, sizes))
+    return {w: length for length, w in graded}
 
 
 @dataclass(frozen=True)
@@ -282,10 +290,10 @@ class KostantDatum:
             out *= factorial(len(b))
         return out
 
-    def coset_reps(self) -> List[Tuple[int, ...]]:
-        """Permutations whose inverse is increasing on each Levi block, in
-        lexicographic order."""
-        return list(_shuffles(tuple(len(b) for b in self.blocks())))
+    def coset_reps(self) -> Dict[Tuple[int, ...], int]:
+        """Permutations whose inverse is increasing on each Levi block, each
+        mapped to its length, in order of length and then lexicographically."""
+        return dict(_shuffles(tuple(len(b) for b in self.blocks())))
 
     def levi_group(self) -> List[Tuple[Tuple[int, ...], int]]:
         """Block permutations with their signs."""
@@ -302,10 +310,6 @@ class KostantEntry:
     weight2: Tuple[int, ...]
     shifted2: Tuple[int, ...]
 
-    @property
-    def det(self) -> int:
-        return (-1) ** self.degree
-
 
 def kostant_cohomology(kd: KostantDatum, weight: Weight) -> List[KostantEntry]:
     """Kostant's decomposition of the nilpotent-radical cohomology.
@@ -313,7 +317,7 @@ def kostant_cohomology(kd: KostantDatum, weight: Weight) -> List[KostantEntry]:
     The input weight is the rho-shifted infinitesimal character (dominant
     regular); each minimal-length coset representative w contributes the
     Levi-dominant summand with doubled highest weight 2 w(weight) - 2 rho
-    in degree equal to the length of w.
+    in degree equal to the length of w; entries come by degree, then by w.
     """
     if len(weight.blocks) != 1 or len(weight.blocks[0]) != kd.n:
         raise ValueError("weight must have a single block of length p + q")
@@ -322,12 +326,23 @@ def kostant_cohomology(kd: KostantDatum, weight: Weight) -> List[KostantEntry]:
     lam2 = tuple(2 * x for x in weight.blocks[0])
     r2 = rho2(kd.n)
     out = []
-    for w in kd.coset_reps():
+    for w, length in kd.coset_reps().items():
         shifted2 = perm.act(w, lam2)
         weight2 = tuple(x - y for x, y in zip(shifted2, r2))
-        out.append(KostantEntry(perm.length(w), w, weight2, shifted2))
-    out.sort(key=lambda e: (e.degree, e.omega))
+        out.append(KostantEntry(length, w, weight2, shifted2))
     return out
+
+
+def _truncation_keeps(shifted2: Sequence[int], rs: Sequence[int], want_pos: bool, omega) -> bool:
+    """Whether the pairings with the truncation coweights r in rs, tested in
+    that order, all have the wanted sign; a vanishing one raises WallError."""
+    for r in rs:
+        val = pairing_pi(shifted2, r)
+        if val == 0:
+            raise WallError(f"pairing with coweight {r} vanishes for {omega}")
+        if (val > 0) != want_pos:
+            return False
+    return True
 
 
 def truncate_cohomology(
@@ -341,19 +356,7 @@ def truncate_cohomology(
     if direction not in (">", "<"):
         raise ValueError("direction must be '>' or '<'")
     rs = sorted(set(int(r) for r in s_set))
-    kept = []
-    for e in entries:
-        ok = True
-        for r in rs:
-            val = pairing_pi(e.shifted2, r)
-            if val == 0:
-                raise WallError(f"pairing with coweight {r} vanishes for {e.omega}")
-            if (val > 0) != (direction == ">"):
-                ok = False
-                break
-        if ok:
-            kept.append(e)
-    return kept
+    return [e for e in entries if _truncation_keeps(e.shifted2, rs, direction == ">", e.omega)]
 
 
 # -- the phi identity ---------------------------------------------------------------
@@ -407,8 +410,13 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
     for bits in range(2 ** (s - 1)):
         rs = sorted([r + 1 for r in range(s - 1) if bits >> r & 1] + [s])
         kd = KostantDatum(p, q, frozenset(rs))
-        entries = kostant_cohomology(kd, weight)
-        survivors = truncate_cohomology(entries, rs, direction)
+        # the shifted weights and signs of the Kostant entries that the
+        # truncation keeps, tested in the order of kostant_cohomology
+        survivors = []
+        for w, length in kd.coset_reps().items():
+            v = perm.act(w, lam2)
+            if _truncation_keeps(v, rs, want_pos, w):
+                survivors.append((v, (-1) ** length))
         # the Levi elements fixing the middle: its block split into single slots
         blocks = []
         for b in kd.blocks():
@@ -421,9 +429,9 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
             w_inv, det = perm.inverse(w), perm.parity(w)
             _merge(moves, ((tuple([w_inv[i] - 1 for i in src]), det) for src in sources))
         coeff_base = (-1) ** (s - len(rs)) * (s_fact // _w_s(rs))
-        for e in survivors:
+        for v, det in survivors:
             # a Kostant entry is Levi-dominant, so its middle already decreases
-            v, coeff = e.shifted2, coeff_base * e.det
+            coeff = coeff_base * det
             _merge(side_a, ((tuple([v[j] for j in idx]), coeff * c) for idx, c in moves.items()))
 
     m = n - 2 * s  # the middle slots; side A has raised ValueError unless m >= 0

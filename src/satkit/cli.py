@@ -209,8 +209,20 @@ def at_least(low: int, **flags) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be at least {low}")
 
 
+def at_most(high: int, **flags) -> None:
+    """Refuse a size flag above high, past which a suite's time or memory runs away."""
+    for name, value in flags.items():
+        if value > high:
+            raise ValueError(f"--{name.replace('_', '-')} must be at most {high}")
+
+
+MAX_PARTITION_N = 7  # partition-lemmas runs 4^n cases of n, each walking 3^n subset pairs
+MAX_ROTATION_N = 20  # rotation-count holds two lists of 2^n subset sums per case
+
+
 def cmd_verify_partition_lemmas(args) -> tuple:
     at_least(1, n_max=args.n_max)
+    at_most(MAX_PARTITION_N, n_max=args.n_max)
     # the signature sums over every ordering of lam, so it depends only on the multiset
     signature = functools.cache(characters.partial_sum_signature)
     cases = 0
@@ -228,13 +240,19 @@ def cmd_verify_partition_lemmas(args) -> tuple:
     return "partition-lemmas", cases, failures
 
 
-def sample_rotation_vector(rng: random.Random, n: int) -> List[Fraction]:
+ROTATION_SCALE = 420  # lcm(1..7), a multiple of every denominator the sampler draws
+
+
+def sample_rotation_vector(rng: random.Random, n: int) -> List[int]:
     """Hypothesis-satisfying vector: one large positive entry, negative rest.
 
     No check is needed: the total is positive, and of two complementary blocks
-    the one without the positive entry has a negative sum."""
-    rest = [Fraction(-rng.randint(1, 40), rng.randint(1, 7)) for _ in range(n - 1)]
-    big = -sum(rest) + Fraction(rng.randint(1, 30), rng.randint(1, 7))
+    the one without the positive entry has a negative sum.  The entries are
+    fractions with denominators in 1..7, drawn in that order and scaled by
+    ROTATION_SCALE to integers: a positive rescaling keeps every sign the
+    rotation lemma tests, and spares it all Fraction arithmetic."""
+    rest = [-rng.randint(1, 40) * (ROTATION_SCALE // rng.randint(1, 7)) for _ in range(n - 1)]
+    big = -sum(rest) + rng.randint(1, 30) * (ROTATION_SCALE // rng.randint(1, 7))
     lam = [big] + rest
     rng.shuffle(lam)
     return lam
@@ -242,6 +260,7 @@ def sample_rotation_vector(rng: random.Random, n: int) -> List[Fraction]:
 
 def cmd_verify_rotation(args) -> tuple:
     at_least(1, n_max=args.n_max, count=args.count)
+    at_most(MAX_ROTATION_N, n_max=args.n_max)
     rng = random.Random(args.seed)
     cases = 0
     failures = []
@@ -252,9 +271,8 @@ def cmd_verify_rotation(args) -> tuple:
             got = characters.positive_rotation_count(lam)
             hits = characters.rotation_orbit_hits(lam)
             if got != factorial(n - 1) or hits != 1:
-                failures.append(
-                    {"lambda": [str(x) for x in lam], "count": got, "rotation_hits": hits}
-                )
+                lam_text = [str(Fraction(x, ROTATION_SCALE)) for x in lam]
+                failures.append({"lambda": lam_text, "count": got, "rotation_hits": hits})
     return "rotation-count", cases, failures
 
 

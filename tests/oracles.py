@@ -205,6 +205,21 @@ def coset_reps_by_filter(kd):
     return reps
 
 
+def kostant_cohomology_by_length(kd, weight):
+    """The entries of characters.kostant_cohomology from the filtered coset
+    representatives, each degree counted by perm.length and the entries then
+    sorted: the build that the lengths cached with the shuffles replace."""
+    lam2 = tuple(2 * x for x in weight.blocks[0])
+    r2 = rho2(kd.n)
+    entries = []
+    for w in coset_reps_by_filter(kd):
+        shifted2 = perm.act(w, lam2)
+        weight2 = tuple(x - y for x, y in zip(shifted2, r2))
+        entries.append(KostantEntry(perm.length(w), w, weight2, shifted2))
+    entries.sort(key=lambda e: (e.degree, e.omega))
+    return entries
+
+
 def phi_identity_by_fractions(p, q, s, weight, direction=">"):
     """The report of characters.verify_phi_identity, computed with Fraction
     multiplicities 1/w_S', the filtered coset representatives and one
@@ -212,7 +227,6 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
     to integers."""
     n = p + q
     lam2 = tuple(2 * x for x in weight.blocks[0])
-    r2 = rho2(n)
 
     def sigma_act(vec, sigma):
         inv = perm.inverse(sigma)
@@ -231,18 +245,13 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
     for bits in range(2 ** (s - 1)):
         rs = sorted([r + 1 for r in range(s - 1) if bits >> r & 1] + [s])
         kd = KostantDatum(p, q, frozenset(rs))
-        entries = []
-        for w in coset_reps_by_filter(kd):
-            shifted2 = perm.act(w, lam2)
-            weight2 = tuple(x - y for x, y in zip(shifted2, r2))
-            entries.append(KostantEntry(perm.length(w), w, weight2, shifted2))
-        entries.sort(key=lambda e: (e.degree, e.omega))
+        entries = kostant_cohomology_by_length(kd, weight)
         coeff_base = Fraction((-1) ** (s - len(rs)), _w_s(rs))
         for e in truncate_cohomology(entries, rs, direction):
             for w_m, det_m in kd.levi_group():
                 expanded = perm.act(w_m, e.shifted2)
                 for sigma in permutations(range(1, s + 1)):
-                    add(side_a, sigma_act(expanded, sigma), coeff_base * det_m * e.det)
+                    add(side_a, sigma_act(expanded, sigma), coeff_base * det_m * (-1) ** e.degree)
 
     side_b = {}
     for w in permutations(range(1, n + 1)):
@@ -273,6 +282,16 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
         "equal": not diff,
         "differences": diff,
     }
+
+
+def sample_rotation_vector_by_fractions(rng, n):
+    """The vector of cli.sample_rotation_vector from the same random draws, as
+    Fractions: the sampler before it scaled its entries to integers."""
+    rest = [Fraction(-rng.randint(1, 40), rng.randint(1, 7)) for _ in range(n - 1)]
+    big = -sum(rest) + Fraction(rng.randint(1, 30), rng.randint(1, 7))
+    lam = [big] + rest
+    rng.shuffle(lam)
+    return lam
 
 
 def compose(w1, w2):

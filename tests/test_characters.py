@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satkit import characters
+from satkit import characters, perm
 from satkit.characters import (
     HypothesisError,
     KostantDatum,
@@ -171,7 +171,40 @@ def test_coset_reps_match_filter():
             top = min(q, n // 2)
             for bits in range(2 ** top):
                 kd = KostantDatum(n - q, q, {r + 1 for r in range(top) if bits >> r & 1})
-                assert kd.coset_reps() == coset_reps_by_filter(kd), (kd.p, kd.q, kd.s_set)
+                assert sorted(kd.coset_reps()) == coset_reps_by_filter(kd), (kd.p, kd.q, kd.s_set)
+
+
+def compositions(n):
+    """Every tuple of positive sizes adding up to n."""
+    for cuts in range(2 ** (n - 1)):
+        bounds = [0] + [i + 1 for i in range(n - 1) if cuts >> i & 1] + [n]
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_shuffle_lengths_match_perm_length(n):
+    for sizes in compositions(n):
+        # bypass the cache: all compositions of 8 hold 545835 shuffles
+        shuffles = characters._shuffles.__wrapped__(sizes)
+        assert all(length == perm.length(w) for w, length in shuffles.items()), sizes
+        graded = [(length, w) for w, length in shuffles.items()]
+        assert graded == sorted(graded), sizes
+
+
+@st.composite
+def kostant_cases(draw):
+    n = draw(st.integers(1, 7))
+    q = draw(st.integers(0, n))
+    s_set = draw(st.sets(st.integers(1, max(1, min(q, n // 2))), max_size=min(q, n // 2)))
+    entries = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    return KostantDatum(n - q, q, s_set), Weight(0, (tuple(sorted(entries, reverse=True)),))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kostant_cases())
+def test_kostant_cohomology_matches_length_rebuild(case):
+    kd, weight = case
+    assert kostant_cohomology(kd, weight) == oracles.kostant_cohomology_by_length(kd, weight)
 
 
 @st.composite
@@ -332,21 +365,18 @@ def test_phi_identity_lt_direction():
 def test_phi_identity_differences_are_unscaled(monkeypatch):
     # with every Kostant entry truncated away, the difference is minus side B,
     # whose multiplicities are the signs of the Weyl elements
-    monkeypatch.setattr(characters, "truncate_cohomology", lambda entries, rs, direction: [])
+    monkeypatch.setattr(characters, "_truncation_keeps", lambda *args: False)
     rep = verify_phi_identity(2, 2, 2, Weight(0, ((13, 5, -2, -9),)))
     assert rep["side_a_terms"] == 0 and len(rep["differences"]) == rep["side_b_terms"] > 0
     assert {c for _, c in rep["differences"]} == {"1", "-1"}
 
 
-@pytest.mark.parametrize(
-    "truncate", [lambda entries, rs, direction: [], lambda entries, rs, direction: list(entries)],
-    ids=["none", "all"],
-)
-def test_phi_identity_differences_expand_the_middle(monkeypatch, truncate):
+@pytest.mark.parametrize("keep", [False, True], ids=["none", "all"])
+def test_phi_identity_differences_expand_the_middle(monkeypatch, keep):
     # n = 6, s = 1 leaves a middle block of four slots, so every differing
-    # term is expanded back into its 4! signed arrangements
-    monkeypatch.setattr(characters, "truncate_cohomology", truncate)
-    monkeypatch.setattr(oracles, "truncate_cohomology", truncate)
+    # term is expanded back into its 4! signed arrangements; the oracle's
+    # truncate_cohomology runs the same per-entry test
+    monkeypatch.setattr(characters, "_truncation_keeps", lambda *args: keep)
     case = (3, 3, 1, Weight(0, ((11, 6, 2, -1, -5, -12),)))
     rep = verify_phi_identity(*case)
     assert rep["differences"] and rep == phi_identity_by_fractions(*case)

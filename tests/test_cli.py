@@ -6,16 +6,20 @@ import json
 import os
 import random
 import time
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satkit import cli, satake
+from satkit import characters, cli, satake
 from satkit.characters import two_partition_hypothesis
 from satkit.cli import build_parser, run
 from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
 from satkit.satake import LeviDatum
+
+import oracles
 
 SPLIT = PlaceContext(split=True, d=1)
 
@@ -147,6 +151,44 @@ def test_phi_identity_reaches_n_10(capsys):
     assert code == 0 and payload["failures"] == [] and payload["cases"] == 2
 
 
+def _lemma_stub(lam):
+    """The value both partition lemmas take on lam."""
+    return (-1) ** len(lam) if all(x > 0 for x in lam) else 0
+
+
+LEMMAS = ("partial_sum_signature", "ordered_partition_sum", "positive_rotation_count", "rotation_orbit_hits")
+
+
+def _must_not_run(*args):
+    raise AssertionError("the suite started its work")
+
+
+@pytest.mark.parametrize(
+    "argv, ceiling",
+    [
+        (["verify", "partition-lemmas", "--json"], cli.MAX_PARTITION_N),
+        (["verify", "rotation-count", "--count", "1", "--seed", "1", "--json"], cli.MAX_ROTATION_N),
+    ],
+)
+def test_suite_size_ceilings(capsys, monkeypatch, argv, ceiling):
+    for name in LEMMAS:
+        monkeypatch.setattr(characters, name, _must_not_run)
+    monkeypatch.setattr(cli, "sample_rotation_vector", _must_not_run)
+    started = time.monotonic()
+    code = run(argv + ["--n-max", str(ceiling + 1)])
+    assert time.monotonic() - started < 1
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and f"--n-max must be at most {ceiling}" in err
+    # the ceiling itself is accepted; the lemmas are stubbed, so only the loop runs
+    monkeypatch.setattr(characters, "partial_sum_signature", _lemma_stub)
+    monkeypatch.setattr(characters, "ordered_partition_sum", _lemma_stub)
+    monkeypatch.setattr(characters, "positive_rotation_count", lambda lam: factorial(len(lam) - 1))
+    monkeypatch.setattr(characters, "rotation_orbit_hits", lambda lam: 1)
+    monkeypatch.setattr(cli, "sample_rotation_vector", lambda rng, n: [1] * n)
+    code, out = invoke(capsys, argv + ["--n-max", str(ceiling)])
+    assert code == 0 and json.loads(out)["failures"] == []
+
+
 def test_weyl_char_refuses_a_weight_with_too_many_terms(capsys):
     started = time.monotonic()
     code = run(["weyl-char", "--size", "3", "--weight", "2147483645,0,0"])
@@ -160,6 +202,50 @@ def test_weyl_char_refuses_a_weight_with_too_many_terms(capsys):
 @given(st.integers(0, 2**32), st.integers(1, 12))
 def test_sampled_rotation_vectors_satisfy_the_hypothesis(seed, n):
     assert two_partition_hypothesis(cli.sample_rotation_vector(random.Random(seed), n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 12))
+def test_sampled_rotation_vectors_scale_the_fraction_draws(seed, n):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    lam = cli.sample_rotation_vector(rng, n)
+    want = oracles.sample_rotation_vector_by_fractions(oracle_rng, n)
+    assert all(type(x) is int for x in lam)
+    assert lam == [cli.ROTATION_SCALE * x for x in want]
+    # the stream is left where the Fraction sampler left it, so every later case is unchanged
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_rotation_failure_records_print_the_fractions(capsys, monkeypatch):
+    monkeypatch.setattr(characters, "rotation_orbit_hits", lambda lam: 0)
+    code, out = invoke(
+        capsys, ["verify", "rotation-count", "--n-max", "6", "--count", "4", "--seed", "5", "--json"]
+    )
+    rng = random.Random(5)
+    want = [
+        [str(x) for x in oracles.sample_rotation_vector_by_fractions(rng, n)]
+        for n in range(1, 7)
+        for _ in range(4)
+    ]
+    assert code == 1 and [f["lambda"] for f in json.loads(out)["failures"]] == want
+    assert any("/" in x for lam in want for x in lam)
+
+
+def test_rotation_suite_builds_no_fraction(capsys, monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    code, out = invoke(
+        capsys, ["verify", "rotation-count", "--n-max", "8", "--count", "15", "--seed", "3", "--json"]
+    )
+    assert code == 0 and json.loads(out)["cases"] == 120
+    assert built == []
+    assert Fraction(1, 2) and built == [(1, 2)]  # the counter sees a construction
 
 
 def transfer_square_cases(n_max):
