@@ -22,7 +22,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import perm
 from .laurent import (
-    INT32_MAX, QVAR, SIM, ExponentOverflowError, LaurentPoly, Var, _merge, _mono, tor
+    INT32_MAX, QVAR, SIM, ExponentOverflowError, LaurentPoly, Var, _check_exp, _merge, _tor_subset_sum,
+    tor,
 )
 from .rootdata import EndoTriple, PlaceContext, SignedGroupDatum
 
@@ -501,8 +502,8 @@ def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
     (lambda_1 >= mu_1 >= lambda_2 >= ... >= mu_{n-1} >= lambda_n) of
     s_mu(x_1..x_{n-1}) * x_n^{|lambda| - |mu|}.  The rule holds for every
     non-increasing integer weight, negative entries included.  Each layer
-    maps a weight mu to the exponent tails (of x_{k+1}..x_n) that reach it,
-    so a mu met along several branches is expanded once.  A weight whose
+    maps a weight mu to the canonical monomials in x_{k+1}..x_n that reach
+    it, so a mu met along several branches is expanded once.  A weight whose
     character may have more than MAX_CHARACTER_TERMS terms is refused.
     """
     lam = tuple(int(x) for x in block_weight)
@@ -517,20 +518,20 @@ def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
     if bound > MAX_CHARACTER_TERMS:
         raise ValueError(f"weight {lam} may give {bound} terms (limit {MAX_CHARACTER_TERMS})")
     layer = {lam: {(): 1}}
-    for _ in range(size):
+    for j in range(size, 0, -1):
         below: dict = {}
         for mu, tails in layer.items():
             total = sum(mu)
             for nu in product(*(range(b, a + 1) for a, b in zip(mu, mu[1:]))):
                 acc = below.setdefault(nu, {})
                 e = total - sum(nu)
+                head = ((tor(1, j), e),) if e else ()  # x_j sorts before every tail's variables
                 for tail, c in tails.items():
-                    key = (e,) + tail
+                    key = head + tail
                     acc[key] = acc.get(key, 0) + c
         layer = below
     (terms,) = layer.values()
-    xs = [tor(1, j) for j in range(1, size + 1)]
-    return LaurentPoly.from_terms((_mono(zip(xs, exps)), c) for exps, c in terms.items())
+    return LaurentPoly.from_terms(terms.items())
 
 
 # -- endoscopic weight transfer -------------------------------------------------------
@@ -608,11 +609,8 @@ def frobenius_trace(
             "inert place, rational reflex field and odd power: signs undetermined"
         )
     deg = 2 if (field == "E" and not ctx.split) else 1
-    subset_choices = [combinations(range(1, p + q + 1), p) for p, q in g.sig]
-    total = LaurentPoly.from_terms(
-        (_mono([(SIM, -m)] + [(tor(i, j), -m * deg) for i, js in enumerate(subsets, 1) for j in js]), 1)
-        for subsets in product(*subset_choices)
-    )
+    head = ((SIM, _check_exp(-m)),) if m else ()
+    total = _tor_subset_sum(head, [(range(1, p + q + 1), p, -m * deg) for p, q in g.sig])
     if params is None:
         return total
     assign = dict(params)

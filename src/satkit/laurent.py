@@ -24,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
@@ -164,13 +164,8 @@ class LaurentPoly:
     def is_term(self) -> bool:
         return len(self._terms) == 1
 
-    def variables(self, include_q: bool = False):
-        out = set()
-        for m in self._terms:
-            for v, _ in m:
-                if include_q or v != QVAR:
-                    out.add(v)
-        return out
+    def variables(self) -> set:
+        return {v for m in self._terms for v, _ in m} - {QVAR}
 
     def coeff(self, mono: Monomial) -> Coeff:
         return self._terms.get(mono, 0)
@@ -239,6 +234,17 @@ class LaurentPoly:
                 val *= Fraction(assign[v]) ** e
             total += val
         return total
+
+
+def _tor_subset_sum(head: Monomial, factors) -> LaurentPoly:
+    """The sum, with coefficients 1, of head times one torus monomial per factor.  Factor i
+    (from 1) is (slots, k, e) and contributes tor(i, j)^e over j in each k-subset of slots.
+    head's variables sort before these, so every monomial is canonical as built."""
+    blocks = []
+    for i, (slots, k, e) in enumerate(factors, 1):
+        _check_exp(e if k else 0)  # an exponent no term carries is not checked
+        blocks.append([tuple((tor(i, j), e) for j in js) if e else () for js in combinations(slots, k)])
+    return LaurentPoly.from_terms((sum(parts, head), 1) for parts in product(*blocks))
 
 
 # -- substitution -----------------------------------------------------------
@@ -475,12 +481,9 @@ def is_invariant(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape)
 
 
 def _var_name(v: Var) -> str:
-    if v == SIM:
-        return "X"
-    if v[0] == "sf":
-        return f"X_{v[1]}"
-    if v[0] == "t":
-        return f"X_{v[1]}_{v[2]}"
+    """X for SIM, X_i for sim_factor(i), X_i_j for tor(i, j)."""
+    if v == SIM or v[0] in ("sf", "t"):
+        return "_".join(["X", *map(str, v[1:])])
     raise ValueError(f"unnamed variable {v}")
 
 
@@ -499,42 +502,56 @@ def _parse_name(name: str) -> Var:
     return tor(int(i), int(j))
 
 
-def _term_record(m: Monomial, c: Coeff):
-    q_exp, rest = _split_q(m)
-    return {
-        "q": q_exp,
-        "num": c.numerator,
-        "den": c.denominator,
-        "exps": {_var_name(v): e for v, e in rest},
-    }
-
-
-def _term_sort_key(poly_vars):
-    def key(item):
-        q_exp, rest = _split_q(item[0])
-        d = dict(rest)
-        return (tuple(d.get(v, 0) for v in poly_vars), q_exp)
-
-    return key
+def _canonical_rows(f: LaurentPoly):
+    """The names of f's variables but q, the distinct (variable, exponent) pairs of its
+    terms, and its terms as rows (exponent vector over the named variables, q exponent,
+    monomial, coefficient) sorted on (vector, q exponent), which no two share."""
+    pairs = {p for m in f._terms for p in m}
+    poly_vars = sorted({v for v, _ in pairs} - {QVAR})
+    index = {v: i for i, v in enumerate(poly_vars)}
+    blank = [0] * len(poly_vars)
+    rows = []
+    for m, c in f._terms.items():
+        q_exp, rest = _split_q(m)
+        vec = blank.copy()
+        for v, e in rest:
+            vec[index[v]] = e
+        rows.append((vec, q_exp, m, c))
+    rows.sort()
+    return {v: _var_name(v) for v in poly_vars}, pairs, rows
 
 
 def serialize_poly(f: LaurentPoly) -> str:
-    """Canonical JSON text: a sorted array of term records."""
-    poly_vars = sorted(f.variables())
-    items = sorted(f.terms(), key=_term_sort_key(poly_vars))
-    return json.dumps([_term_record(m, c) for m, c in items], separators=(",", ":"))
+    """Canonical JSON text: an array of term records {"q", "num", "den", "exps"}.
+
+    Terms are sorted by their exponent vectors over the polynomial's own
+    variables (X, then X_i, then X_i_j, in index order), then by q exponent.
+    "exps" lists a term's nonzero exponents only, in that variable order, and
+    num/den is the coefficient in lowest terms with den > 0.
+    """
+    names, pairs, rows = _canonical_rows(f)
+    keys = {v: json.dumps(name) for v, name in names.items()}
+    text = {(v, e): f"{keys[v]}:{e}" for v, e in pairs if v in keys}
+    record = '{"q":%d,"num":%d,"den":%d,"exps":{%s}}'
+    return "[" + ",".join([
+        record % (q, c.numerator, c.denominator, ",".join(map(text.__getitem__, m[1:] if q else m)))
+        for _, q, m, c in rows
+    ]) + "]"
 
 
 def parse_poly(text: str) -> LaurentPoly:
+    """Invert serialize_poly.  A q, num, den or exponent that is not a JSON
+    integer (a bool or a float included), or a zero den, raises ValueError."""
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be an array of terms")
 
     def term(rec) -> Tuple[Monomial, Coeff]:
-        exps = {_parse_name(k): int(e) for k, e in rec["exps"].items()}
-        c = Fraction(int(rec["num"]), int(rec["den"]))
-        exps[QVAR] = int(rec.get("q", 0))
-        return _mono(exps.items()), c
+        exps, q_exp, num, den = rec["exps"], rec.get("q", 0), rec.get("num"), rec.get("den")
+        if any(type(x) is not int for x in (q_exp, num, den, *exps.values())) or den == 0:
+            raise ValueError(f"term {rec!r} needs integer q, num, den and exponents, and den != 0")
+        pairs = [(_parse_name(k), e) for k, e in exps.items()]
+        return _mono(pairs + [(QVAR, q_exp)]), Fraction(num, den)
 
     return LaurentPoly.from_terms(map(term, data))
 
@@ -543,16 +560,13 @@ def pretty(f: LaurentPoly) -> str:
     """Human-readable rendering, in the canonical term order."""
     if f.is_zero():
         return "0"
-    poly_vars = sorted(f.variables())
+    names, pairs, rows = _canonical_rows(f)
+    names[QVAR] = "q"  # first in a monomial, as in the rendering
+    text = {(v, e): names[v] if e == 1 else f"{names[v]}^{e}" for v, e in pairs}
     parts = []
-    for m, c in sorted(f.terms(), key=_term_sort_key(poly_vars)):
-        q_exp, rest = _split_q(m)
-        sign = "-" if m and c == -1 else ""
-        factors = [str(c)] if not m or c * c != 1 else []
-        if q_exp:
-            factors.append("q" if q_exp == 1 else f"q^{q_exp}")
-        for v, e in rest:
-            factors.append(_var_name(v) if e == 1 else f"{_var_name(v)}^{e}")
-        parts.append(sign + "*".join(factors))
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+    for _, _, m, c in rows:
+        unit = m and c * c == 1
+        factors = [] if unit else [str(c)]
+        factors.extend(map(text.__getitem__, m))
+        parts.append(("-" if unit and c == -1 else "") + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .laurent import (
@@ -32,8 +31,9 @@ from .laurent import (
     WeylElement,
     WeylShape,
     _apply,
-    _mono,
+    _check_exp,
     _substitution_table,
+    _tor_subset_sum,
     _var_name,
     is_invariant,
     serialize_poly,
@@ -144,11 +144,7 @@ def norm_similitude(ring: HeckeRing) -> LaurentPoly:
     """
     if ring.split_presentation or not ring.datum.all_even:
         return LaurentPoly.var(SIM)
-    exps: Dict[Var, int] = {SIM: 2}
-    for i, q_i in enumerate(ring.datum.qs, start=1):
-        for j in range(1, q_i + 1):
-            exps[tor(i, j)] = -1
-    return LaurentPoly.monomial(exps)
+    return _tor_subset_sum(((SIM, 2),), [(range(1, q_i + 1), q_i, -1) for q_i in ring.datum.qs])
 
 
 # -- substitutions ---------------------------------------------------------------
@@ -192,12 +188,9 @@ def kottwitz_function(g: GroupDatum, s_vec: Sequence[int], ctx: PlaceContext) ->
     for s, n in zip(s_vec, g.sizes):
         if not 0 <= s <= n:
             raise ValueError(f"s={s} out of range for factor of size {n}")
-    scale = [(SIM, -1), (QVAR, ctx.d * sum(s * (n - s) for s, n in zip(s_vec, g.sizes)))]
-    subset_choices = [combinations(range(1, n + 1), s) for s, n in zip(s_vec, g.sizes)]
-    return LaurentPoly.from_terms(
-        (_mono(scale + [(tor(i, j), -1) for i, js in enumerate(subsets, 1) for j in js]), 1)
-        for subsets in product(*subset_choices)
-    )
+    q_exp = _check_exp(ctx.d * sum(s * (n - s) for s, n in zip(s_vec, g.sizes)))
+    head = ((QVAR, q_exp), (SIM, -1)) if q_exp else ((SIM, -1),)
+    return _tor_subset_sum(head, [(range(1, n + 1), s, -1) for s, n in zip(s_vec, g.sizes)])
 
 
 # -- base change -----------------------------------------------------------------
@@ -408,16 +401,11 @@ def levi_kottwitz_function(
     if not n - q_n <= alpha <= n:
         raise ValueError(f"alpha={alpha} out of range [{n - q_n}, {n}]")
     if alpha >= n - s + 1:
-        exps: Dict[Var, int] = {SIM: -1}
-        for j in range(1, alpha + 1):
-            exps[tor(1, j)] = -1
-        return LaurentPoly.monomial(exps)
-    scale = [(SIM, -1), (QVAR, ctx.d * (alpha - s) * (n - alpha - s))]
-    scale += [(tor(1, j), -1) for j in range(1, s + 1)]
-    return LaurentPoly.from_terms(
-        (_mono(scale + [(tor(1, j), -1) for j in subset]), 1)
-        for subset in combinations(range(s + 1, n - s + 1), alpha - s)
-    )
+        return _tor_subset_sum(((SIM, -1),), [(range(1, alpha + 1), alpha, -1)])
+    q_exp = _check_exp(ctx.d * (alpha - s) * (n - alpha - s))
+    head = ((QVAR, q_exp),) if q_exp else ()
+    head += ((SIM, -1),) + tuple((tor(1, j), -1) for j in range(1, s + 1))
+    return _tor_subset_sum(head, [(range(s + 1, n - s + 1), alpha - s, -1)])
 
 
 def levi_twisted_transfer(

@@ -1,5 +1,6 @@
 """Slow reference implementations that the library's results are checked against."""
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -7,7 +8,7 @@ from satkit import perm
 from satkit.characters import (
     KostantDatum, KostantEntry, WallError, _w_s, pairing_coroot, rho2, truncate_cohomology
 )
-from satkit.laurent import QVAR, LaurentPoly, WeylElement, _mono, tor
+from satkit.laurent import QVAR, SIM, LaurentPoly, WeylElement, _mono, _split_q, tor
 
 
 def brute_force_endoscopic_classes(g):
@@ -38,6 +39,63 @@ def sum_terms_by_addition(pairs):
     for m, c in pairs:
         total = total + LaurentPoly.monomial(dict(m), coeff=c)
     return total
+
+
+def _var_name(v):
+    if v == SIM:
+        return "X"
+    if v[0] == "sf":
+        return f"X_{v[1]}"
+    if v[0] == "t":
+        return f"X_{v[1]}_{v[2]}"
+    raise ValueError(f"unnamed variable {v}")
+
+
+def _term_record(m, c):
+    q_exp, rest = _split_q(m)
+    return {
+        "q": q_exp,
+        "num": c.numerator,
+        "den": c.denominator,
+        "exps": {_var_name(v): e for v, e in rest},
+    }
+
+
+def _terms_by_sort_key(f):
+    """f's terms sorted by a key computed per term: the exponent vector over
+    f.variables() in variable order, then the q exponent."""
+    poly_vars = sorted(f.variables())
+
+    def key(item):
+        q_exp, rest = _split_q(item[0])
+        d = dict(rest)
+        return (tuple(d.get(v, 0) for v in poly_vars), q_exp)
+
+    return sorted(f.terms(), key=key)
+
+
+def serialize_poly_by_records(f):
+    """Canonical JSON as json.dumps of one dict per term, the serializer that
+    laurent.serialize_poly's single sort pass replaces."""
+    return json.dumps([_term_record(m, c) for m, c in _terms_by_sort_key(f)], separators=(",", ":"))
+
+
+def pretty_by_records(f):
+    """The human form in the same per-term key order, as laurent.pretty wrote it
+    before sharing serialize_poly's sort pass."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    for m, c in _terms_by_sort_key(f):
+        q_exp, rest = _split_q(m)
+        sign = "-" if m and c == -1 else ""
+        factors = [str(c)] if not m or c * c != 1 else []
+        if q_exp:
+            factors.append("q" if q_exp == 1 else f"q^{q_exp}")
+        for v, e in rest:
+            factors.append(_var_name(v) if e == 1 else f"{_var_name(v)}^{e}")
+        parts.append(sign + "*".join(factors))
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def act_monomial_by_cases(w, m, shape):

@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +33,7 @@ from satkit.characters import (
     verify_phi_identity,
     weyl_character,
 )
-from satkit.laurent import QVAR, SIM, ExponentOverflowError, LaurentPoly, tor
+from satkit.laurent import QVAR, SIM, ExponentOverflowError, LaurentPoly, _mono, tor
 from satkit.rootdata import EndoTriple, PlaceContext, SignedGroupDatum
 
 import oracles
@@ -535,6 +535,45 @@ def test_frobenius_trace_examples():
     g20 = SignedGroupDatum(((2, 0),))
     f = frobenius_trace(g20, 2, split, field="Q")
     assert f == LaurentPoly.monomial({SIM: -2, tor(1, 1): -2, tor(1, 2): -2})
+
+
+@st.composite
+def frobenius_cases(draw):
+    sig = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any), min_size=1, max_size=3))
+    place = draw(st.booleans())
+    field = draw(st.sampled_from(["E", "Q"] if place else ["E"]))  # Q at an inert place may be refused
+    return SignedGroupDatum(tuple(sig)), draw(st.integers(-3, 3)), PlaceContext(place, 1), field
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(frobenius_cases())
+@example((SignedGroupDatum(((2, 1), (1, 1))), 0, PlaceContext(True, 1), "E"))  # every term is 1
+def test_frobenius_trace_terms_are_canonical_as_built(case):
+    g, m, ctx, field = case
+    f = frobenius_trace(g, m, ctx, field=field)
+    count = prod(comb(p + q, p) for p, q in g.sig)
+    assert sum(c for _, c in f.terms()) == count and len(f) == (1 if m == 0 else count)
+    for key, _ in f.terms():
+        assert key == _mono(key)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(DOMINANT)
+@example((0, 0, 0))
+def test_weyl_character_terms_are_canonical_as_built(lam):
+    for key, _ in weyl_character(len(lam), lam).terms():
+        assert key == _mono(key)
+
+
+def test_frobenius_trace_refuses_exponents_past_32_bits():
+    top = 2**31 - 1
+    split, inert = PlaceContext(split=True, d=1), PlaceContext(split=False, d=1)
+    g11, g02 = SignedGroupDatum(((1, 1),)), SignedGroupDatum(((0, 2),))
+    assert len(frobenius_trace(g11, top, split, field="E")) == 2
+    assert len(frobenius_trace(g02, top, inert, field="E")) == 1  # -m, and no torus exponent
+    for g, m, ctx in [(g11, top + 1, split), (g02, top + 1, inert), (g11, top, inert)]:
+        with pytest.raises(ExponentOverflowError):  # the last one in -2m only
+            frobenius_trace(g, m, ctx, field="E")
 
 
 def test_frobenius_trace_unsupported_case():

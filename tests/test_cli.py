@@ -107,6 +107,19 @@ def test_precondition_violation_exit_code(capsys):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["satake-kottwitz", "--n", "2", "--s", "1", "--d", "3000000000"],
+        ["constant-term", "--n", "4", "--levi-s", "1", "--alpha", "2", "--levi-kottwitz", "--d", "3000000000"],
+        ["frobenius-trace", "--sig", "1+1", "--m", "3000000000", "--place", "split", "--field", "E"],
+        ["frobenius-trace", "--sig", "1+1", "--m", "1500000000", "--place", "inert", "--field", "E"],
+    ],
+)
+def test_exponents_past_32_bits_exit_3(capsys, argv):
+    assert invoke(capsys, argv + ["--json"]) == (3, "")
+
+
 def test_subsets_past_the_recursion_limit(capsys):
     code, out = invoke(capsys, ["subsets", "--n", "1200", "--p", "1", "--json"])
     assert code == 0 and len(json.loads(out)["subsets"]) == 1200
@@ -381,6 +394,32 @@ def readme_commands():
     lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
     assert all(line[0] == "satkit" for line in lines)
     return [line[1:] for line in lines]
+
+
+README_GOLDEN = os.path.join(ROOT, "tests", "golden", "readme.out")
+
+
+def readme_transcript():
+    """Each README command line, prefixed by `$ satkit`, followed by its stdout.  A
+    command that prints a polynomial is run a second time without --json, so the
+    human form of the canonical order is pinned too."""
+    chunks = []
+    for argv in readme_commands():
+        runs = [argv]
+        for args in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run(args)
+            assert code == 0, args
+            chunks.append("$ satkit " + " ".join(args) + "\n" + out.getvalue())
+            if args is argv and out.getvalue().startswith('{"poly":'):
+                runs.append([a for a in argv if a != "--json"])
+    return "".join(chunks)
+
+
+def test_readme_examples_print_the_golden_stdout():
+    with open(README_GOLDEN) as fh:
+        assert readme_transcript() == fh.read()
 
 
 def test_readme_examples_run_and_cover_every_command(capsys):

@@ -1,6 +1,7 @@
 """Ring laws, group actions, symmetrization and the canonical JSON form."""
 
 import ast
+import json
 import os
 import random
 from fractions import Fraction
@@ -8,10 +9,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import act_monomial_by_cases, compose, sum_terms_by_addition, symmetrize_over_group
+from oracles import (
+    act_monomial_by_cases,
+    compose,
+    pretty_by_records,
+    serialize_poly_by_records,
+    sum_terms_by_addition,
+    symmetrize_over_group,
+)
 
 import satkit
 from satkit.laurent import (
+    QVAR,
     SIM,
     ExponentOverflowError,
     LaurentPoly,
@@ -29,6 +38,7 @@ from satkit.laurent import (
     tor,
     weyl_generators,
     weyl_group,
+    _mono,
 )
 
 VARS = [SIM, tor(1, 1), tor(1, 2), tor(2, 1)]
@@ -496,3 +506,66 @@ def test_serialization_round_trip_seeded():
         text = serialize_poly(f)
         assert parse_poly(text) == f
         assert serialize_poly(parse_poly(text)) == text
+
+
+# tor(1, 10) sorts after tor(1, 2) although its name "X_1_10" sorts before "X_1_2"
+FORM_VARS = [SIM, sim_factor(1), sim_factor(2), tor(1, 1), tor(1, 2), tor(1, 10), tor(2, 1), tor(12, 3)]
+
+
+@st.composite
+def form_polys(draw):
+    """Sums of up to 8 terms over FORM_VARS, with Fraction, negative and unit
+    coefficients, q-only and constant terms, and negative exponents."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        exps = [(v, draw(st.integers(-3, 3))) for v in draw(st.sets(st.sampled_from(FORM_VARS), max_size=4))]
+        q_exp = draw(st.sampled_from([0, 0, 1, -1, draw(st.integers(-4, 4))]))
+        c = draw(st.sampled_from([1, -1, Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))]))
+        pairs.append((_mono(exps + [(QVAR, q_exp)]), c))
+    return LaurentPoly.from_terms(pairs)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(form_polys())
+@example(LaurentPoly.zero())
+@example(LaurentPoly.const(Fraction(-3, 4)))
+@example(LaurentPoly.q_power(3) * -1 + LaurentPoly.q_power(-1) + LaurentPoly.const(2))
+@example(
+    LaurentPoly.monomial({tor(1, 10): 1}) + LaurentPoly.monomial({tor(1, 2): -1}, q_exp=1)
+    + LaurentPoly.monomial({SIM: -1, sim_factor(2): 2, tor(1, 2): 1}, coeff=Fraction(-1, 2))
+)
+def test_serialize_and_pretty_match_the_record_oracle(f):
+    text = serialize_poly(f)
+    assert text == serialize_poly_by_records(f)
+    assert pretty(f) == pretty_by_records(f)
+    assert parse_poly(text) == f
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"q": 0, "num": 1.7, "den": 1, "exps": {"X": 1.9}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X": 1.9}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X": 2.0}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X": True}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X": "1"}},
+        {"q": True, "num": 1, "den": 1, "exps": {}},
+        {"q": 1.0, "num": 1, "den": 1, "exps": {}},
+        {"q": None, "num": 1, "den": 1, "exps": {}},
+        {"q": 0, "num": "3", "den": 1, "exps": {}},
+        {"q": 0, "num": 3.0, "den": 1, "exps": {}},
+        {"q": 0, "num": False, "den": 1, "exps": {}},
+        {"q": 0, "den": 1, "exps": {}},
+        {"q": 0, "num": 1, "den": 0, "exps": {}},
+        {"q": 0, "num": 1, "den": 2.0, "exps": {}},
+        {"q": 0, "num": 1, "den": True, "exps": {}},
+    ],
+)
+def test_parse_poly_refuses_non_integer_fields(record):
+    with pytest.raises(ValueError):
+        parse_poly(json.dumps([record]))
+
+
+def test_parse_poly_accepts_wide_integers_and_a_missing_q():
+    f = parse_poly('[{"num":%d,"den":3,"exps":{"X_1_2":-2}}]' % (2**70))
+    assert f == LaurentPoly.monomial({tor(1, 2): -2}, coeff=Fraction(2**70, 3))

@@ -4,13 +4,15 @@ constant-term compatibility square."""
 import random
 import time
 from itertools import combinations, product
+from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satkit.laurent import (
     SIM,
+    ExponentOverflowError,
     LaurentPoly,
     SubstitutionError,
     is_invariant,
@@ -18,6 +20,7 @@ from satkit.laurent import (
     substitute,
     symmetrize,
     tor,
+    _mono,
 )
 from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext, enumerate_endoscopic
 from satkit.satake import (
@@ -100,6 +103,59 @@ def test_kottwitz_degenerate_cases():
         assert kottwitz_function(GroupDatum((n,)), (0,), PlaceContext(True, 2)) == mono({SIM: -1})
     f = kottwitz_function(GroupDatum((3,)), (3,), PlaceContext(True, 2))
     assert f == mono({SIM: -1, tor(1, 1): -1, tor(1, 2): -1, tor(1, 3): -1})
+
+
+@st.composite
+def kottwitz_cases(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    return GroupDatum(sizes), tuple(draw(st.integers(0, n)) for n in sizes), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kottwitz_cases())
+@example((GroupDatum((3, 2)), (0, 0), 2))  # q exponent 0: every s_i is 0 ...
+@example((GroupDatum((3, 2)), (3, 2), 2))  # ... or n_i
+@example((GroupDatum((3, 2)), (0, 2), 1))  # ... or a mix of both
+def test_kottwitz_terms_are_canonical_as_built(case):
+    g, s_vec, d = case
+    f = kottwitz_function(g, s_vec, PlaceContext(True, d))
+    assert len(f) == prod(comb(n, s) for n, s in zip(g.sizes, s_vec))
+    for key, c in f.terms():
+        assert key == _mono(key) and c == 1
+
+
+@st.composite
+def levi_kottwitz_cases(draw):
+    n = draw(st.integers(1, 9))
+    return n, draw(st.integers(0, n // 2)), draw(st.integers(n - n // 2, n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(levi_kottwitz_cases())
+@example((4, 1, 2))  # subset sum over the middle block
+@example((4, 1, 3))  # subset sum with q exponent 0 (alpha = n - s)
+@example((4, 1, 4))  # the single monomial (alpha >= n - s + 1)
+@example((4, 2, 2))  # an empty middle block
+def test_levi_kottwitz_terms_are_canonical_as_built(case):
+    n, s, alpha = case
+    f = levi_kottwitz_function(GroupDatum((n,)), LeviDatum(s), alpha, PlaceContext(True, 2))
+    assert len(f) == (1 if alpha >= n - s + 1 else comb(n - 2 * s, alpha - s))
+    for key, c in f.terms():
+        assert key == _mono(key) and c == 1
+
+
+def test_builders_refuse_q_exponents_past_32_bits():
+    top = 2**31 - 1
+    g2, g4 = GroupDatum((2,)), GroupDatum((4,))
+    # n = 2, s = 1 gives q^d; n = 4, s = 1, alpha = 2 gives q^d too
+    assert len(kottwitz_function(g2, (1,), PlaceContext(True, top))) == 2
+    assert len(levi_kottwitz_function(g4, LeviDatum(1), 2, PlaceContext(True, top))) == 2
+    with pytest.raises(ExponentOverflowError):
+        kottwitz_function(g2, (1,), PlaceContext(True, top + 1))
+    with pytest.raises(ExponentOverflowError):
+        levi_kottwitz_function(g4, LeviDatum(1), 2, PlaceContext(True, top + 1))
+    # s = 0 puts no q in the terms, so no exponent overflows
+    assert kottwitz_function(g2, (0,), PlaceContext(True, 3 * top)) == mono({SIM: -1})
 
 
 def test_kottwitz_needs_split_over_l():
