@@ -324,19 +324,13 @@ def cmd_verify_transfer_square(args) -> tuple:
             raise ValueError("--endo is required together with --n")
         g = GroupDatum(args.n)
         h = EndoTriple(*args.endo)
-        # generators=None: the suite checks the case before it builds them
-        combos.append((g, h, LeviDatum(args.levi_s), list(args.A), None))
+        combos.append((g, h, LeviDatum(args.levi_s), list(args.A)))
     else:
         at_least(2, n_max=args.n_max)
         for n in range(2, args.n_max + 1):
             g = GroupDatum((n,))
-            gens = satake.default_generators(g, ctx)  # shared by every case of this group
-            hs = [
-                EndoTriple((n1,), (n2,))
-                for n2 in range(0, n + 1, 2)
-                for n1 in [n - n2]
-            ]
-            for h in hs:
+            for n2 in range(0, n + 1, 2):
+                h = EndoTriple((n - n2,), (n2,))
                 for s in range(1, n // 2 + 1):
                     for bits in range(2**s):
                         a_set = [j + 1 for j in range(s) if bits >> j & 1]
@@ -344,20 +338,12 @@ def cmd_verify_transfer_square(args) -> tuple:
                             satake.levi_sign_data(g, h, LeviDatum(s), a_set)
                         except ValueError:
                             continue
-                        combos.append((g, h, LeviDatum(s), a_set, gens))
-    for g, h, levi, a_set, gens in combos:
-        report = satake.verify_transfer_square(g, h, levi, a_set, ctx, generators=gens)
+                        combos.append((g, h, LeviDatum(s), a_set))
+    for g, h, levi, a_set in combos:
+        report = satake.verify_transfer_square(g, h, levi, a_set, ctx)
         cases += report["cases"]
-        for fail in report["failures"]:
-            failures.append(
-                {
-                    "group": report["group"],
-                    "endo": report["endo"],
-                    "levi_s": report["levi_s"],
-                    "A": report["A"],
-                    **fail,
-                }
-            )
+        case = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
+        failures += [{**case, **fail} for fail in report["failures"]]
     return "transfer-square", cases, failures
 
 

@@ -257,26 +257,40 @@ def _split_q(m: Monomial) -> Tuple[int, Monomial]:
     return 0, m
 
 
-def _image(table: Mapping, m: Monomial, coeff: Coeff) -> Tuple[Monomial, Coeff]:
-    """Map one term through a table v -> (negative, q shift, image monomial)."""
+def _pair_image(table: Mapping, v: Var, e: int) -> Tuple[bool, int, tuple]:
+    """(sign flip, q shift, image pairs) of v^e under a table v -> (negative, q shift,
+    image monomial).  A pair past 32 bits gets a (u, 0) twin, so that _mono sums its
+    term and checks the sum, which may cancel."""
+    if v not in table:
+        raise SubstitutionError(f"no image for variable {v}")
+    negative, iq, im = table[v]
+    pairs = [(u, ue * e) for u, ue in im]
+    pairs += [(u, 0) for u, x in pairs if abs(x) > INT32_MAX]
+    return bool(negative and e & 1), iq * e, tuple(pairs)  # (-1)**e
+
+
+def _image(table: Mapping, memo: dict, m: Monomial, coeff: Coeff) -> Tuple[Monomial, Coeff]:
+    """Map one term through a table, memo caching _pair_image: its pairs' images sorted
+    after the q exponent, or summed by _mono when two of them share a variable."""
     q_exp, rest = _split_q(m)
     parts = []
-    for v, e in rest:
-        if v not in table:
-            raise SubstitutionError(f"no image for variable {v}")
-        negative, iq, im = table[v]
-        if negative and e & 1:  # (-1)**e
+    for p in rest:
+        negative, iq, im = memo.get(p) or memo.setdefault(p, _pair_image(table, *p))
+        if negative:
             coeff = -coeff
-        q_exp += iq * e
-        for u, ue in im:
-            parts.append((u, ue * e))
+        q_exp += iq
+        parts += im
+    parts.sort()
+    if len(dict(parts)) < len(parts):
+        return _mono(parts + [(QVAR, q_exp)]), coeff
     if q_exp:
-        parts.append((QVAR, q_exp))
-    return _mono(parts), coeff
+        return ((QVAR, _check_exp(q_exp)), *parts), coeff
+    return tuple(parts), coeff
 
 
 def _apply(table: Mapping, f: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly.from_terms(_image(table, m, c) for m, c in f.terms())
+    memo: dict = {}
+    return LaurentPoly.from_terms(_image(table, memo, m, c) for m, c in f.terms())
 
 
 def _substitution_table(images: Mapping[Var, LaurentPoly]) -> dict:
@@ -455,15 +469,15 @@ def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -
     weyl_generators(shape): each orbit is the closure of its term under the
     given elements, so it costs |orbit| * len(group) actions, not |W|.
     """
-    tables = [_weyl_table(w, shape) for w in group]
+    tables = [(_weyl_table(w, shape), {}) for w in group]
 
     def orbit(m: Monomial) -> set:
         seen = {m}
         todo = [m]
         while todo:
             x = todo.pop()
-            for t in tables:
-                y = _image(t, x, 1)[0]
+            for t, memo in tables:
+                y = _image(t, memo, x, 1)[0]
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
@@ -487,11 +501,12 @@ def _var_name(v: Var) -> str:
     raise ValueError(f"unnamed variable {v}")
 
 
-_NAME_RE = re.compile(r"^X(?:_(\d+))?(?:_(\d+))?$")
+_NAME_RE = re.compile(r"X(?:_([1-9][0-9]*))?(?:_([1-9][0-9]*))?")
 
 
 def _parse_name(name: str) -> Var:
-    m = _NAME_RE.match(name)
+    """The variable _var_name names; an index must be positive and not zero-padded."""
+    m = _NAME_RE.fullmatch(name)
     if not m:
         raise ValueError(f"bad variable name {name!r}")
     i, j = m.group(1), m.group(2)
@@ -540,16 +555,19 @@ def serialize_poly(f: LaurentPoly) -> str:
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Invert serialize_poly.  A q, num, den or exponent that is not a JSON
-    integer (a bool or a float included), or a zero den, raises ValueError."""
+    """Invert serialize_poly.  Input it never writes raises ValueError: a term that is
+    not an object with an "exps" object; a q, num, den or exponent that is not a JSON
+    integer (bools and floats included); a den <= 0; a zero or zero-padded index."""
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be an array of terms")
 
     def term(rec) -> Tuple[Monomial, Coeff]:
+        if not isinstance(rec, dict) or not isinstance(rec.get("exps"), dict):
+            raise ValueError(f"term {rec!r} must be an object with an \"exps\" object")
         exps, q_exp, num, den = rec["exps"], rec.get("q", 0), rec.get("num"), rec.get("den")
-        if any(type(x) is not int for x in (q_exp, num, den, *exps.values())) or den == 0:
-            raise ValueError(f"term {rec!r} needs integer q, num, den and exponents, and den != 0")
+        if any(type(x) is not int for x in (q_exp, num, den, *exps.values())) or den <= 0:
+            raise ValueError(f"term {rec!r} needs integer q, num, den and exponents, and den > 0")
         pairs = [(_parse_name(k), e) for k, e in exps.items()]
         return _mono(pairs + [(QVAR, q_exp)]), Fraction(num, den)
 

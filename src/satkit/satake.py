@@ -20,7 +20,7 @@ check (verify_transfer_square).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .laurent import (
@@ -497,30 +497,32 @@ def default_generators(g: GroupDatum, ctx: PlaceContext) -> List[Tuple[str, Laur
     return gens
 
 
-def verify_transfer_square(
-    g: GroupDatum,
-    h: EndoTriple,
-    levi: LeviDatum,
-    A,
-    ctx: PlaceContext,
-    generators: Optional[List[Tuple[str, LaurentPoly]]] = None,
-) -> Dict:
+GROUP_SIDES_KEPT = 32  # (G, H, place) triples; a --n-max 6 suite has 14
+
+
+@lru_cache(maxsize=GROUP_SIDES_KEPT)
+def _group_side(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Tuple[tuple, ...]:
+    """(label, generator, its twisted transfer) for each default generator."""
+    b_tilde = twisted_transfer_map(g, h, ctx)
+    return tuple((label, f, b_tilde(f)) for label, f in default_generators(g, ctx))
+
+
+def verify_transfer_square(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx: PlaceContext) -> Dict:
     """Check that twisted transfer commutes with constant terms on generators.
 
     Both composites are evaluated as polynomials: the constant terms are
     inclusions under the Satake models, so the check is the exact equality
     of the Levi-level twisted transfer and the group-level twisted transfer
     on each invariant generator.  Failures are reported with the difference
-    polynomial; an empty failure list means the square commutes.
+    polynomial; an empty failure list means the square commutes.  The group
+    side depends only on (g, h, ctx) and is kept for the cases that share it.
     """
     signs = levi_sign_data(g, h, levi, A)
-    b_tilde = twisted_transfer_map(g, h, ctx)
+    group_side = _group_side(g, h, ctx)
     b_levi = levi_twisted_transfer(g, h, levi, signs, ctx, variant="s_M")
-    gens = default_generators(g, ctx) if generators is None else generators
     failures = []
-    for label, f in gens:
+    for label, f, rhs in group_side:
         lhs = b_levi(levi_constant_term(f, g, levi, ctx, check=False))
-        rhs = b_tilde(f)
         if lhs != rhs:
             failures.append(
                 {
@@ -537,7 +539,7 @@ def verify_transfer_square(
         "levi_s": levi.s,
         "A": list(signs.A),
         "hermitian_split": [signs.m1, signs.m2],
-        "cases": len(gens),
+        "cases": len(group_side),
         "failures": failures,
     }
 

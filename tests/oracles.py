@@ -8,7 +8,13 @@ from satkit import perm
 from satkit.characters import (
     KostantDatum, KostantEntry, WallError, _w_s, pairing_coroot, rho2, truncate_cohomology
 )
-from satkit.laurent import QVAR, SIM, LaurentPoly, WeylElement, _mono, _split_q, tor
+from satkit.laurent import (
+    QVAR, SIM, LaurentPoly, SubstitutionError, WeylElement, _mono, _split_q, _weyl_table, serialize_poly,
+    tor,
+)
+from satkit.satake import (
+    default_generators, levi_constant_term, levi_sign_data, levi_twisted_transfer, twisted_transfer_map
+)
 
 
 def brute_force_endoscopic_classes(g):
@@ -139,6 +145,48 @@ def symmetrize_over_group(f, group, shape):
         for m, c in f.terms()
         for mono in {act_monomial_by_cases(w, m, shape) for w in group}
     )
+
+
+def image_by_mono(table, m, coeff):
+    """One term through a table v -> (negative, q shift, image monomial), its pairs
+    summed by _mono: the one-pass term image that the memoised laurent._image
+    replaces."""
+    q_exp, rest = _split_q(m)
+    parts = []
+    for v, e in rest:
+        if v not in table:
+            raise SubstitutionError(f"no image for variable {v}")
+        negative, iq, im = table[v]
+        if negative and e & 1:  # (-1)**e
+            coeff = -coeff
+        q_exp += iq * e
+        for u, ue in im:
+            parts.append((u, ue * e))
+    if q_exp:
+        parts.append((QVAR, q_exp))
+    return _mono(parts), coeff
+
+
+def apply_by_mono(table, f):
+    """laurent._apply with image_by_mono for each term."""
+    return LaurentPoly.from_terms(image_by_mono(table, m, c) for m, c in f.terms())
+
+
+def symmetrize_by_mono(f, group, shape):
+    """laurent.symmetrize's orbit closure with image_by_mono for each term."""
+    tables = [_weyl_table(w, shape) for w in group]
+    pairs = []
+    for m, c in f.terms():
+        seen, todo = {m}, [m]
+        while todo:
+            x = todo.pop()
+            for t in tables:
+                y = image_by_mono(t, x, 1)[0]
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        pairs += [(mono, c) for mono in seen]
+    return LaurentPoly.from_terms(pairs)
 
 
 def _alternant(exps, vars_):
@@ -423,3 +471,35 @@ def nonsingular_subsets_by_recursion(n, p):
         return [head] + build(size - 1, k, offset + 1)
 
     return build(n, p, 0)
+
+
+def transfer_square_by_rebuilding(g, h, levi, A, ctx):
+    """The report of satake.verify_transfer_square, with the generators and the
+    group-level transfer built again for each case instead of kept per (g, h, ctx)."""
+    signs = levi_sign_data(g, h, levi, A)
+    b_tilde = twisted_transfer_map(g, h, ctx)
+    b_levi = levi_twisted_transfer(g, h, levi, signs, ctx, variant="s_M")
+    gens = default_generators(g, ctx)
+    failures = []
+    for label, f in gens:
+        lhs = b_levi(levi_constant_term(f, g, levi, ctx, check=False))
+        rhs = b_tilde(f)
+        if lhs != rhs:
+            failures.append(
+                {
+                    "generator": label,
+                    "input": serialize_poly(f),
+                    "levi_then_transfer": serialize_poly(lhs),
+                    "transfer_then_levi": serialize_poly(rhs),
+                    "difference": serialize_poly(lhs - rhs),
+                }
+            )
+    return {
+        "group": list(g.sizes),
+        "endo": [list(p) for p in h.pairs()],
+        "levi_s": levi.s,
+        "A": list(signs.A),
+        "hermitian_split": [signs.m1, signs.m2],
+        "cases": len(gens),
+        "failures": failures,
+    }

@@ -287,7 +287,7 @@ def test_transfer_square_suite_matches_per_case_reports(capsys, monkeypatch, var
     code, out = invoke(capsys, ["verify", "transfer-square", "--n-max", "6", "--json"])
     cases, failures = 0, []
     for g, h, levi, a_set in transfer_square_cases(6):
-        report = satake.verify_transfer_square(g, h, levi, a_set, SPLIT, generators=None)
+        report = satake.verify_transfer_square(g, h, levi, a_set, SPLIT)
         cases += report["cases"]
         keys = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
         failures += [{**keys, **fail} for fail in report["failures"]]

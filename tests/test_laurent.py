@@ -11,15 +11,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     act_monomial_by_cases,
+    apply_by_mono,
     compose,
     pretty_by_records,
     serialize_poly_by_records,
     sum_terms_by_addition,
+    symmetrize_by_mono,
     symmetrize_over_group,
 )
 
 import satkit
 from satkit.laurent import (
+    INT32_MAX,
     QVAR,
     SIM,
     ExponentOverflowError,
@@ -38,8 +41,13 @@ from satkit.laurent import (
     tor,
     weyl_generators,
     weyl_group,
+    _apply,
     _mono,
+    _substitution_table,
+    _weyl_table,
 )
+from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
+from satkit.satake import transfer_map, twisted_transfer_map
 
 VARS = [SIM, tor(1, 1), tor(1, 2), tor(2, 1)]
 
@@ -442,6 +450,119 @@ def test_generators_match_full_group(case):
         assert is_invariant(g, gens, shape) == is_invariant(g, group, shape)
 
 
+# -- the memoised term kernel against the one-pass image --------------------------------
+
+BIG = 2**16 + 1  # BIG * BIG and 2 * INT32_MAX pass 32 bits; BIG alone does not
+kernel_exps = st.one_of(st.integers(-3, 3), st.sampled_from([BIG, -BIG, INT32_MAX, -INT32_MAX]))
+kernel_coeffs = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9), st.integers(2, 5)))
+
+
+@st.composite
+def kernel_polys(draw, vars_, outside=None):
+    """Up to 5 terms over vars_ with int and Fraction coefficients, and exponents
+    (q too) small or wide enough that an image exponent can pass 32 bits.  One
+    time in four the variable outside joins vars_."""
+    if outside is not None and draw(st.integers(0, 3)) == 0:
+        vars_ = [*vars_, outside]
+    exps_of_vars = st.dictionaries(st.sampled_from(vars_), kernel_exps, max_size=4)
+    terms = draw(st.lists(st.tuples(exps_of_vars, kernel_coeffs, kernel_exps), max_size=5))
+    return LaurentPoly.from_terms((_mono([*exps.items(), (QVAR, q)]), c) for exps, c, q in terms)
+
+
+def outcome(fn, *args):
+    """fn's result with canonical monomials, or the type of the kernel error it raised."""
+    try:
+        out = fn(*args)
+    except (ExponentOverflowError, SubstitutionError) as exc:
+        return type(exc)
+    assert all(m == _mono(m) for m, _ in out.terms())
+    return out
+
+
+# Images of VARS over its first three variables, so that source variables share a
+# target, directly or inverted; a q shift of BIG passes 32 bits at an exponent of BIG.
+colliding_images = st.dictionaries(
+    st.sampled_from(VARS),
+    st.builds(
+        lambda exps, sign, q: LaurentPoly.monomial(exps, coeff=sign, q_exp=q),
+        st.dictionaries(st.sampled_from(VARS[:3]), st.sampled_from((1, -1, 2, -2, BIG, -BIG)), max_size=2),
+        st.sampled_from((1, -1)),
+        st.sampled_from((0, 1, -1, BIG)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(colliding_images, kernel_polys(VARS))
+@example(  # two products past 32 bits cancel: no error
+    {SIM: LaurentPoly.var(tor(1, 1), BIG), tor(1, 2): LaurentPoly.var(tor(1, 1), -BIG)},
+    LaurentPoly.monomial({SIM: BIG, tor(1, 2): BIG}, coeff=Fraction(1, 3)),
+)
+@example(  # one product past 32 bits
+    {SIM: LaurentPoly.var(tor(1, 1), BIG), tor(1, 2): LaurentPoly.var(tor(1, 2))},
+    LaurentPoly.monomial({SIM: BIG, tor(1, 2): 1}),
+)
+@example(  # a q shift past 32 bits, and two that cancel
+    {SIM: LaurentPoly.q_power(BIG), tor(1, 1): LaurentPoly.q_power(-BIG)},
+    LaurentPoly.monomial({SIM: BIG}) + LaurentPoly.monomial({SIM: BIG, tor(1, 1): BIG}),
+)
+@example({SIM: LaurentPoly.var(SIM)}, LaurentPoly.monomial({tor(1, 1): 1}))  # no image
+def test_substitute_matches_the_one_pass_image(imgs, f):
+    table = _substitution_table(imgs)
+    want = outcome(apply_by_mono, table, f)
+    assert outcome(substitute, f, imgs) == want
+    assert outcome(_apply, table, f) == want
+
+
+@st.composite
+def weyl_kernel_cases(draw):
+    """A shape and a polynomial in its ring variables, at times also in one outside it."""
+    shape = draw(weyl_shapes(4))
+    vars_ = [SIM] + [sim_factor(i) for i in range(1, len(shape.sizes) + 1)]
+    for i, n in enumerate(shape.sizes, 1):
+        vars_ += [tor(i, j) for j in range(1, (n if shape.split else n // 2) + 1)]
+    return shape, draw(kernel_polys(vars_, outside=tor(9, 1)))
+
+
+INERT_4 = WeylShape(split=False, sizes=(4,))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weyl_kernel_cases())
+# inert sign flips send X_{1,1} and the similitude variables to X_{1,1}^{+-1} both:
+# the summed exponent passes 32 bits, or cancels
+@example((INERT_4, LaurentPoly.monomial({SIM: INT32_MAX, tor(1, 1): INT32_MAX})))
+@example((INERT_4, LaurentPoly.monomial({sim_factor(1): -BIG, tor(1, 1): BIG}, coeff=Fraction(-2, 3))))
+def test_weyl_actions_match_the_one_pass_image(case):
+    shape, f = case
+    for w in weyl_group(shape):
+        assert outcome(group_act, w, f, shape) == outcome(apply_by_mono, _weyl_table(w, shape), f)
+    gens = weyl_generators(shape)
+    assert outcome(symmetrize, f, gens, shape) == outcome(symmetrize_by_mono, f, gens, shape)
+
+
+INERT2 = PlaceContext(split=False, d=2)
+
+
+@pytest.mark.parametrize(
+    "build, g, h, ctx",
+    [
+        (transfer_map, (4, 3), ((2, 1), (2, 2)), PlaceContext(split=False, d=1)),
+        # twisted transfer at an inert place of even degree: X_{f,j} and X_{f,n+1-j}
+        # resolve to one variable, inverted, and the similitude to a torus product
+        (twisted_transfer_map, (4,), ((2,), (2,)), INERT2),
+        (twisted_transfer_map, (4, 2), ((4, 0), (0, 2)), INERT2),
+        (twisted_transfer_map, (3, 2), ((1, 2), (2, 0)), PlaceContext(split=True, d=3)),
+    ],
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_transfer_maps_match_the_one_pass_image(build, g, h, ctx, data):
+    sub = build(GroupDatum(g), EndoTriple(*h), ctx)
+    f = data.draw(kernel_polys(sorted(sub.images), outside=tor(9, 1)))
+    assert outcome(sub, f) == outcome(apply_by_mono, _substitution_table(sub.images), f)
+
+
 def test_symmetrize_examples():
     shape = WeylShape(split=True, sizes=(2,))
     group = weyl_group(shape)
@@ -559,6 +680,19 @@ def test_serialize_and_pretty_match_the_record_oracle(f):
         {"q": 0, "num": 1, "den": 0, "exps": {}},
         {"q": 0, "num": 1, "den": 2.0, "exps": {}},
         {"q": 0, "num": 1, "den": True, "exps": {}},
+        # structure serialize_poly never writes
+        [1],
+        1,
+        {"q": 0, "num": 1, "den": 1},
+        {"q": 0, "num": 1, "den": 1, "exps": []},
+        # values serialize_poly never writes
+        {"q": 0, "num": 1, "den": -2, "exps": {}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X_01": 1, "X_1": 1}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X_0": 1}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X_1_0": 1}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X_1_02": 1}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X_1\n": 1}},
+        {"q": 0, "num": 1, "den": 1, "exps": {"X_\u0661": 1}},  # an Arabic-Indic digit one
     ],
 )
 def test_parse_poly_refuses_non_integer_fields(record):

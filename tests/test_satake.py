@@ -9,7 +9,10 @@ from math import comb, prod
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import transfer_square_by_rebuilding
+from test_cli import transfer_square_cases
 
+from satkit import satake
 from satkit.laurent import (
     SIM,
     ExponentOverflowError,
@@ -464,6 +467,45 @@ def test_transfer_square_examples():
         GroupDatum((4,)), EndoTriple((2,), (2,)), LeviDatum(1), [1], SPLIT
     )
     assert rep["failures"] == []
+
+
+@pytest.mark.parametrize("ctx", [SPLIT, INERT2])
+def test_cached_group_sides_give_the_rebuilt_reports(ctx):
+    satake._group_side.cache_clear()
+    cases = list(transfer_square_cases(6))
+    want = [transfer_square_by_rebuilding(*case, ctx) for case in cases]
+    assert [verify_transfer_square(*case, ctx) for case in cases] == want  # misses, then hits
+    assert [verify_transfer_square(*case, ctx) for case in reversed(cases)] == want[::-1]  # hits
+    info = satake._group_side.cache_info()
+    assert (len(cases), info.misses, info.hits) == (42, 14, 2 * 42 - 14)
+
+
+def test_group_side_cache_stays_within_its_bound():
+    satake._group_side.cache_clear()
+    seen = set()
+    for d in (1, 2, 3):
+        for g, h, levi, A in transfer_square_cases(6):
+            verify_transfer_square(g, h, levi, A, PlaceContext(split=True, d=d))
+            seen.add((g, h, d))
+            assert satake._group_side.cache_info().currsize == min(len(seen), satake.GROUP_SIDES_KEPT)
+    assert len(seen) == 42 > satake.GROUP_SIDES_KEPT
+
+
+@pytest.mark.parametrize(
+    "g, h, levi, A",
+    [
+        (GroupDatum((4,)), EndoTriple((2,), (2,)), LeviDatum(1), [2]),  # A not in 1..s
+        (GroupDatum((4,)), EndoTriple((4,), (0,)), LeviDatum(2), [1]),  # inconsistent signs
+        (GroupDatum((4,)), EndoTriple((2,), (4,)), LeviDatum(1), []),  # datum of another group
+    ],
+)
+def test_invalid_transfer_square_cases_build_and_keep_nothing(monkeypatch, g, h, levi, A):
+    satake._group_side.cache_clear()
+    built = []
+    monkeypatch.setattr(satake, "default_generators", lambda *args: built.append(args))
+    with pytest.raises(ValueError):
+        verify_transfer_square(g, h, levi, A, SPLIT)
+    assert built == [] and satake._group_side.cache_info().currsize == 0
 
 
 def test_maps_are_homomorphisms_on_products():
