@@ -3,9 +3,10 @@ dispatches computations, runs verification suites, and emits deterministic
 JSON.
 
 Every command is one row of COMMANDS or SUITES: its name, help, handler and
-flags.  A handler returns its result and `run` prints it: a LaurentPoly, a
-(payload, human) pair, or a suite's (name, cases, failures).  The parser is
-built once per process.
+flags.  A handler returns its result and `run` prints it: a LaurentPoly or a
+(payload, human) pair.  A suite's handler instead yields (cases, failure
+records) per unit of work, and `run_suite` reports the stream as such a
+pair.  The parser is built once per process.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on usage errors (argparse), 3 on precondition violations.  Output on
@@ -24,7 +25,7 @@ import time
 from fractions import Fraction
 from itertools import product
 from math import factorial
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import characters, laurent, rootdata, satake
 from .characters import (
@@ -199,7 +200,7 @@ def cmd_subsets(args) -> tuple:
     return {"subsets": subsets, "det": det}, f"subsets={subsets} det={det}"
 
 
-# -- verification suites: each returns (suite name, cases, failures) ------------------
+# -- verification suites: each yields (cases, failure records) per unit of work --------
 
 
 def at_least(low: int, **flags) -> None:
@@ -220,24 +221,20 @@ MAX_PARTITION_N = 7  # partition-lemmas runs 4^n cases of n, each walking 3^n su
 MAX_ROTATION_N = 20  # rotation-count holds two lists of 2^n subset sums per case
 
 
-def cmd_verify_partition_lemmas(args) -> tuple:
+def cmd_verify_partition_lemmas(args) -> Iterator[tuple]:
     at_least(1, n_max=args.n_max)
     at_most(MAX_PARTITION_N, n_max=args.n_max)
     # the signature sums over every ordering of lam, so it depends only on the multiset
     signature = functools.cache(characters.partial_sum_signature)
-    cases = 0
-    failures = []
     for n in range(1, args.n_max + 1):
         for lam in product((-2, -1, 1, 2), repeat=n):
-            cases += 1
             lhs = signature(tuple(sorted(lam)))
             mid = characters.ordered_partition_sum(lam)
             expect = (-1) ** n if all(x > 0 for x in lam) else 0
-            if lhs != mid or lhs != expect:
-                failures.append(
-                    {"lambda": list(lam), "signature": str(lhs), "partitions": mid, "expected": expect}
-                )
-    return "partition-lemmas", cases, failures
+            ok = lhs == mid and lhs == expect
+            yield 1, [] if ok else [
+                {"lambda": list(lam), "signature": str(lhs), "partitions": mid, "expected": expect}
+            ]
 
 
 ROTATION_SCALE = 420  # lcm(1..7), a multiple of every denominator the sampler draws
@@ -258,33 +255,42 @@ def sample_rotation_vector(rng: random.Random, n: int) -> List[int]:
     return lam
 
 
-def cmd_verify_rotation(args) -> tuple:
+def cmd_verify_rotation(args) -> Iterator[tuple]:
     at_least(1, n_max=args.n_max, count=args.count)
     at_most(MAX_ROTATION_N, n_max=args.n_max)
     rng = random.Random(args.seed)
-    cases = 0
-    failures = []
     for n in range(1, args.n_max + 1):
         for _ in range(args.count):
             lam = sample_rotation_vector(rng, n)
-            cases += 1
             got = characters.positive_rotation_count(lam)
             hits = characters.rotation_orbit_hits(lam)
             if got != factorial(n - 1) or hits != 1:
                 lam_text = [str(Fraction(x, ROTATION_SCALE)) for x in lam]
-                failures.append({"lambda": lam_text, "count": got, "rotation_hits": hits})
-    return "rotation-count", cases, failures
+                yield 1, [{"lambda": lam_text, "count": got, "rotation_hits": hits}]
+            else:
+                yield 1, []
 
 
 WEIGHT_ENTRIES = range(-24, 25)
+# Entries of the fallback draws, taken only once every draw from WEIGHT_ENTRIES hit a
+# wall: at p + q >= 8 with s = 2 few weights of the narrow range are off every wall.
+WIDE_ENTRIES = range(-1000, 1001)
+WEIGHT_DRAWS = 50  # per range and per case
 
 
-def sample_regular_weight(rng: random.Random, n: int) -> Weight:
-    entries = sorted(rng.sample(WEIGHT_ENTRIES, n), reverse=True)
-    return Weight(0, (tuple(entries),))
+def off_wall_identity(rng: random.Random, p: int, q: int, s: int) -> tuple:
+    """The first sampled regular weight off every wall, with its phi-identity report."""
+    for entries in (WEIGHT_ENTRIES, WIDE_ENTRIES):
+        for _ in range(WEIGHT_DRAWS):
+            weight = Weight(0, (tuple(sorted(rng.sample(entries, p + q), reverse=True)),))
+            try:
+                return weight, characters.verify_phi_identity(p, q, s, weight, direction=">")
+            except WallError:
+                continue
+    raise WallError("could not sample an off-wall weight")
 
 
-def cmd_verify_phi_identity(args) -> tuple:
+def cmd_verify_phi_identity(args) -> Iterator[tuple]:
     p, q = args.pq
     if p < 0 or not 1 <= args.s <= q:
         raise ValueError("need p >= 0 and 1 <= s <= q")
@@ -294,57 +300,53 @@ def cmd_verify_phi_identity(args) -> tuple:
         )
     at_least(1, count=args.count)
     rng = random.Random(args.seed)
-    cases = 0
-    failures = []
     for _ in range(args.count):
-        for _attempt in range(50):
-            weight = sample_regular_weight(rng, p + q)
-            try:
-                report = characters.verify_phi_identity(p, q, args.s, weight, direction=">")
-                break
-            except WallError:
-                continue
-        else:
-            raise WallError("could not sample an off-wall weight")
-        cases += 1
-        if not report["equal"]:
-            failures.append(
-                {"weight": list(weight.blocks[0]), "differences": report["differences"]}
-            )
-    return "phi-identity", cases, failures
+        weight, report = off_wall_identity(rng, p, q, args.s)
+        yield 1, [] if report["equal"] else [
+            {"weight": list(weight.blocks[0]), "differences": report["differences"]}
+        ]
 
 
-def cmd_verify_transfer_square(args) -> tuple:
-    cases = 0
-    failures = []
-    combos = []
-    ctx = PlaceContext(split=True, d=1)
-    if args.n is not None:
-        if not args.endo:
-            raise ValueError("--endo is required together with --n")
-        g = GroupDatum(args.n)
-        h = EndoTriple(*args.endo)
-        combos.append((g, h, LeviDatum(args.levi_s), list(args.A)))
-    else:
+def square_cases(n_max: int) -> Iterator[tuple]:
+    """Every (group, datum, Levi, A) with a consistent Levi sign set, n = 2..n_max."""
+    for n in range(2, n_max + 1):
+        g = GroupDatum((n,))
+        for n2 in range(0, n + 1, 2):
+            h = EndoTriple((n - n2,), (n2,))
+            for s in range(1, n // 2 + 1):
+                for bits in range(2**s):
+                    a_set = [j + 1 for j in range(s) if bits >> j & 1]
+                    try:
+                        satake.levi_sign_data(g, h, LeviDatum(s), a_set)
+                    except ValueError:
+                        continue
+                    yield g, h, LeviDatum(s), a_set
+
+
+def cmd_verify_transfer_square(args) -> Iterator[tuple]:
+    if args.n is None:
         at_least(2, n_max=args.n_max)
-        for n in range(2, args.n_max + 1):
-            g = GroupDatum((n,))
-            for n2 in range(0, n + 1, 2):
-                h = EndoTriple((n - n2,), (n2,))
-                for s in range(1, n // 2 + 1):
-                    for bits in range(2**s):
-                        a_set = [j + 1 for j in range(s) if bits >> j & 1]
-                        try:
-                            satake.levi_sign_data(g, h, LeviDatum(s), a_set)
-                        except ValueError:
-                            continue
-                        combos.append((g, h, LeviDatum(s), a_set))
+        combos = square_cases(args.n_max)
+    elif not args.endo:
+        raise ValueError("--endo is required together with --n")
+    else:
+        combos = [(GroupDatum(args.n), EndoTriple(*args.endo), LeviDatum(args.levi_s), list(args.A))]
+    ctx = PlaceContext(split=True, d=1)
     for g, h, levi, a_set in combos:
         report = satake.verify_transfer_square(g, h, levi, a_set, ctx)
-        cases += report["cases"]
         case = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
-        failures += [{**case, **fail} for fail in report["failures"]]
-    return "transfer-square", cases, failures
+        yield report["cases"], [{**case, **fail} for fail in report["failures"]]
+
+
+def run_suite(name: str, stream) -> tuple:
+    """The (payload, human) pair of a suite: its cases counted, its failures in order."""
+    cases, failures = 0, []
+    for count, fails in stream:
+        cases += count
+        failures += fails
+    payload = {"suite": name, "cases": cases, "failures": failures}
+    lines = [f"suite {name}: {cases} cases, {len(failures)} failures"]
+    return payload, "\n".join(lines + [json.dumps(f, separators=(",", ":")) for f in failures])
 
 
 # -- command table and parser ---------------------------------------------------------
@@ -436,13 +438,7 @@ def render(result, as_json: bool) -> str:
     """A handler's result as the text printed on stdout."""
     if isinstance(result, LaurentPoly):
         return '{"poly":' + serialize_poly(result) + "}" if as_json else pretty(result)
-    if len(result) == 3:
-        name, cases, failures = result
-        payload = {"suite": name, "cases": cases, "failures": failures}
-        lines = [f"suite {name}: {cases} cases, {len(failures)} failures"]
-        human = "\n".join(lines + [json.dumps(f, separators=(",", ":")) for f in failures])
-    else:
-        payload, human = result
+    payload, human = result
     return json.dumps(payload, separators=(",", ":")) if as_json else human
 
 
@@ -451,15 +447,16 @@ def run(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     try:
         result = globals()[args.handler](args)
+        if "suite" in args:
+            result = run_suite(args.suite, result)
         sys.stdout.write(render(result, args.json) + "\n")
     except PRECONDITION_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     if "suite" not in args:
         return 0
-    name, _, failures = result
-    sys.stderr.write(f"[{name}] wall time {time.monotonic() - started:.2f}s\n")
-    return 1 if failures else 0
+    sys.stderr.write(f"[{args.suite}] wall time {time.monotonic() - started:.2f}s\n")
+    return 1 if result[0]["failures"] else 0
 
 
 def main() -> None:

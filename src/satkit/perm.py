@@ -21,20 +21,8 @@ def inverse(w: Sequence[int]) -> Perm:
     return tuple(out)
 
 
-def length(w: Sequence[int]) -> int:
-    """Number of inversions: pairs i < j with w(i) > w(j)."""
-    n = len(w)
-    inv = 0
-    for i in range(n):
-        wi = w[i]
-        for j in range(i + 1, n):
-            if wi > w[j]:
-                inv += 1
-    return inv
-
-
 def parity(w: Sequence[int]) -> int:
-    """The sign (-1)^length(w), read off the number of even-length cycles."""
+    """The sign (-1)^(number of inversions of w), read off the number of even-length cycles."""
     seen = [False] * len(w)
     sign = 1
     for start in range(len(w)):

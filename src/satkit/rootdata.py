@@ -2,9 +2,9 @@
 
 Covers the tuple (n_1, ..., n_r) defining G(U*(n_1) x ... x U*(n_r)), real
 signatures, elliptic endoscopic data (n_i^+, n_i^-) with even total minus
-part, relative Weyl-group shapes at split and inert places, and the stabilization
-coefficients tau, k, d, iota and iota_{G,H}.  Everything is exact integer or
-rational arithmetic.
+part, split and inert place contexts, and the stabilization coefficients
+tau, k, d, iota and iota_{G,H}.  Everything is exact integer or rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from typing import List, Optional, Tuple
-
-from .laurent import WeylShape
 
 
 class ParityError(ValueError):
@@ -145,12 +143,6 @@ class PlaceContext:
         return self.split or self.d % 2 == 0
 
 
-def shape_for(g: GroupDatum, ctx: PlaceContext) -> WeylShape:
-    """The relative Weyl group of the maximal split torus: S_{n_1} x ... x S_{n_r}
-    at a split place, the hyperoctahedral {+-1}^{q_i} x| S_{q_i} at an inert one."""
-    return WeylShape(split=ctx.split, sizes=g.sizes)
-
-
 # -- endoscopy ----------------------------------------------------------------
 
 
@@ -168,13 +160,6 @@ def _swap_class(t: Tuple[Tuple[int, int], ...]) -> List[Tuple[Tuple[int, int], .
         if sum(m for _, m in cand) % 2 == 0:
             out.add(cand)
     return sorted(out)
-
-
-def canonical_endo(t: EndoTriple) -> EndoTriple:
-    """Lexicographically smallest member of the swap-isomorphism class."""
-    cls = _swap_class(t.pairs())
-    best = cls[0]
-    return EndoTriple(tuple(a for a, _ in best), tuple(b for _, b in best))
 
 
 def outer_automorphism_order(t: EndoTriple) -> int:

@@ -12,9 +12,29 @@ from satkit.laurent import (
     QVAR, SIM, LaurentPoly, SubstitutionError, WeylElement, _mono, _split_q, _weyl_table, serialize_poly,
     tor,
 )
+from satkit.rootdata import EndoTriple, _swap_class
 from satkit.satake import (
     default_generators, levi_constant_term, levi_sign_data, levi_twisted_transfer, twisted_transfer_map
 )
+
+
+def length(w):
+    """Number of inversions: pairs i < j with w(i) > w(j)."""
+    n = len(w)
+    inv = 0
+    for i in range(n):
+        wi = w[i]
+        for j in range(i + 1, n):
+            if wi > w[j]:
+                inv += 1
+    return inv
+
+
+def canonical_endo(t):
+    """Lexicographically smallest member of the swap-isomorphism class."""
+    cls = _swap_class(t.pairs())
+    best = cls[0]
+    return EndoTriple(tuple(a for a, _ in best), tuple(b for _, b in best))
 
 
 def brute_force_endoscopic_classes(g):
@@ -313,7 +333,7 @@ def coset_reps_by_filter(kd):
 
 def kostant_cohomology_by_length(kd, weight):
     """The entries of characters.kostant_cohomology from the filtered coset
-    representatives, each degree counted by perm.length and the entries then
+    representatives, each degree counted by length and the entries then
     sorted: the build that the lengths cached with the shuffles replace."""
     lam2 = tuple(2 * x for x in weight.blocks[0])
     r2 = rho2(kd.n)
@@ -321,7 +341,7 @@ def kostant_cohomology_by_length(kd, weight):
     for w in coset_reps_by_filter(kd):
         shifted2 = perm.act(w, lam2)
         weight2 = tuple(x - y for x, y in zip(shifted2, r2))
-        entries.append(KostantEntry(perm.length(w), w, weight2, shifted2))
+        entries.append(KostantEntry(length(w), w, weight2, shifted2))
     entries.sort(key=lambda e: (e.degree, e.omega))
     return entries
 

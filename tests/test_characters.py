@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satkit import characters, perm
+from satkit import characters
 from satkit.characters import (
     HypothesisError,
     KostantDatum,
@@ -186,7 +186,7 @@ def test_shuffle_lengths_match_perm_length(n):
     for sizes in compositions(n):
         # bypass the cache: all compositions of 8 hold 545835 shuffles
         shuffles = characters._shuffles.__wrapped__(sizes)
-        assert all(length == perm.length(w) for w, length in shuffles.items()), sizes
+        assert all(length == oracles.length(w) for w, length in shuffles.items()), sizes
         graded = [(length, w) for w, length in shuffles.items()]
         assert graded == sorted(graded), sizes
 

@@ -125,6 +125,21 @@ def test_subsets_past_the_recursion_limit(capsys):
     assert code == 0 and len(json.loads(out)["subsets"]) == 1200
 
 
+LEMMAS = ("partial_sum_signature", "ordered_partition_sum", "positive_rotation_count", "rotation_orbit_hits")
+
+
+def _must_not_run(*args):
+    raise AssertionError("the suite started its work")
+
+
+WORKERS = [(characters, name) for name in LEMMAS] + [
+    (cli, "sample_rotation_vector"),
+    (characters, "verify_phi_identity"),
+    (satake, "levi_sign_data"),
+    (satake, "verify_transfer_square"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -135,10 +150,21 @@ def test_subsets_past_the_recursion_limit(capsys):
         ["rotation-count", "--count", "5", "--seed", "1", "--n-max", "-2"],
         ["partition-lemmas", "--n-max", "-1"],
         ["transfer-square", "--n-max", "-3"],
+        ["partition-lemmas", "--n-max", "0"],
+        ["partition-lemmas", "--n-max", "8"],
+        ["rotation-count", "--count", "0", "--seed", "1"],
+        ["rotation-count", "--n-max", "21", "--count", "1", "--seed", "1"],
+        ["phi-identity", "--pq", "2,1", "--s", "0", "--seed", "1"],
+        ["phi-identity", "--pq", "30,20", "--s", "1", "--seed", "1"],
+        ["transfer-square", "--n", "4"],
+        ["transfer-square", "--n-max", "1"],
     ],
 )
-def test_suite_parameters_are_checked_before_any_case(capsys, argv):
-    # each of these would otherwise report 0 cases and exit 0
+def test_suite_parameters_are_checked_before_any_case(capsys, monkeypatch, argv):
+    # below a floor a suite would report 0 cases and exit 0, past a ceiling it would run
+    # away; the suites are generators, so each refusal must come before the first case
+    for module, name in WORKERS:
+        monkeypatch.setattr(module, name, _must_not_run)
     code, out = invoke(capsys, ["verify", *argv, "--json"])
     assert code == 3 and out == ""
 
@@ -164,16 +190,41 @@ def test_phi_identity_reaches_n_10(capsys):
     assert code == 0 and payload["failures"] == [] and payload["cases"] == 2
 
 
+@pytest.mark.parametrize("pq", ["4,4", "5,4"])
+def test_phi_identity_falls_back_to_a_wider_weight_range(capsys, monkeypatch, pq):
+    # at these shapes with s = 2, most weights drawn from -24..24 hit a coweight wall
+    weights = []
+    identity = characters.verify_phi_identity
+
+    def recorded(p, q, s, weight, **kw):
+        report = identity(p, q, s, weight, **kw)
+        weights.append(weight.blocks[0])
+        return report
+
+    monkeypatch.setattr(characters, "verify_phi_identity", recorded)
+    argv = ["verify", "phi-identity", "--pq", pq, "--s", "2", "--count", "5", "--seed", "1", "--json"]
+    code, out = invoke(capsys, argv)
+    assert code == 0 and json.loads(out) == {"suite": "phi-identity", "cases": 5, "failures": []}
+    assert len(weights) == 5 and any(max(map(abs, w)) > 24 for w in weights)
+
+
+def test_phi_identity_gives_up_after_a_fixed_number_of_draws(capsys, monkeypatch):
+    draws = []
+
+    def on_a_wall(p, q, s, weight, **kw):
+        draws.append(weight)
+        raise characters.WallError("on a wall")
+
+    monkeypatch.setattr(characters, "verify_phi_identity", on_a_wall)
+    code = run(["verify", "phi-identity", "--pq", "2,1", "--s", "1", "--count", "3", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "could not sample an off-wall weight" in err
+    assert len(draws) == 2 * cli.WEIGHT_DRAWS
+
+
 def _lemma_stub(lam):
     """The value both partition lemmas take on lam."""
     return (-1) ** len(lam) if all(x > 0 for x in lam) else 0
-
-
-LEMMAS = ("partial_sum_signature", "ordered_partition_sum", "positive_rotation_count", "rotation_orbit_hits")
-
-
-def _must_not_run(*args):
-    raise AssertionError("the suite started its work")
 
 
 @pytest.mark.parametrize(

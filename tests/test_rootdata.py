@@ -6,25 +6,23 @@ from math import factorial
 
 import pytest
 
-from satkit.laurent import WeylElement, weyl_group
+from satkit.laurent import WeylElement, WeylShape, weyl_group
 from satkit.rootdata import (
     EndoTriple,
     GroupDatum,
     ParityError,
     PlaceContext,
     SignedGroupDatum,
-    canonical_endo,
     enumerate_endoscopic,
     iota,
     iota_gh,
     k_invariant,
     packet_size,
     pi0_symmetric_space,
-    shape_for,
     tamagawa,
 )
 
-from oracles import brute_force_endoscopic_classes, compose, inverse
+from oracles import brute_force_endoscopic_classes, canonical_endo, compose, inverse
 
 
 def all_signatures(n_total):
@@ -48,11 +46,11 @@ def all_signatures(n_total):
 def test_weyl_group_orders():
     split = PlaceContext(split=True, d=1)
     inert = PlaceContext(split=False, d=1)
-    assert len(weyl_group(shape_for(GroupDatum((2,)), split))) == 2
-    assert len(weyl_group(shape_for(GroupDatum((2,)), inert))) == 2
-    assert len(weyl_group(shape_for(GroupDatum((3, 2)), split))) == 12
-    assert len(weyl_group(shape_for(GroupDatum((4,)), inert))) == 8
-    assert len(weyl_group(shape_for(GroupDatum((5,)), inert))) == 8
+    assert len(weyl_group(WeylShape(True, (2,)))) == 2
+    assert len(weyl_group(WeylShape(False, (2,)))) == 2
+    assert len(weyl_group(WeylShape(True, (3, 2)))) == 12
+    assert len(weyl_group(WeylShape(False, (4,)))) == 8
+    assert len(weyl_group(WeylShape(False, (5,)))) == 8
 
 
 @pytest.mark.parametrize(
@@ -65,10 +63,10 @@ def test_weyl_group_orders():
     ],
 )
 def test_weyl_group_table(g, ctx):
-    group = weyl_group(shape_for(g, ctx))
+    group = weyl_group(WeylShape(ctx.split, g.sizes))
     elems = set(group)
     assert len(elems) == len(group)
-    e = WeylElement.identity(shape_for(g, ctx))
+    e = WeylElement.identity(WeylShape(ctx.split, g.sizes))
     assert e in elems
     for w in group:
         assert compose(w, e) == w and compose(e, w) == w
