@@ -18,12 +18,11 @@ from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, lcm, prod
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import perm
 from .laurent import (
-    INT32_MAX, QVAR, SIM, ExponentOverflowError, LaurentPoly, Var, _check_exp, _merge, _tor_subset_sum,
-    tor,
+    INT32_MAX, SIM, ExponentOverflowError, LaurentPoly, _check_exp, _merge, _tor_subset_sum, tor,
 )
 from .rootdata import EndoTriple, PlaceContext, SignedGroupDatum
 
@@ -586,13 +585,7 @@ def endoscopic_weight_transfer(
 # -- Frobenius traces -----------------------------------------------------------------
 
 
-def frobenius_trace(
-    g: SignedGroupDatum,
-    m: int,
-    ctx: PlaceContext,
-    field: str = "E",
-    params: Optional[Mapping[Var, Fraction]] = None,
-):
+def frobenius_trace(g: SignedGroupDatum, m: int, ctx: PlaceContext, field: str = "E") -> LaurentPoly:
     """Subset-sum expansion of the trace of the m-th Frobenius power on the
     minuscule representation attached to the signature.
 
@@ -610,12 +603,7 @@ def frobenius_trace(
         )
     deg = 2 if (field == "E" and not ctx.split) else 1
     head = ((SIM, _check_exp(-m)),) if m else ()
-    total = _tor_subset_sum(head, [(range(1, p + q + 1), p, -m * deg) for p, q in g.sig])
-    if params is None:
-        return total
-    assign = dict(params)
-    assign.setdefault(QVAR, Fraction(1))
-    return total.evaluate(assign)
+    return _tor_subset_sum(head, [(range(1, p + q + 1), p, -m * deg) for p, q in g.sig])
 
 
 # -- nonsingular incidence subsets ------------------------------------------------------

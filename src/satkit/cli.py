@@ -28,27 +28,13 @@ from math import factorial
 from typing import Iterator, List, Optional
 
 from . import characters, laurent, rootdata, satake
-from .characters import (
-    HypothesisError,
-    KostantDatum,
-    UnsupportedCaseError,
-    WallError,
-    Weight,
-)
+from .characters import KostantDatum, WallError, Weight
 from .laurent import LaurentPoly, _var_name, pretty, serialize_poly
-from .rootdata import EndoTriple, GroupDatum, ParityError, PlaceContext, SignedGroupDatum
-from .satake import LeviDatum, PlaceError
+from .rootdata import EndoTriple, GroupDatum, PlaceContext, SignedGroupDatum
+from .satake import LeviDatum
 
-PRECONDITION_ERRORS = (
-    ValueError,
-    ParityError,
-    PlaceError,
-    WallError,
-    HypothesisError,
-    UnsupportedCaseError,
-    laurent.ExponentOverflowError,
-    laurent.SubstitutionError,
-)
+# Every other satkit error class subclasses ValueError.
+PRECONDITION_ERRORS = (ValueError, laurent.ExponentOverflowError)
 
 
 # -- flag parsing ---------------------------------------------------------------
@@ -324,13 +310,22 @@ def square_cases(n_max: int) -> Iterator[tuple]:
 
 
 def cmd_verify_transfer_square(args) -> Iterator[tuple]:
+    """One case with --n (and --endo, --levi-s, --A), else the sweep up to --n-max;
+    a flag of the other mode is refused rather than ignored."""
     if args.n is None:
-        at_least(2, n_max=args.n_max)
-        combos = square_cases(args.n_max)
+        for name, value in (("endo", args.endo), ("levi-s", args.levi_s), ("A", args.A)):
+            if value is not None:
+                raise ValueError(f"--{name} needs --n")
+        n_max = 4 if args.n_max is None else args.n_max
+        at_least(2, n_max=n_max)
+        combos = square_cases(n_max)
+    elif args.n_max is not None:
+        raise ValueError("--n-max sets the sweep and cannot be combined with --n")
     elif not args.endo:
         raise ValueError("--endo is required together with --n")
     else:
-        combos = [(GroupDatum(args.n), EndoTriple(*args.endo), LeviDatum(args.levi_s), list(args.A))]
+        levi = LeviDatum(1 if args.levi_s is None else args.levi_s)
+        combos = [(GroupDatum(args.n), EndoTriple(*args.endo), levi, list(args.A or ()))]
     ctx = PlaceContext(split=True, d=1)
     for g, h, levi, a_set in combos:
         report = satake.verify_transfer_square(g, h, levi, a_set, ctx)
@@ -406,8 +401,8 @@ SUITES = (
     ("phi-identity", "truncated-Kostant vs filtered Weyl sum", "cmd_verify_phi_identity",
      (PQ, required("--s"), flag("--count", default=50), SEED)),
     ("transfer-square", "twisted transfer vs constant terms", "cmd_verify_transfer_square",
-     (flag("--n", int_list), flag("--endo", endo_blocks), flag("--levi-s", default=1),
-      flag("--A", int_list, default=()), flag("--n-max", default=4))),
+     (flag("--n", int_list), flag("--endo", endo_blocks), flag("--levi-s", help="default 1"),
+      flag("--A", int_list, help="default empty"), flag("--n-max", help="default 4"))),
 )
 
 

@@ -193,6 +193,28 @@ def kottwitz_function(g: GroupDatum, s_vec: Sequence[int], ctx: PlaceContext) ->
     return _tor_subset_sum(head, [(range(1, n + 1), s, -1) for s, n in zip(s_vec, g.sizes)])
 
 
+# -- routed maps -----------------------------------------------------------------
+
+
+def _routed_map(source: HeckeRing, target: HeckeRing, a: int, routes) -> Substitution:
+    """The image rule shared by base change, transfer at split places and the
+    twisted transfers.
+
+    The similitude maps to the a-th power of the target's central element.
+    Each route (i, j, factor, position, sign) sends the torus slot X_{i,j} to
+    sign * X_{factor,position}^a, the target variable read through its
+    extended-index convention; a route with no factor points into an empty
+    block.
+    """
+    images: Dict[Var, LaurentPoly] = {SIM: norm_similitude(target) ** a}
+    for i, j, factor, position, sign in routes:
+        if factor is None:
+            raise ValueError("routing into an empty block")
+        image = resolve_tor(target, factor, position) ** a
+        images[tor(i, j)] = -image if sign < 0 else image
+    return Substitution(source, target, images)
+
+
 # -- base change -----------------------------------------------------------------
 
 
@@ -200,23 +222,15 @@ def base_change_map(g: GroupDatum, ctx: PlaceContext) -> Substitution:
     """Hecke-algebra base change from level L down to Q_p, as a substitution.
 
     Not split over L: every variable is raised to the d-th power.  Split
-    over L: torus variables map to their a-th powers through the extended
-    index convention of the target, and the source similitude maps to the
-    a-th power of the target's central element.
+    over L: the routed map (see _routed_map) with exponent a that sends each
+    torus slot (i, j) to slot (i, j) of the target.
     """
     source = hecke_ring(g, ctx, "source")
     target = hecke_ring(g, ctx, "target")
-    images: Dict[Var, LaurentPoly] = {}
     if not ctx.splits_over_l:
-        for v in source.variables():
-            images[v] = LaurentPoly.var(v, ctx.d)
-        return Substitution(source, target, images)
-    a = ctx.a
-    images[SIM] = norm_similitude(target) ** a
-    for i, n_i in enumerate(g.sizes, start=1):
-        for j in range(1, n_i + 1):
-            images[tor(i, j)] = resolve_tor(target, i, j) ** a
-    return Substitution(source, target, images)
+        return Substitution(source, target, {v: LaurentPoly.var(v, ctx.d) for v in source.variables()})
+    routes = [(i, j, i, j, 1) for i, n_i in enumerate(g.sizes, start=1) for j in range(1, n_i + 1)]
+    return _routed_map(source, target, ctx.a, routes)
 
 
 # -- endoscopic transfer ----------------------------------------------------------
@@ -243,66 +257,58 @@ def _block_routing(g: GroupDatum, h: EndoTriple):
     return fp, fm
 
 
+def _block_routes(g: GroupDatum, h: EndoTriple, minus_sign: int):
+    """Blockwise routes of every torus slot of g: the first n^+_i slots of factor
+    i go to its plus block, the rest to its minus block with sign minus_sign."""
+    fp, fm = _block_routing(g, h)
+    return [
+        (i, j, fp[i - 1], j, 1) if j <= npl else (i, j, fm[i - 1], j - npl, minus_sign)
+        for i, (npl, _) in enumerate(h.pairs(), start=1)
+        for j in range(1, g.sizes[i - 1] + 1)
+    ]
+
+
 def transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Substitution:
     """Unramified endoscopic transfer at p, as a substitution into the H-ring.
 
     The similitude variable maps to the target's global similitude variable;
-    torus variables are routed blockwise, with no signs.
+    torus variables are routed blockwise, with no signs.  At a split place
+    this is the routed map with exponent 1.  At an inert place slot j <= q_i
+    of factor i goes to slot j of its plus block while j <= q^+ = n^+_i // 2,
+    else to slot j - q^+ of its minus block, named directly rather than
+    resolved through extended indices.
     """
-    h_datum = h.group_datum()
     source = hecke_ring(g, ctx, "target")
-    target = HeckeRing(h_datum, split_presentation=ctx.split)
+    target = HeckeRing(h.group_datum(), split_presentation=ctx.split)
+    if ctx.split:
+        return _routed_map(source, target, 1, _block_routes(g, h, 1))
     fp, fm = _block_routing(g, h)
     images: Dict[Var, LaurentPoly] = {SIM: LaurentPoly.var(SIM)}
-    if ctx.split:
-        for i, (npl, _) in enumerate(h.pairs(), start=1):
-            n_i = g.sizes[i - 1]
-            for j in range(1, n_i + 1):
-                if j <= npl:
-                    images[tor(i, j)] = LaurentPoly.var(tor(fp[i - 1], j))
-                else:
-                    images[tor(i, j)] = LaurentPoly.var(tor(fm[i - 1], j - npl))
-    else:
-        for i, (npl, nmi) in enumerate(h.pairs(), start=1):
-            q_i = g.sizes[i - 1] // 2
-            qp = npl // 2
-            for j in range(1, q_i + 1):
-                if j <= qp:
-                    images[tor(i, j)] = LaurentPoly.var(tor(fp[i - 1], j))
-                else:
-                    images[tor(i, j)] = LaurentPoly.var(tor(fm[i - 1], j - qp))
+    for i, (npl, _) in enumerate(h.pairs(), start=1):
+        qp = npl // 2
+        for j in range(1, g.sizes[i - 1] // 2 + 1):
+            images[tor(i, j)] = LaurentPoly.var(tor(fp[i - 1], j) if j <= qp else tor(fm[i - 1], j - qp))
     return Substitution(source, target, images)
 
 
 def twisted_transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Substitution:
     """Twisted (unstable base change) transfer from level L into the H-ring at p.
 
-    Torus variables route blockwise with a sign -1 on every minus block;
-    the similitude maps to the a-th power of the target's central element.
-    Only defined when the group splits over L: for an inert place of odd
-    degree the displayed formulas live on extended symbols and do not
-    determine a termwise map of the inert presentation (mixed-parity
-    blocks), so that case is rejected rather than guessed.
+    The routed map with exponent a: torus variables route blockwise with a
+    sign -1 on every minus block.  Only defined when the group splits over
+    L: for an inert place of odd degree the displayed formulas live on
+    extended symbols and do not determine a termwise map of the inert
+    presentation (mixed-parity blocks), so that case is rejected rather than
+    guessed.
     """
     if not ctx.splits_over_l:
         raise PlaceError(
             "twisted transfer implemented only when the group splits over L "
             "(split p, or inert p with even d)"
         )
-    h_datum = h.group_datum()
     source = hecke_ring(g, ctx, "source")
-    target = HeckeRing(h_datum, split_presentation=ctx.split)
-    fp, fm = _block_routing(g, h)
-    a = ctx.a
-    images: Dict[Var, LaurentPoly] = {SIM: norm_similitude(target) ** a}
-    for i, (npl, _) in enumerate(h.pairs(), start=1):
-        n_i = g.sizes[i - 1]
-        for j in range(1, n_i + 1):
-            if j <= npl:
-                images[tor(i, j)] = resolve_tor(target, fp[i - 1], j) ** a
-            else:
-                images[tor(i, j)] = -resolve_tor(target, fm[i - 1], j - npl) ** a
-    return Substitution(source, target, images)
+    target = HeckeRing(h.group_datum(), split_presentation=ctx.split)
+    return _routed_map(source, target, ctx.a, _block_routes(g, h, -1))
 
 
 # -- Levi subgroups and constant terms ---------------------------------------------
@@ -409,26 +415,19 @@ def levi_kottwitz_function(
 
 
 def levi_twisted_transfer(
-    g: GroupDatum,
-    h: EndoTriple,
-    levi: LeviDatum,
-    signs: LeviSignData,
-    ctx: PlaceContext,
-    variant: str = "s_M",
+    g: GroupDatum, h: EndoTriple, levi: LeviDatum, signs: LeviSignData, ctx: PlaceContext
 ) -> Substitution:
-    """Twisted transfer at the Levi level, as a substitution table.
+    """Twisted transfer at the Levi level (the map b_{s_M}), as a substitution table.
 
-    The linear pairs indexed by the complement of A route to the first
-    block, those indexed by A to the second; Hermitian middle variables
-    route with a sign -1 on the second block.  variant="s'_M" keeps all
-    linear images positive; variant="s_M" flips the sign on the A-routed
-    linear pairs (the two differ by the sign character attached to A).
+    The routed map with exponent a.  The linear pairs indexed by the
+    complement of A route to the first block, those indexed by A to the
+    second with a sign -1; Hermitian middle variables route with a sign -1
+    on the second block.  The target's Levi fixes r_1 = s - |A| linear slots
+    of the first block and r_2 = |A| of the second.
     """
     _require_single_factor(g)
     if not ctx.splits_over_l:
         raise PlaceError("Levi twisted transfer needs the group split over L")
-    if variant not in ("s_M", "s'_M"):
-        raise ValueError("variant must be 's_M' or \"s'_M\"")
     n = g.sizes[0]
     s = levi.s
     n1, n2 = h.pairs()[0]
@@ -441,38 +440,16 @@ def levi_twisted_transfer(
     h_datum = h.group_datum()
     fp, fm = _block_routing(g, h)
     source = m_ring(g, levi)
-    lin_by_factor = {}
-    if fp[0] is not None:
-        lin_by_factor[fp[0]] = r1
-    if fm[0] is not None:
-        lin_by_factor[fm[0]] = r2
-    target = HeckeRing(
-        h_datum,
-        split_presentation=ctx.split,
-        levi_linear=tuple(lin_by_factor.get(k, 0) for k in range(1, h_datum.r + 1)),
-    )
-    a = ctx.a
-    eps = -1 if variant == "s_M" else 1
-
-    def t_image(block: int, pos: int) -> LaurentPoly:
-        factor = fp[0] if block == 1 else fm[0]
-        if factor is None:
-            raise ValueError("routing into an empty block")
-        return resolve_tor(target, factor, pos) ** a
-
-    images: Dict[Var, LaurentPoly] = {SIM: norm_similitude(target) ** a}
+    levi_linear = tuple(r for r, size in ((r1, n1), (r2, n2)) if size > 0)
+    target = HeckeRing(h_datum, split_presentation=ctx.split, levi_linear=levi_linear)
+    routes = []
     for k, i_k in enumerate(not_a, start=1):
-        images[tor(1, i_k)] = t_image(1, k)
-        images[tor(1, n + 1 - i_k)] = t_image(1, n1 + 1 - k)
+        routes += [(1, i_k, fp[0], k, 1), (1, n + 1 - i_k, fp[0], n1 + 1 - k, 1)]
     for l, j_l in enumerate(A, start=1):
-        images[tor(1, j_l)] = t_image(2, l) * eps
-        images[tor(1, n + 1 - j_l)] = t_image(2, n2 + 1 - l) * eps
+        routes += [(1, j_l, fm[0], l, -1), (1, n + 1 - j_l, fm[0], n2 + 1 - l, -1)]
     for i in range(s + 1, n - s + 1):
-        if i <= s + m1:
-            images[tor(1, i)] = t_image(1, i - r2)
-        else:
-            images[tor(1, i)] = -t_image(2, i - (r1 + m1))
-    return Substitution(source, target, images)
+        routes.append((1, i, fp[0], i - r2, 1) if i <= s + m1 else (1, i, fm[0], i - (r1 + m1), -1))
+    return _routed_map(source, target, ctx.a, routes)
 
 
 # -- the compatibility check ---------------------------------------------------
@@ -497,14 +474,20 @@ def default_generators(g: GroupDatum, ctx: PlaceContext) -> List[Tuple[str, Laur
     return gens
 
 
-GROUP_SIDES_KEPT = 32  # (G, H, place) triples; a --n-max 6 suite has 14
+GROUP_SIDES_KEPT = 32  # (G, H, place) triples, and (G, place) pairs; a --n-max 6 suite has 14 and 5
+
+
+@lru_cache(maxsize=GROUP_SIDES_KEPT)
+def _generators(g: GroupDatum, ctx: PlaceContext) -> Tuple[Tuple[str, LaurentPoly], ...]:
+    """default_generators, built once per (G, place) for the data H that share it."""
+    return tuple(default_generators(g, ctx))
 
 
 @lru_cache(maxsize=GROUP_SIDES_KEPT)
 def _group_side(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Tuple[tuple, ...]:
     """(label, generator, its twisted transfer) for each default generator."""
     b_tilde = twisted_transfer_map(g, h, ctx)
-    return tuple((label, f, b_tilde(f)) for label, f in default_generators(g, ctx))
+    return tuple((label, f, b_tilde(f)) for label, f in _generators(g, ctx))
 
 
 def verify_transfer_square(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx: PlaceContext) -> Dict:
@@ -519,7 +502,7 @@ def verify_transfer_square(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx
     """
     signs = levi_sign_data(g, h, levi, A)
     group_side = _group_side(g, h, ctx)
-    b_levi = levi_twisted_transfer(g, h, levi, signs, ctx, variant="s_M")
+    b_levi = levi_twisted_transfer(g, h, levi, signs, ctx)
     failures = []
     for label, f, rhs in group_side:
         lhs = b_levi(levi_constant_term(f, g, levi, ctx, check=False))

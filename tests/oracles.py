@@ -14,7 +14,9 @@ from satkit.laurent import (
 )
 from satkit.rootdata import EndoTriple, _swap_class
 from satkit.satake import (
-    default_generators, levi_constant_term, levi_sign_data, levi_twisted_transfer, twisted_transfer_map
+    HeckeRing, PlaceError, Substitution, _block_routing, _require_single_factor, default_generators,
+    hecke_ring, levi_constant_term, levi_sign_data, levi_twisted_transfer, m_ring, norm_similitude,
+    resolve_tor, twisted_transfer_map,
 )
 
 
@@ -498,7 +500,7 @@ def transfer_square_by_rebuilding(g, h, levi, A, ctx):
     group-level transfer built again for each case instead of kept per (g, h, ctx)."""
     signs = levi_sign_data(g, h, levi, A)
     b_tilde = twisted_transfer_map(g, h, ctx)
-    b_levi = levi_twisted_transfer(g, h, levi, signs, ctx, variant="s_M")
+    b_levi = levi_twisted_transfer(g, h, levi, signs, ctx)
     gens = default_generators(g, ctx)
     failures = []
     for label, f in gens:
@@ -523,3 +525,139 @@ def transfer_square_by_rebuilding(g, h, levi, A, ctx):
         "cases": len(gens),
         "failures": failures,
     }
+
+
+# -- the morphism builders, each with its own image loop ------------------------------
+
+
+def base_change_by_hand(g, ctx):
+    """satake.base_change_map with its image rule written out."""
+    source = hecke_ring(g, ctx, "source")
+    target = hecke_ring(g, ctx, "target")
+    images = {}
+    if not ctx.splits_over_l:
+        for v in source.variables():
+            images[v] = LaurentPoly.var(v, ctx.d)
+        return Substitution(source, target, images)
+    a = ctx.a
+    images[SIM] = norm_similitude(target) ** a
+    for i, n_i in enumerate(g.sizes, start=1):
+        for j in range(1, n_i + 1):
+            images[tor(i, j)] = resolve_tor(target, i, j) ** a
+    return Substitution(source, target, images)
+
+
+def transfer_by_hand(g, h, ctx):
+    """satake.transfer_map with its split-place images written out."""
+    h_datum = h.group_datum()
+    source = hecke_ring(g, ctx, "target")
+    target = HeckeRing(h_datum, split_presentation=ctx.split)
+    fp, fm = _block_routing(g, h)
+    images = {SIM: LaurentPoly.var(SIM)}
+    if ctx.split:
+        for i, (npl, _) in enumerate(h.pairs(), start=1):
+            n_i = g.sizes[i - 1]
+            for j in range(1, n_i + 1):
+                if j <= npl:
+                    images[tor(i, j)] = LaurentPoly.var(tor(fp[i - 1], j))
+                else:
+                    images[tor(i, j)] = LaurentPoly.var(tor(fm[i - 1], j - npl))
+    else:
+        for i, (npl, nmi) in enumerate(h.pairs(), start=1):
+            q_i = g.sizes[i - 1] // 2
+            qp = npl // 2
+            for j in range(1, q_i + 1):
+                if j <= qp:
+                    images[tor(i, j)] = LaurentPoly.var(tor(fp[i - 1], j))
+                else:
+                    images[tor(i, j)] = LaurentPoly.var(tor(fm[i - 1], j - qp))
+    return Substitution(source, target, images)
+
+
+def twisted_transfer_by_hand(g, h, ctx):
+    """satake.twisted_transfer_map with its image rule written out."""
+    if not ctx.splits_over_l:
+        raise PlaceError(
+            "twisted transfer implemented only when the group splits over L "
+            "(split p, or inert p with even d)"
+        )
+    h_datum = h.group_datum()
+    source = hecke_ring(g, ctx, "source")
+    target = HeckeRing(h_datum, split_presentation=ctx.split)
+    fp, fm = _block_routing(g, h)
+    a = ctx.a
+    images = {SIM: norm_similitude(target) ** a}
+    for i, (npl, _) in enumerate(h.pairs(), start=1):
+        n_i = g.sizes[i - 1]
+        for j in range(1, n_i + 1):
+            if j <= npl:
+                images[tor(i, j)] = resolve_tor(target, fp[i - 1], j) ** a
+            else:
+                images[tor(i, j)] = -resolve_tor(target, fm[i - 1], j - npl) ** a
+    return Substitution(source, target, images)
+
+
+def levi_twisted_transfer_by_hand(g, h, levi, signs, ctx, variant="s_M"):
+    """satake.levi_twisted_transfer with its image rule written out.  variant="s'_M"
+    keeps the A-routed linear images positive, where "s_M" gives them the sign -1."""
+    _require_single_factor(g)
+    if not ctx.splits_over_l:
+        raise PlaceError("Levi twisted transfer needs the group split over L")
+    n = g.sizes[0]
+    s = levi.s
+    n1, n2 = h.pairs()[0]
+    A = signs.A
+    not_a = tuple(sorted(set(range(1, s + 1)) - set(A)))
+    r1, r2 = len(not_a), len(A)
+    m1, m2 = signs.m1, signs.m2
+    if (m1, m2) != (n1 - 2 * r1, n2 - 2 * r2) or m1 < 0 or m2 < 0:
+        raise ValueError("sign data inconsistent with the endoscopic datum")
+    h_datum = h.group_datum()
+    fp, fm = _block_routing(g, h)
+    source = m_ring(g, levi)
+    lin_by_factor = {}
+    if fp[0] is not None:
+        lin_by_factor[fp[0]] = r1
+    if fm[0] is not None:
+        lin_by_factor[fm[0]] = r2
+    target = HeckeRing(
+        h_datum,
+        split_presentation=ctx.split,
+        levi_linear=tuple(lin_by_factor.get(k, 0) for k in range(1, h_datum.r + 1)),
+    )
+    a = ctx.a
+    eps = -1 if variant == "s_M" else 1
+
+    def t_image(block, pos):
+        factor = fp[0] if block == 1 else fm[0]
+        if factor is None:
+            raise ValueError("routing into an empty block")
+        return resolve_tor(target, factor, pos) ** a
+
+    images = {SIM: norm_similitude(target) ** a}
+    for k, i_k in enumerate(not_a, start=1):
+        images[tor(1, i_k)] = t_image(1, k)
+        images[tor(1, n + 1 - i_k)] = t_image(1, n1 + 1 - k)
+    for l, j_l in enumerate(A, start=1):
+        images[tor(1, j_l)] = t_image(2, l) * eps
+        images[tor(1, n + 1 - j_l)] = t_image(2, n2 + 1 - l) * eps
+    for i in range(s + 1, n - s + 1):
+        if i <= s + m1:
+            images[tor(1, i)] = t_image(1, i - r2)
+        else:
+            images[tor(1, i)] = -t_image(2, i - (r1 + m1))
+    return Substitution(source, target, images)
+
+
+def levi_twisted_transfer_s_prime(g, h, levi, signs, ctx):
+    """The negative control b_{s'_M} of the transfer square: the map b_{s_M} of
+    satake.levi_twisted_transfer with its A-routed linear images negated, so
+    that every linear image is positive.  The two differ by the sign character
+    attached to A, and with s'_M the transfer square fails on some cases."""
+    sub = levi_twisted_transfer(g, h, levi, signs, ctx)
+    n = g.sizes[0]
+    images = dict(sub.images)
+    for j in signs.A:
+        images[tor(1, j)] = -images[tor(1, j)]
+        images[tor(1, n + 1 - j)] = -images[tor(1, n + 1 - j)]
+    return Substitution(sub.source, sub.target, images)

@@ -586,12 +586,13 @@ def test_frobenius_trace_unsupported_case():
 def test_frobenius_trace_numeric():
     g = SignedGroupDatum(((1, 1), (1, 0)))
     params = {
+        QVAR: Fraction(1),
         SIM: Fraction(2),
         tor(1, 1): Fraction(3),
         tor(1, 2): Fraction(5),
         tor(2, 1): Fraction(7),
     }
-    val = frobenius_trace(g, 1, PlaceContext(split=True, d=1), field="E", params=params)
+    val = frobenius_trace(g, 1, PlaceContext(split=True, d=1), field="E").evaluate(params)
     assert val == Fraction(1, 2) * (Fraction(1, 3) + Fraction(1, 5)) * Fraction(1, 7)
 
 

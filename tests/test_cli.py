@@ -1,9 +1,11 @@
 """Exit codes, deterministic output and the documented JSON shapes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import time
 from fractions import Fraction
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import satkit
 from satkit import characters, cli, satake
 from satkit.characters import two_partition_hypothesis
 from satkit.cli import build_parser, run
@@ -158,6 +161,12 @@ WORKERS = [(characters, name) for name in LEMMAS] + [
         ["phi-identity", "--pq", "30,20", "--s", "1", "--seed", "1"],
         ["transfer-square", "--n", "4"],
         ["transfer-square", "--n-max", "1"],
+        # a flag of the single case without --n, and --n-max with it
+        ["transfer-square", "--endo", "2-2", "--levi-s", "3", "--A", "1,2"],
+        ["transfer-square", "--endo", "2-2"],
+        ["transfer-square", "--levi-s", "1"],
+        ["transfer-square", "--A", ""],
+        ["transfer-square", "--n", "4", "--endo", "2-2", "--n-max", "6"],
     ],
 )
 def test_suite_parameters_are_checked_before_any_case(capsys, monkeypatch, argv):
@@ -330,11 +339,9 @@ def transfer_square_cases(n_max):
 
 @pytest.mark.parametrize("variant", ["s_M", "s'_M"])
 def test_transfer_square_suite_matches_per_case_reports(capsys, monkeypatch, variant):
-    # the s'_M variant makes some cases fail, so that failure records are compared too
-    levi_map = satake.levi_twisted_transfer
-    monkeypatch.setattr(
-        satake, "levi_twisted_transfer", lambda *args, **kw: levi_map(*args[:5], variant=variant)
-    )
+    # the s'_M control makes some cases fail, so that failure records are compared too
+    if variant == "s'_M":
+        monkeypatch.setattr(satake, "levi_twisted_transfer", oracles.levi_twisted_transfer_s_prime)
     code, out = invoke(capsys, ["verify", "transfer-square", "--n-max", "6", "--json"])
     cases, failures = 0, []
     for g, h, levi, a_set in transfer_square_cases(6):
@@ -345,6 +352,20 @@ def test_transfer_square_suite_matches_per_case_reports(capsys, monkeypatch, var
     assert json.loads(out) == {"suite": "transfer-square", "cases": cases, "failures": failures}
     assert code == (1 if failures else 0)
     assert (cases, bool(failures)) == (354, variant == "s'_M")
+
+
+def test_every_satkit_error_class_is_a_precondition_error():
+    # an error class outside the tuple would escape `run` as a traceback, not exit 3
+    names = [m.name for m in pkgutil.iter_modules(satkit.__path__)]
+    modules = [satkit] + [importlib.import_module(f"satkit.{name}") for name in names]
+    errors = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__.startswith("satkit.")
+    }
+    assert {"ExponentOverflowError", "ParityError", "PlaceError", "WallError"} <= {e.__name__ for e in errors}
+    assert [e.__name__ for e in errors if not issubclass(e, cli.PRECONDITION_ERRORS)] == []
 
 
 def test_usage_error_exit_code():

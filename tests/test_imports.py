@@ -1,0 +1,53 @@
+"""No library module imports a name it never uses."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "satkit"
+
+# Imported on purpose and never used: perfbench's span test reads satake.substitute
+# to check that a traced run wraps a function in every module that binds it.
+UNUSED_ON_PURPOSE = {("satake", "substitute")}
+
+
+def imported(tree):
+    """The names a module's import statements bind, __future__ features left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def used(tree):
+    """The names a module reads: in code, in quoted annotations and in __all__."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    quoted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            quoted.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            quoted.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names |= {entry.value for entry in node.value.elts}
+    for note in quoted:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            names |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_a_name_it_never_uses(path):
+    tree = ast.parse(path.read_text())
+    unused = sorted(set(imported(tree)) - used(tree) - {n for m, n in UNUSED_ON_PURPOSE if m == path.stem})
+    assert unused == []
+
+
+def test_the_names_kept_on_purpose_are_imported_and_unused():
+    for module, name in UNUSED_ON_PURPOSE:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert name in set(imported(tree)) and name not in used(tree)

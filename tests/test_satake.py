@@ -1,6 +1,7 @@
 """Spherical function formulas, the four morphism families and the
 constant-term compatibility square."""
 
+import json
 import random
 import time
 from itertools import combinations, product
@@ -9,10 +10,11 @@ from math import comb, prod
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import transfer_square_by_rebuilding
 from test_cli import transfer_square_cases
 
-from satkit import satake
+from satkit import cli, satake
 from satkit.laurent import (
     SIM,
     ExponentOverflowError,
@@ -29,6 +31,7 @@ from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext, enumerate_endo
 from satkit.satake import (
     HeckeRing,
     LeviDatum,
+    LeviSignData,
     PlaceError,
     Substitution,
     base_change_map,
@@ -417,11 +420,11 @@ def test_levi_twisted_transfer_table():
     h = EndoTriple((1,), (2,))
     levi = LeviDatum(1)
     sd = levi_sign_data(g, h, levi, [1])
-    bp = levi_twisted_transfer(g, h, levi, sd, SPLIT, variant="s'_M")
+    bp = oracles.levi_twisted_transfer_s_prime(g, h, levi, sd, SPLIT)
     assert bp.images[tor(1, 1)] == LaurentPoly.var(tor(2, 1))
     assert bp.images[tor(1, 3)] == LaurentPoly.var(tor(2, 2))
     assert bp.images[tor(1, 2)] == LaurentPoly.var(tor(1, 1))
-    bm = levi_twisted_transfer(g, h, levi, sd, SPLIT, variant="s_M")
+    bm = levi_twisted_transfer(g, h, levi, sd, SPLIT)
     assert bm.images[tor(1, 1)] == mono({tor(2, 1): 1}, coeff=-1)
     assert bm.images[tor(1, 3)] == mono({tor(2, 2): 1}, coeff=-1)
     assert bm.images[tor(1, 2)] == LaurentPoly.var(tor(1, 1))
@@ -431,7 +434,7 @@ def test_levi_twisted_trivial_datum_all_positive():
     g = GroupDatum((2,))
     h = EndoTriple((2,), (0,))
     sd = levi_sign_data(g, h, LeviDatum(1), [])
-    bm = levi_twisted_transfer(g, h, LeviDatum(1), sd, SPLIT, variant="s_M")
+    bm = levi_twisted_transfer(g, h, LeviDatum(1), sd, SPLIT)
     for img in bm.images.values():
         assert all(c > 0 for _, c in img.terms())
 
@@ -501,11 +504,24 @@ def test_group_side_cache_stays_within_its_bound():
 )
 def test_invalid_transfer_square_cases_build_and_keep_nothing(monkeypatch, g, h, levi, A):
     satake._group_side.cache_clear()
+    satake._generators.cache_clear()
     built = []
     monkeypatch.setattr(satake, "default_generators", lambda *args: built.append(args))
     with pytest.raises(ValueError):
         verify_transfer_square(g, h, levi, A, SPLIT)
     assert built == [] and satake._group_side.cache_info().currsize == 0
+    assert satake._generators.cache_info().currsize == 0
+
+
+def test_generators_are_built_once_per_group_and_place(capsys, monkeypatch):
+    satake._group_side.cache_clear()
+    satake._generators.cache_clear()
+    built = []
+    build = satake.default_generators
+    monkeypatch.setattr(satake, "default_generators", lambda *args: built.append(args) or build(*args))
+    assert cli.run(["verify", "transfer-square", "--n-max", "6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"] == 354
+    assert built == [(GroupDatum((n,)), SPLIT) for n in range(2, 7)]
 
 
 def test_maps_are_homomorphisms_on_products():
@@ -660,7 +676,7 @@ def test_levi_twisted_image_invariant_under_mh_weyl():
     levi = LeviDatum(1)
     for A in ([], [1]):
         sd = levi_sign_data(g, h, levi, A)
-        bm = levi_twisted_transfer(g, h, levi, sd, SPLIT, variant="s_M")
+        bm = levi_twisted_transfer(g, h, levi, sd, SPLIT)
         lin = (1 - len(A), len(A))
         target = HeckeRing(h.group_datum(), split_presentation=True, levi_linear=lin)
         elements = target.weyl()
@@ -742,3 +758,59 @@ def test_transfer_square_inert_even_degree():
                 for _, f in default_generators(g, ctx):
                     assert bm(f) == bt(f)
                     assert bm.target.contains(bm(f))
+
+
+# -- the routed maps against the hand-written builders -------------------------------------
+
+
+ROUTED_GROUPS = [GroupDatum(sizes) for r in (1, 2) for sizes in product(range(1, 6), repeat=r)]
+ROUTED_PLACES = [PlaceContext(split=split, d=d) for split in (True, False) for d in (1, 2, 3)]
+ROUTED_DATA = [h for g in ROUTED_GROUPS for h, _ in enumerate_endoscopic(g)] + [EndoTriple((0,), (0,))]
+
+
+def _built(build, *args):
+    """A builder's images, source and target, or the class and message of its error."""
+    try:
+        sub = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return sub.as_json_dict(), sub.source, sub.target
+
+
+def test_routed_maps_match_the_hand_written_builders():
+    """Every group with r <= 2 and n_i <= 5, every endoscopic datum, split and
+    inert places of degree 1-3, and every Levi case of the transfer-square suite."""
+    refused = 0
+    for g, ctx in product(ROUTED_GROUPS, ROUTED_PLACES):
+        assert _built(base_change_map, g, ctx) == _built(oracles.base_change_by_hand, g, ctx)
+        for h, _ in enumerate_endoscopic(g):
+            assert _built(transfer_map, g, h, ctx) == _built(oracles.transfer_by_hand, g, h, ctx)
+            got = _built(twisted_transfer_map, g, h, ctx)
+            assert got == _built(oracles.twisted_transfer_by_hand, g, h, ctx)
+            refused += got[0] is PlaceError
+    assert refused > 0  # the odd-degree inert places
+    for (g, h, levi, A), ctx in product(cli.square_cases(6), ROUTED_PLACES):
+        sd = levi_sign_data(g, h, levi, A)
+        got = _built(levi_twisted_transfer, g, h, levi, sd, ctx)
+        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx)
+        got = _built(oracles.levi_twisted_transfer_s_prime, g, h, levi, sd, ctx)
+        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx, "s'_M")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_routed_maps_refuse_what_the_hand_written_builders_refuse(data):
+    """Data of other groups, Levi maps of two-factor groups, sets A outside 1..s
+    and Hermitian splits off by one give the same error, or the same map, as
+    the hand-written builders."""
+    g = data.draw(st.sampled_from(ROUTED_GROUPS[:5]) | st.sampled_from(ROUTED_GROUPS))
+    h = data.draw(st.sampled_from([h for h, _ in enumerate_endoscopic(g)]) | st.sampled_from(ROUTED_DATA))
+    ctx = data.draw(st.sampled_from(ROUTED_PLACES))
+    assert _built(transfer_map, g, h, ctx) == _built(oracles.transfer_by_hand, g, h, ctx)
+    assert _built(twisted_transfer_map, g, h, ctx) == _built(oracles.twisted_transfer_by_hand, g, h, ctx)
+    s = data.draw(st.integers(0, 3))
+    A = tuple(sorted(data.draw(st.sets(st.integers(1, s + 1), max_size=s + 1))))
+    (n1, n2), r1 = h.pairs()[0], len(set(range(1, s + 1)) - set(A))
+    m1, m2 = n1 - 2 * r1 + data.draw(st.sampled_from((0, 0, 1, -1))), n2 - 2 * len(A)
+    args = (g, h, LeviDatum(s), LeviSignData(A, m1, m2), ctx)
+    assert _built(levi_twisted_transfer, *args) == _built(oracles.levi_twisted_transfer_by_hand, *args)
