@@ -14,8 +14,6 @@ from satkit.satake import (
     base_change_map,
     kottwitz_function,
     levi_kottwitz_function,
-    levi_sign_data,
-    levi_twisted_transfer,
     transfer_map,
     twisted_transfer_map,
     verify_transfer_square,
@@ -50,15 +48,13 @@ tr = transfer_map(g, h, split)
 print("plain transfer of the same function:")
 print("  ", pretty(tr(phi)))
 
-# Levi level: the Hermitian-block basic function and the signed routing
-# table attached to a subset A of the linear slots.
+# Levi level: the Hermitian-block basic function, and the transfer square
+# through the signed routing attached to a subset A of the linear slots.
 levi = LeviDatum(1)
 print("Levi basic function (n=4, s=1, alpha=2):")
 print("  ", pretty(levi_kottwitz_function(g, levi, 2, split)))
 
 for A in ([], [1]):
-    sd = levi_sign_data(g, h, levi, A)
-    bm = levi_twisted_transfer(g, h, levi, sd, split)
     report = verify_transfer_square(g, h, levi, A, split)
     print(
         f"A={A}: Hermitian split {report['hermitian_split']}, "

@@ -311,6 +311,15 @@ class KostantEntry:
     shifted2: Tuple[int, ...]
 
 
+def _doubled_weight(weight: Weight, n: int) -> Tuple[int, ...]:
+    """2 * weight, for a dominant regular weight with a single block of length n."""
+    if len(weight.blocks) != 1 or len(weight.blocks[0]) != n:
+        raise ValueError("weight must have a single block of length p + q")
+    if not (weight.is_dominant() and weight.is_regular()):
+        raise ValueError("weight must be dominant regular")
+    return tuple(2 * x for x in weight.blocks[0])
+
+
 def kostant_cohomology(kd: KostantDatum, weight: Weight) -> List[KostantEntry]:
     """Kostant's decomposition of the nilpotent-radical cohomology.
 
@@ -319,11 +328,7 @@ def kostant_cohomology(kd: KostantDatum, weight: Weight) -> List[KostantEntry]:
     Levi-dominant summand with doubled highest weight 2 w(weight) - 2 rho
     in degree equal to the length of w; entries come by degree, then by w.
     """
-    if len(weight.blocks) != 1 or len(weight.blocks[0]) != kd.n:
-        raise ValueError("weight must have a single block of length p + q")
-    if not (weight.is_dominant() and weight.is_regular()):
-        raise ValueError("weight must be dominant regular")
-    lam2 = tuple(2 * x for x in weight.blocks[0])
+    lam2 = _doubled_weight(weight, kd.n)
     r2 = rho2(kd.n)
     out = []
     for w, length in kd.coset_reps().items():
@@ -390,11 +395,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
     n = p + q
     if not 1 <= s <= q:
         raise ValueError("need 1 <= s <= q")
-    if len(weight.blocks) != 1 or len(weight.blocks[0]) != n:
-        raise ValueError("weight must have a single block of length p + q")
-    if not (weight.is_dominant() and weight.is_regular()):
-        raise ValueError("weight must be dominant regular")
-    lam2 = tuple(2 * x for x in weight.blocks[0])
+    lam2 = _doubled_weight(weight, n)
     want_pos = direction == ">"
     s_fact = factorial(s)
     # each sigma permutes the first s linear slots and their mirrors together:

@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from . import perm
@@ -332,16 +331,6 @@ class WeylShape:
     @property
     def all_even(self) -> bool:
         return all(n % 2 == 0 for n in self.sizes)
-
-    def order(self) -> int:
-        out = 1
-        if self.split:
-            for n in self.sizes:
-                out *= factorial(n)
-        else:
-            for q in self.qs:
-                out *= 2**q * factorial(q)
-        return out
 
 
 @dataclass(frozen=True)

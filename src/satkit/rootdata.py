@@ -126,16 +126,16 @@ class PlaceContext:
 
     split: bool
     d: int = 1
-    a: Optional[int] = None
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        expected = self.d if self.split else (self.d // 2 if self.d % 2 == 0 else None)
-        if self.a is None:
-            object.__setattr__(self, "a", expected)
-        elif self.a != expected:
-            raise ValueError(f"inconsistent degrees: d={self.d}, a={self.a}")
+
+    @property
+    def a(self) -> Optional[int]:
+        if self.split:
+            return self.d
+        return self.d // 2 if self.d % 2 == 0 else None
 
     @property
     def splits_over_l(self) -> bool:

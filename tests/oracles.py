@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial
 
 from satkit import perm
 from satkit.characters import (
@@ -15,8 +16,8 @@ from satkit.laurent import (
 from satkit.rootdata import EndoTriple, _swap_class
 from satkit.satake import (
     HeckeRing, PlaceError, Substitution, _block_routing, _require_single_factor, default_generators,
-    hecke_ring, levi_constant_term, levi_sign_data, levi_twisted_transfer, m_ring, norm_similitude,
-    resolve_tor, twisted_transfer_map,
+    hecke_ring, levi_sign_data, levi_twisted_transfer, m_ring, norm_similitude, resolve_tor,
+    twisted_transfer_map,
 )
 
 
@@ -124,6 +125,18 @@ def pretty_by_records(f):
             factors.append(_var_name(v) if e == 1 else f"{_var_name(v)}^{e}")
         parts.append(sign + "*".join(factors))
     return " + ".join(parts).replace("+ -", "- ")
+
+
+def weyl_order(shape):
+    """|W| from its closed form: prod n_i! split, prod 2^{q_i} q_i! inert."""
+    out = 1
+    if shape.split:
+        for n in shape.sizes:
+            out *= factorial(n)
+    else:
+        for q in shape.qs:
+            out *= 2**q * factorial(q)
+    return out
 
 
 def act_monomial_by_cases(w, m, shape):
@@ -500,11 +513,11 @@ def transfer_square_by_rebuilding(g, h, levi, A, ctx):
     group-level transfer built again for each case instead of kept per (g, h, ctx)."""
     signs = levi_sign_data(g, h, levi, A)
     b_tilde = twisted_transfer_map(g, h, ctx)
-    b_levi = levi_twisted_transfer(g, h, levi, signs, ctx)
+    b_levi = levi_twisted_transfer(g, h, levi, A, ctx)
     gens = default_generators(g, ctx)
     failures = []
     for label, f in gens:
-        lhs = b_levi(levi_constant_term(f, g, levi, ctx, check=False))
+        lhs = b_levi(f)  # the constant term is the inclusion
         rhs = b_tilde(f)
         if lhs != rhs:
             failures.append(
@@ -649,15 +662,15 @@ def levi_twisted_transfer_by_hand(g, h, levi, signs, ctx, variant="s_M"):
     return Substitution(source, target, images)
 
 
-def levi_twisted_transfer_s_prime(g, h, levi, signs, ctx):
+def levi_twisted_transfer_s_prime(g, h, levi, A, ctx):
     """The negative control b_{s'_M} of the transfer square: the map b_{s_M} of
     satake.levi_twisted_transfer with its A-routed linear images negated, so
     that every linear image is positive.  The two differ by the sign character
     attached to A, and with s'_M the transfer square fails on some cases."""
-    sub = levi_twisted_transfer(g, h, levi, signs, ctx)
+    sub = levi_twisted_transfer(g, h, levi, A, ctx)
     n = g.sizes[0]
     images = dict(sub.images)
-    for j in signs.A:
+    for j in set(A):
         images[tor(1, j)] = -images[tor(1, j)]
         images[tor(1, n + 1 - j)] = -images[tor(1, n + 1 - j)]
     return Substitution(sub.source, sub.target, images)

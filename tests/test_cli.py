@@ -96,6 +96,10 @@ def test_precondition_violation_exit_code(capsys):
         ["constant-term", "--n", "3", "--levi-s", "1", "--alpha", "1", "--levi-kottwitz", "--json"],
     )
     assert code == 3
+    # a Levi that GU(4) does not have (2s > n), for either constant-term function
+    for levi_kottwitz in ([], ["--levi-kottwitz"]):
+        argv = ["constant-term", "--n", "4", "--levi-s", "3", "--alpha", "2", *levi_kottwitz, "--json"]
+        assert invoke(capsys, argv) == (3, "")
     # twisted transfer at an odd-degree inert place
     code, _ = invoke(
         capsys,

@@ -204,5 +204,5 @@ def test_place_context_degrees():
     assert PlaceContext(split=False, d=3).a is None
     assert PlaceContext(split=False, d=3).splits_over_l is False
     assert PlaceContext(split=False, d=2).splits_over_l is True
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # a is derived from (split, d), not set
         PlaceContext(split=True, d=2, a=1)

@@ -31,7 +31,6 @@ from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext, enumerate_endo
 from satkit.satake import (
     HeckeRing,
     LeviDatum,
-    LeviSignData,
     PlaceError,
     Substitution,
     base_change_map,
@@ -413,18 +412,19 @@ def test_levi_sign_data_validation():
         levi_sign_data(g, h, LeviDatum(1), [])  # forces a linear pair into GU*(1)
     sd = levi_sign_data(g, h, LeviDatum(1), [1])
     assert (sd.m1, sd.m2) == (1, 0)
+    with pytest.raises(ValueError, match="not a subset"):
+        levi_twisted_transfer(GroupDatum((4,)), EndoTriple((2,), (2,)), LeviDatum(1), (2,), SPLIT)
 
 
 def test_levi_twisted_transfer_table():
     g = GroupDatum((3,))
     h = EndoTriple((1,), (2,))
     levi = LeviDatum(1)
-    sd = levi_sign_data(g, h, levi, [1])
-    bp = oracles.levi_twisted_transfer_s_prime(g, h, levi, sd, SPLIT)
+    bp = oracles.levi_twisted_transfer_s_prime(g, h, levi, [1], SPLIT)
     assert bp.images[tor(1, 1)] == LaurentPoly.var(tor(2, 1))
     assert bp.images[tor(1, 3)] == LaurentPoly.var(tor(2, 2))
     assert bp.images[tor(1, 2)] == LaurentPoly.var(tor(1, 1))
-    bm = levi_twisted_transfer(g, h, levi, sd, SPLIT)
+    bm = levi_twisted_transfer(g, h, levi, [1], SPLIT)
     assert bm.images[tor(1, 1)] == mono({tor(2, 1): 1}, coeff=-1)
     assert bm.images[tor(1, 3)] == mono({tor(2, 2): 1}, coeff=-1)
     assert bm.images[tor(1, 2)] == LaurentPoly.var(tor(1, 1))
@@ -433,8 +433,7 @@ def test_levi_twisted_transfer_table():
 def test_levi_twisted_trivial_datum_all_positive():
     g = GroupDatum((2,))
     h = EndoTriple((2,), (0,))
-    sd = levi_sign_data(g, h, LeviDatum(1), [])
-    bm = levi_twisted_transfer(g, h, LeviDatum(1), sd, SPLIT)
+    bm = levi_twisted_transfer(g, h, LeviDatum(1), [], SPLIT)
     for img in bm.images.values():
         assert all(c > 0 for _, c in img.terms())
 
@@ -675,14 +674,13 @@ def test_levi_twisted_image_invariant_under_mh_weyl():
     h = EndoTriple((2,), (2,))
     levi = LeviDatum(1)
     for A in ([], [1]):
-        sd = levi_sign_data(g, h, levi, A)
-        bm = levi_twisted_transfer(g, h, levi, sd, SPLIT)
+        bm = levi_twisted_transfer(g, h, levi, A, SPLIT)
         lin = (1 - len(A), len(A))
         target = HeckeRing(h.group_datum(), split_presentation=True, levi_linear=lin)
         elements = target.weyl()
         assert len(elements) == 2
         for _, f in default_generators(g, SPLIT):
-            img = bm(levi_constant_term(f, g, levi, SPLIT, check=False))
+            img = bm(f)  # the constant term is the inclusion
             assert all(group_act(w, img, target.shape) == img for w in elements)
 
 
@@ -732,10 +730,9 @@ def test_levi_twisted_target_ring_contains_images():
             for bits in range(2**s):
                 A = [j + 1 for j in range(s) if bits >> j & 1]
                 try:
-                    sd = levi_sign_data(g, h, LeviDatum(s), A)
+                    bm = levi_twisted_transfer(g, h, LeviDatum(s), A, SPLIT)
                 except ValueError:
                     continue
-                bm = levi_twisted_transfer(g, h, LeviDatum(s), sd, SPLIT)
                 for _, f in default_generators(g, SPLIT):
                     assert bm.target.contains(bm(f))
 
@@ -750,10 +747,9 @@ def test_transfer_square_inert_even_degree():
             for bits in range(2**s):
                 A = [j + 1 for j in range(s) if bits >> j & 1]
                 try:
-                    sd = levi_sign_data(g, h, LeviDatum(s), A)
+                    bm = levi_twisted_transfer(g, h, LeviDatum(s), A, ctx)
                 except ValueError:
                     continue
-                bm = levi_twisted_transfer(g, h, LeviDatum(s), sd, ctx)
                 bt = twisted_transfer_map(g, h, ctx)
                 for _, f in default_generators(g, ctx):
                     assert bm(f) == bt(f)
@@ -791,26 +787,58 @@ def test_routed_maps_match_the_hand_written_builders():
     assert refused > 0  # the odd-degree inert places
     for (g, h, levi, A), ctx in product(cli.square_cases(6), ROUTED_PLACES):
         sd = levi_sign_data(g, h, levi, A)
-        got = _built(levi_twisted_transfer, g, h, levi, sd, ctx)
+        got = _built(levi_twisted_transfer, g, h, levi, A, ctx)
         assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx)
-        got = _built(oracles.levi_twisted_transfer_s_prime, g, h, levi, sd, ctx)
+        got = _built(oracles.levi_twisted_transfer_s_prime, g, h, levi, A, ctx)
         assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx, "s'_M")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_routed_maps_refuse_what_the_hand_written_builders_refuse(data):
-    """Data of other groups, Levi maps of two-factor groups, sets A outside 1..s
-    and Hermitian splits off by one give the same error, or the same map, as
-    the hand-written builders."""
+    """Data of other groups, Levi maps of two-factor groups and sets A outside
+    1..s give the same error, or the same map, as the hand-written builders;
+    the Levi builder by hand is given the sign data wherever levi_sign_data
+    accepts, and the library refuses wherever it does not."""
     g = data.draw(st.sampled_from(ROUTED_GROUPS[:5]) | st.sampled_from(ROUTED_GROUPS))
     h = data.draw(st.sampled_from([h for h, _ in enumerate_endoscopic(g)]) | st.sampled_from(ROUTED_DATA))
     ctx = data.draw(st.sampled_from(ROUTED_PLACES))
     assert _built(transfer_map, g, h, ctx) == _built(oracles.transfer_by_hand, g, h, ctx)
     assert _built(twisted_transfer_map, g, h, ctx) == _built(oracles.twisted_transfer_by_hand, g, h, ctx)
-    s = data.draw(st.integers(0, 3))
-    A = tuple(sorted(data.draw(st.sets(st.integers(1, s + 1), max_size=s + 1))))
-    (n1, n2), r1 = h.pairs()[0], len(set(range(1, s + 1)) - set(A))
-    m1, m2 = n1 - 2 * r1 + data.draw(st.sampled_from((0, 0, 1, -1))), n2 - 2 * len(A)
-    args = (g, h, LeviDatum(s), LeviSignData(A, m1, m2), ctx)
-    assert _built(levi_twisted_transfer, *args) == _built(oracles.levi_twisted_transfer_by_hand, *args)
+    levi = LeviDatum(data.draw(st.integers(0, 3)))
+    A = tuple(sorted(data.draw(st.sets(st.integers(1, levi.s + 1), max_size=levi.s + 1))))
+    got = _built(levi_twisted_transfer, g, h, levi, A, ctx)
+    try:
+        sd = levi_sign_data(g, h, levi, A)
+    except ValueError as exc:
+        assert got == (type(exc), str(exc))
+    else:
+        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(ROUTED_GROUPS), st.integers(-1, 6))
+def test_levi_functions_refuse_the_same_levis(g, s):
+    """Every Levi-level function refuses exactly the (G, s) that m_ring refuses:
+    two-factor groups, s < 0 and 2s > n.  The trivial datum and A = () leave
+    (G, s) as the only thing that can be refused."""
+    levi = LeviDatum(s)
+    h = EndoTriple(g.sizes, (0,) * g.r)
+    calls = [
+        lambda: satake.m_ring(g, levi),
+        lambda: levi_sign_data(g, h, levi, ()),
+        lambda: levi_kottwitz_function(g, levi, g.sizes[0], SPLIT),
+        lambda: levi_constant_term(LaurentPoly.var(SIM), g, levi, SPLIT),
+        lambda: levi_twisted_transfer(g, h, levi, (), SPLIT),
+    ]
+    errors = []
+    for call in calls:
+        try:
+            call()
+        except ValueError as exc:
+            errors.append(str(exc))
+        else:
+            errors.append(None)
+    has_levi = g.r == 1 and 0 <= 2 * s <= g.sizes[0]
+    assert errors == [None if has_levi else errors[0]] * len(calls)
+    assert (errors[0] is None) == has_levi
