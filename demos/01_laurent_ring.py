@@ -20,7 +20,6 @@ from satkit.laurent import (
     symmetrize,
     tor,
     weyl_generators,
-    weyl_group,
 )
 
 # Build some elements: X is the similitude variable, X_{1,j} torus variables.
@@ -54,7 +53,7 @@ print("invariant?", is_invariant(orbit, group, shape))
 # At an inert place the group is hyperoctahedral: a sign flip inverts a
 # torus variable and multiplies the (all-even) similitude by its inverse.
 ishape = WeylShape(split=False, sizes=(2,))
-flip = [w for w in weyl_group(ishape) if w.signs == ((-1,),)][0]
+(flip,) = weyl_generators(ishape)  # the sign change of the one slot
 print("flip acting on X:", pretty(group_act(flip, X, ishape)))
 
 # Canonical JSON form round-trips exactly.

@@ -10,12 +10,13 @@ integral and a Fraction only when it is not; never a float or a bool.
 Variables are identified by small tuples:
 
     QVAR            = ("q",)        the formal half-power symbol
-    SIM             = ("s",)        the global similitude variable (X, X', Z)
-    sim_factor(i)   = ("sf", i)     per-factor similitude, used at inert places
+    SIM             = ("s",)        the similitude variable (X, X', Z)
     tor(i, j)       = ("t", i, j)   the torus variable X_{i,j}
 
 Tuple comparison realises the canonical variable order
-q < Sim < SimFactor(1) < ... < Tor(1,1) < Tor(1,2) < ...
+q < Sim < Tor(1,1) < Tor(1,2) < ...  A Weyl element acts on SIM and the torus
+variables of its shape's ring, fixing q; group_act and symmetrize raise
+SubstitutionError on any other variable.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ Monomial = Tuple  # sorted tuple of (Var, int) pairs with nonzero exponents
 
 QVAR: Var = ("q",)
 SIM: Var = ("s",)
-
-
-def sim_factor(i: int) -> Var:
-    return ("sf", i)
 
 
 def tor(i: int, j: int) -> Var:
@@ -417,20 +414,17 @@ def weyl_generators(shape: WeylShape, linear: Optional[Sequence[int]] = None) ->
 def _weyl_table(w: WeylElement, shape: WeylShape) -> dict:
     """w as a substitution table over every variable of the shape's ring.
 
-    X_{i,j} goes to X_{i,w(j)}, inverted when w flips slot w(j).  Each flipped
-    slot also divides sf_i (even inert factors) and SIM (every inert factor
-    even) by its torus variable.
+    X_{i,j} goes to X_{i,w(j)}, inverted when w flips slot w(j).  When every
+    inert factor is even, each flipped slot also divides SIM by its torus
+    variable.
     """
     table = {}
     all_flips = []
-    for i, n in enumerate(shape.sizes, start=1):
+    for i in range(1, len(shape.sizes) + 1):
         signs = (1,) * len(w.perms[i - 1]) if shape.split else w.signs[i - 1]
         for j, img in enumerate(w.perms[i - 1], start=1):
             table[tor(i, j)] = (False, 0, ((tor(i, img), signs[img - 1]),))
-        flips = [(tor(i, j), -1) for j, s in enumerate(signs, start=1) if s == -1]
-        all_flips += flips
-        own = flips if n % 2 == 0 else []
-        table[sim_factor(i)] = (False, 0, _mono([(sim_factor(i), 1)] + own))
+        all_flips += [(tor(i, j), -1) for j, s in enumerate(signs, start=1) if s == -1]
     table[SIM] = (False, 0, _mono([(SIM, 1)] + (all_flips if shape.all_even else [])))
     return table
 
@@ -439,10 +433,9 @@ def group_act(w: WeylElement, f: LaurentPoly, shape: WeylShape) -> LaurentPoly:
     """Act by a Weyl element; a ring automorphism of the ambient Laurent ring.
 
     Split factors permute the torus variables.  Inert factors act by signed
-    permutations; a sign flip at slot j inverts X_{i,j} and multiplies the
-    relevant similitude variable by X_{i,j}^{-1} (per-factor variables for
-    even-size factors, the global variable only when every factor is even).
-    A variable outside the shape's ring raises SubstitutionError.
+    permutations; a sign flip at slot j inverts X_{i,j} and, when every factor
+    is even, multiplies the similitude variable by X_{i,j}^{-1}.  A variable
+    outside the shape's ring raises SubstitutionError.
     """
     return _apply(_weyl_table(w, shape), f)
 
@@ -484,13 +477,13 @@ def is_invariant(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape)
 
 
 def _var_name(v: Var) -> str:
-    """X for SIM, X_i for sim_factor(i), X_i_j for tor(i, j)."""
-    if v == SIM or v[0] in ("sf", "t"):
+    """X for SIM, X_i_j for tor(i, j)."""
+    if v == SIM or v[0] == "t":
         return "_".join(["X", *map(str, v[1:])])
     raise ValueError(f"unnamed variable {v}")
 
 
-_NAME_RE = re.compile(r"X(?:_([1-9][0-9]*))?(?:_([1-9][0-9]*))?")
+_NAME_RE = re.compile(r"X(?:_([1-9][0-9]*)_([1-9][0-9]*))?")
 
 
 def _parse_name(name: str) -> Var:
@@ -498,12 +491,7 @@ def _parse_name(name: str) -> Var:
     m = _NAME_RE.fullmatch(name)
     if not m:
         raise ValueError(f"bad variable name {name!r}")
-    i, j = m.group(1), m.group(2)
-    if i is None:
-        return SIM
-    if j is None:
-        return sim_factor(int(i))
-    return tor(int(i), int(j))
+    return SIM if m.group(1) is None else tor(int(m.group(1)), int(m.group(2)))
 
 
 def _canonical_rows(f: LaurentPoly):
@@ -529,7 +517,7 @@ def serialize_poly(f: LaurentPoly) -> str:
     """Canonical JSON text: an array of term records {"q", "num", "den", "exps"}.
 
     Terms are sorted by their exponent vectors over the polynomial's own
-    variables (X, then X_i, then X_i_j, in index order), then by q exponent.
+    variables (X, then X_i_j, in index order), then by q exponent.
     "exps" lists a term's nonzero exponents only, in that variable order, and
     num/den is the coefficient in lowest terms with den > 0.
     """

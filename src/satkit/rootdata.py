@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb
 from typing import List, Optional, Tuple
 
 
@@ -203,7 +203,7 @@ def packet_size(p: int, q: int) -> int:
         raise ValueError("need p, q >= 0 with p + q >= 1")
     if p != q:
         return comb(p + q, q)
-    return factorial(2 * q) // (2 * factorial(q) ** 2)
+    return comb(2 * q, q) // 2
 
 
 def packet_size_signed(g: SignedGroupDatum) -> int:

@@ -32,13 +32,13 @@ from .laurent import (
     WeylShape,
     _apply,
     _check_exp,
+    _mono,
     _substitution_table,
     _tor_subset_sum,
     _var_name,
     is_invariant,
     serialize_poly,
     substitute,  # not called here; the benchmark's span test reads it through this module
-    symmetrize,
     tor,
     weyl_generators,
     weyl_group,
@@ -236,10 +236,14 @@ def base_change_map(g: GroupDatum, ctx: PlaceContext) -> Substitution:
 # -- endoscopic transfer ----------------------------------------------------------
 
 
-def _block_routing(g: GroupDatum, h: EndoTriple):
-    """Target factor index for each (source factor, sign) with zero blocks dropped."""
+def _require_match(g: GroupDatum, h: EndoTriple):
     if not h.matches(g):
         raise ValueError(f"endoscopic datum {h} does not match {g}")
+
+
+def _block_routing(g: GroupDatum, h: EndoTriple):
+    """Target factor index for each (source factor, sign) with zero blocks dropped."""
+    _require_match(g, h)
     fp: List[Optional[int]] = []
     fm: List[Optional[int]] = []
     idx = 0
@@ -332,10 +336,10 @@ class LeviSignData:
 
 
 def levi_sign_data(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A) -> LeviSignData:
-    """Validate (h, s, A) and compute the Hermitian split m = m1 + m2.
+    """Validate (G, H, s, A) and compute the Hermitian split m = m1 + m2.
 
     The |A| linear pairs route to the second block, the rest to the first;
-    consistency forces m_k = n_k - 2 r_k >= 0.
+    consistency forces m_k = n_k - 2 r_k >= 0.  H must be a datum of G.
     """
     m_ring(g, levi)
     s = levi.s
@@ -352,6 +356,7 @@ def levi_sign_data(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A) -> LeviSign
             f"inconsistent Levi sign data: blocks ({n1},{n2}), s={s}, |A|={r2} "
             f"give Hermitian sizes ({m1},{m2})"
         )
+    _require_match(g, h)
     return LeviSignData(A, m1, m2)
 
 
@@ -415,7 +420,7 @@ def levi_twisted_transfer(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx:
     complement of A route to the first block, those indexed by A to the
     second with a sign -1; Hermitian middle variables route with a sign -1
     on the second block.  The target's Levi fixes r_1 = s - |A| linear slots
-    of the first block and r_2 = |A| of the second.  (h, s, A) are checked
+    of the first block and r_2 = |A| of the second.  (G, H, s, A) are checked
     by levi_sign_data.
     """
     signs = levi_sign_data(g, h, levi, A)
@@ -443,21 +448,23 @@ def levi_twisted_transfer(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx:
 
 
 def default_generators(g: GroupDatum, ctx: PlaceContext) -> List[Tuple[str, LaurentPoly]]:
-    """Invariant test elements: the basic spherical functions plus small orbit sums."""
+    """Invariant test elements: the basic spherical functions plus the orbit sums of
+    X_1, X_1^2, X_1 X_2 and X_1 X_2^-1.  kottwitz_function raises PlaceError unless g
+    splits over L, so the ring is the split presentation, where W = S_n permutes
+    X_{1,1..n}: the orbit sums are e_1, p_2, e_2 and the sum over i != j of X_i X_j^-1."""
     _require_single_factor(g)
     n = g.sizes[0]
-    ring = hecke_ring(g, ctx, "source")
-    group, shape = ring.generators(), ring.shape
     gens: List[Tuple[str, LaurentPoly]] = [("Z", LaurentPoly.var(SIM))]
     q_n = n // 2
     for alpha in range(n - q_n, n + 1):
         gens.append((f"kottwitz[alpha={alpha}]", kottwitz_function(g, (alpha,), ctx)))
-    seeds = [("sym Z_1", {tor(1, 1): 1}), ("sym Z_1^2", {tor(1, 1): 2})]
+    slots = range(1, n + 1)
+    gens.append(("sym Z_1", _tor_subset_sum((), [(slots, 1, 1)])))
+    gens.append(("sym Z_1^2", _tor_subset_sum((), [(slots, 1, 2)])))
     if n >= 2:
-        seeds.append(("sym Z_1*Z_2", {tor(1, 1): 1, tor(1, 2): 1}))
-        seeds.append(("sym Z_1*Z_2^-1", {tor(1, 1): 1, tor(1, 2): -1}))
-    for label, exps in seeds:
-        gens.append((label, symmetrize(LaurentPoly.monomial(exps), group, shape)))
+        gens.append(("sym Z_1*Z_2", _tor_subset_sum((), [(slots, 2, 1)])))
+        ratios = (_mono([(tor(1, i), 1), (tor(1, j), -1)]) for i in slots for j in slots if i != j)
+        gens.append(("sym Z_1*Z_2^-1", LaurentPoly.from_terms((m, 1) for m in ratios)))
     return gens
 
 

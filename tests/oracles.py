@@ -11,13 +11,13 @@ from satkit.characters import (
 )
 from satkit.laurent import (
     QVAR, SIM, LaurentPoly, SubstitutionError, WeylElement, _mono, _split_q, _weyl_table, serialize_poly,
-    tor,
+    symmetrize, tor,
 )
 from satkit.rootdata import EndoTriple, _swap_class
 from satkit.satake import (
     HeckeRing, PlaceError, Substitution, _block_routing, _require_single_factor, default_generators,
-    hecke_ring, levi_sign_data, levi_twisted_transfer, m_ring, norm_similitude, resolve_tor,
-    twisted_transfer_map,
+    hecke_ring, kottwitz_function, levi_sign_data, levi_twisted_transfer, m_ring, norm_similitude,
+    resolve_tor, twisted_transfer_map,
 )
 
 
@@ -73,8 +73,6 @@ def sum_terms_by_addition(pairs):
 def _var_name(v):
     if v == SIM:
         return "X"
-    if v[0] == "sf":
-        return f"X_{v[1]}"
     if v[0] == "t":
         return f"X_{v[1]}_{v[2]}"
     raise ValueError(f"unnamed variable {v}")
@@ -154,13 +152,6 @@ def act_monomial_by_cases(w, m, shape):
                 pairs.append((tor(i, img), e))
             else:
                 pairs.append((tor(i, img), e * w.signs[i - 1][img - 1]))
-        elif v[0] == "sf":
-            i = v[1]
-            pairs.append((v, e))
-            if not shape.split and shape.sizes[i - 1] % 2 == 0:
-                for j, s in enumerate(w.signs[i - 1], start=1):
-                    if s == -1:
-                        pairs.append((tor(i, j), -e))
         else:  # SIM
             pairs.append((v, e))
             if not shape.split and shape.all_even:
@@ -538,6 +529,26 @@ def transfer_square_by_rebuilding(g, h, levi, A, ctx):
         "cases": len(gens),
         "failures": failures,
     }
+
+
+def default_generators_by_orbits(g, ctx):
+    """satake.default_generators with its four seeds summed over their Weyl orbits in
+    the source ring, the orbit closure that the subset sums replace."""
+    _require_single_factor(g)
+    n = g.sizes[0]
+    ring = hecke_ring(g, ctx, "source")
+    group, shape = ring.generators(), ring.shape
+    gens = [("Z", LaurentPoly.var(SIM))]
+    q_n = n // 2
+    for alpha in range(n - q_n, n + 1):
+        gens.append((f"kottwitz[alpha={alpha}]", kottwitz_function(g, (alpha,), ctx)))
+    seeds = [("sym Z_1", {tor(1, 1): 1}), ("sym Z_1^2", {tor(1, 1): 2})]
+    if n >= 2:
+        seeds.append(("sym Z_1*Z_2", {tor(1, 1): 1, tor(1, 2): 1}))
+        seeds.append(("sym Z_1*Z_2^-1", {tor(1, 1): 1, tor(1, 2): -1}))
+    for label, exps in seeds:
+        gens.append((label, symmetrize(LaurentPoly.monomial(exps), group, shape)))
+    return gens
 
 
 # -- the morphism builders, each with its own image loop ------------------------------

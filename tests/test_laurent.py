@@ -36,7 +36,6 @@ from satkit.laurent import (
     parse_poly,
     pretty,
     serialize_poly,
-    sim_factor,
     substitute,
     symmetrize,
     tor,
@@ -305,10 +304,6 @@ def test_group_act_inert_similitude_adjustment():
     shape2 = WeylShape(split=False, sizes=(2, 3))
     w2 = WeylElement(False, ((1,), (1,)), ((-1,), (1,)))
     assert group_act(w2, LaurentPoly.var(SIM), shape2) == LaurentPoly.var(SIM)
-    # per-factor similitude of the even factor still picks up the adjustment
-    assert group_act(w2, LaurentPoly.var(sim_factor(1)), shape2) == LaurentPoly.monomial(
-        {sim_factor(1): 1, tor(1, 1): -1}
-    )
 
 
 COMPOSITION_SHAPES = [
@@ -380,10 +375,9 @@ def weyl_shapes(draw, max_size):
 
 @st.composite
 def ring_polys(draw, shape):
-    """A polynomial in SIM, the per-factor similitudes, the torus variables of
-    the shape's ring and q, with negative exponents."""
-    vars_ = [SIM] + [sim_factor(i) for i in range(1, len(shape.sizes) + 1)]
-    vars_ += [
+    """A polynomial in SIM, the torus variables of the shape's ring and q, with
+    negative exponents."""
+    vars_ = [SIM] + [
         tor(i, j)
         for i, n in enumerate(shape.sizes, start=1)
         for j in range(1, (n if shape.split else n // 2) + 1)
@@ -426,7 +420,7 @@ def test_group_act_matches_action_by_cases(data):
     [
         (WeylShape(split=False, sizes=(4,)), tor(2, 1)),
         (WeylShape(split=False, sizes=(4,)), tor(1, 3)),
-        (WeylShape(split=True, sizes=(2,)), sim_factor(2)),
+        (WeylShape(split=True, sizes=(2,)), tor(1, 3)),
     ],
 )
 def test_weyl_action_rejects_variables_outside_the_ring(shape, v):
@@ -519,7 +513,7 @@ def test_substitute_matches_the_one_pass_image(imgs, f):
 def weyl_kernel_cases(draw):
     """A shape and a polynomial in its ring variables, at times also in one outside it."""
     shape = draw(weyl_shapes(4))
-    vars_ = [SIM] + [sim_factor(i) for i in range(1, len(shape.sizes) + 1)]
+    vars_ = [SIM]
     for i, n in enumerate(shape.sizes, 1):
         vars_ += [tor(i, j) for j in range(1, (n if shape.split else n // 2) + 1)]
     return shape, draw(kernel_polys(vars_, outside=tor(9, 1)))
@@ -530,10 +524,10 @@ INERT_4 = WeylShape(split=False, sizes=(4,))
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(weyl_kernel_cases())
-# inert sign flips send X_{1,1} and the similitude variables to X_{1,1}^{+-1} both:
+# inert sign flips send X_{1,1} and the similitude variable to X_{1,1}^{+-1} both:
 # the summed exponent passes 32 bits, or cancels
 @example((INERT_4, LaurentPoly.monomial({SIM: INT32_MAX, tor(1, 1): INT32_MAX})))
-@example((INERT_4, LaurentPoly.monomial({sim_factor(1): -BIG, tor(1, 1): BIG}, coeff=Fraction(-2, 3))))
+@example((INERT_4, LaurentPoly.monomial({SIM: -BIG, tor(1, 1): BIG}, coeff=Fraction(-2, 3))))
 def test_weyl_actions_match_the_one_pass_image(case):
     shape, f = case
     for w in weyl_group(shape):
@@ -631,7 +625,7 @@ def test_serialization_round_trip_seeded():
 
 
 # tor(1, 10) sorts after tor(1, 2) although its name "X_1_10" sorts before "X_1_2"
-FORM_VARS = [SIM, sim_factor(1), sim_factor(2), tor(1, 1), tor(1, 2), tor(1, 10), tor(2, 1), tor(12, 3)]
+FORM_VARS = [SIM, tor(1, 1), tor(1, 2), tor(1, 10), tor(2, 1), tor(12, 3)]
 
 
 @st.composite
@@ -654,7 +648,7 @@ def form_polys(draw):
 @example(LaurentPoly.q_power(3) * -1 + LaurentPoly.q_power(-1) + LaurentPoly.const(2))
 @example(
     LaurentPoly.monomial({tor(1, 10): 1}) + LaurentPoly.monomial({tor(1, 2): -1}, q_exp=1)
-    + LaurentPoly.monomial({SIM: -1, sim_factor(2): 2, tor(1, 2): 1}, coeff=Fraction(-1, 2))
+    + LaurentPoly.monomial({SIM: -1, tor(1, 2): 1}, coeff=Fraction(-1, 2))
 )
 def test_serialize_and_pretty_match_the_record_oracle(f):
     text = serialize_poly(f)
@@ -694,6 +688,7 @@ def test_serialize_and_pretty_match_the_record_oracle(f):
         {"q": 0, "num": 1, "den": 1, "exps": {"X_1_02": 1}},
         {"q": 0, "num": 1, "den": 1, "exps": {"X_1\n": 1}},
         {"q": 0, "num": 1, "den": 1, "exps": {"X_\u0661": 1}},  # an Arabic-Indic digit one
+        {"q": 0, "num": 1, "den": 1, "exps": {"X_1": 1}},  # no variable has one index
     ],
 )
 def test_parse_poly_refuses_non_integer_fields(record):

@@ -132,6 +132,8 @@ def test_packet_size_examples():
     assert packet_size(2, 1) == 3
     assert packet_size(1, 1) == 1
     assert packet_size(3, 2) == 10
+    for q in range(1, 9):
+        assert packet_size(q, q) == factorial(2 * q) // (2 * factorial(q) ** 2)
 
 
 def test_packet_size_against_real_weyl_count():

@@ -414,6 +414,8 @@ def test_levi_sign_data_validation():
     assert (sd.m1, sd.m2) == (1, 0)
     with pytest.raises(ValueError, match="not a subset"):
         levi_twisted_transfer(GroupDatum((4,)), EndoTriple((2,), (2,)), LeviDatum(1), (2,), SPLIT)
+    with pytest.raises(ValueError, match="does not match"):
+        levi_sign_data(GroupDatum((5,)), h, LeviDatum(1), (1,))  # a U(3) datum
 
 
 def test_levi_twisted_transfer_table():
@@ -521,6 +523,20 @@ def test_generators_are_built_once_per_group_and_place(capsys, monkeypatch):
     assert cli.run(["verify", "transfer-square", "--n-max", "6", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["cases"] == 354
     assert built == [(GroupDatum((n,)), SPLIT) for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("ctx", [SPLIT, PlaceContext(split=True, d=2), PlaceContext(split=True, d=3), INERT2])
+def test_generators_match_the_orbit_sums(ctx):
+    for n in range(1, 10):
+        g = GroupDatum((n,))
+        got = [(label, serialize_poly(f)) for label, f in default_generators(g, ctx)]
+        assert got == [(label, serialize_poly(f)) for label, f in oracles.default_generators_by_orbits(g, ctx)]
+
+
+def test_generators_need_the_group_split_over_l():
+    for n in range(1, 10):
+        with pytest.raises(PlaceError):
+            default_generators(GroupDatum((n,)), INERT1)
 
 
 def test_maps_are_homomorphisms_on_products():
