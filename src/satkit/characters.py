@@ -18,7 +18,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, lcm, prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import perm
 from .laurent import (
@@ -62,11 +62,13 @@ def _prefix_positive_mask(v: Sequence[int]) -> int:
     return mask
 
 
-def _w_s(rs: Sequence[int]) -> int:
-    out = factorial(rs[0])
-    for a, b in zip(rs, rs[1:]):
-        out *= factorial(b - a)
-    return out
+def _compositions(k: int) -> Iterator[Tuple[List[int], int]]:
+    """Each subset S of {1..k} containing k, as its sorted cuts r_1 < ... < r_m = k,
+    with the multinomial k!/w_S, where w_S = r_1! (r_2 - r_1)! ... (k - r_{m-1})!.
+    The subsets come in the order of the bitmasks of their cuts below k."""
+    for bits in range(2 ** (k - 1)):
+        cuts = [r + 1 for r in range(k - 1) if bits >> r & 1] + [k]
+        yield cuts, factorial(k) // prod(factorial(b - a) for a, b in zip([0] + cuts, cuts))
 
 
 def partial_sum_signature(lam: Sequence) -> Fraction:
@@ -85,16 +87,12 @@ def partial_sum_signature(lam: Sequence) -> Fraction:
     for p in permutations(lam):
         m = _prefix_positive_mask(p)
         mask_counts[m] = mask_counts.get(m, 0) + 1
-    n_fact = factorial(n)
     total = 0  # the sum scaled by n!, in which every 1 / w_S is an integer
-    for bits in range(2 ** (n - 1)):
-        s_set = [r + 1 for r in range(n - 1) if bits >> r & 1] + [n]
-        s_mask = 0
-        for r in s_set:
-            s_mask |= 1 << (r - 1)
+    for s_set, multinomial in _compositions(n):
+        s_mask = sum(1 << (r - 1) for r in s_set)
         count = sum(c for m, c in mask_counts.items() if m & s_mask == s_mask)
-        total += (-1) ** len(s_set) * count * (n_fact // _w_s(s_set))
-    return Fraction(total, n_fact)
+        total += (-1) ** len(s_set) * count * multinomial
+    return Fraction(total, factorial(n))
 
 
 def _subset_sums(lam: Sequence[int]) -> List[int]:
@@ -395,6 +393,8 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
     n = p + q
     if not 1 <= s <= q:
         raise ValueError("need 1 <= s <= q")
+    if 2 * s > n:
+        raise ValueError(f"need 2s <= p + q, got s = {s} and p + q = {n}")
     lam2 = _doubled_weight(weight, n)
     want_pos = direction == ">"
     s_fact = factorial(s)
@@ -408,8 +408,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         sources.append(src)
 
     side_a: Dict[Tuple[int, ...], int] = {}
-    for bits in range(2 ** (s - 1)):
-        rs = sorted([r + 1 for r in range(s - 1) if bits >> r & 1] + [s])
+    for rs, multinomial in _compositions(s):
         kd = KostantDatum(p, q, frozenset(rs))
         # the shifted weights and signs of the Kostant entries that the
         # truncation keeps, tested in the order of kostant_cohomology
@@ -429,13 +428,13 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         for w in perm.block_perms(blocks):
             w_inv, det = perm.inverse(w), perm.parity(w)
             _merge(moves, ((tuple([w_inv[i] - 1 for i in src]), det) for src in sources))
-        coeff_base = (-1) ** (s - len(rs)) * (s_fact // _w_s(rs))
+        coeff_base = (-1) ** (s - len(rs)) * multinomial
         for v, det in survivors:
             # a Kostant entry is Levi-dominant, so its middle already decreases
             coeff = coeff_base * det
             _merge(side_a, ((tuple([v[j] for j in idx]), coeff * c) for idx, c in moves.items()))
 
-    m = n - 2 * s  # the middle slots; side A has raised ValueError unless m >= 0
+    m = n - 2 * s  # the middle slots
     side_b: Dict[Tuple[int, ...], int] = {}
     # a kept term of side B: the positions of lam2 that fill the middle, in
     # increasing order (so its entries decrease), and an ordering of the rest

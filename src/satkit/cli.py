@@ -280,6 +280,8 @@ def cmd_verify_phi_identity(args) -> Iterator[tuple]:
     p, q = args.pq
     if p < 0 or not 1 <= args.s <= q:
         raise ValueError("need p >= 0 and 1 <= s <= q")
+    if 2 * args.s > p + q:
+        raise ValueError(f"need 2s <= p + q, got s = {args.s} and p + q = {p + q}")
     if p + q > len(WEIGHT_ENTRIES):
         raise ValueError(
             f"--pq: p + q must be at most {len(WEIGHT_ENTRIES)}, the distinct entries in -24..24"

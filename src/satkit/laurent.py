@@ -14,8 +14,9 @@ Variables are identified by small tuples:
     tor(i, j)       = ("t", i, j)   the torus variable X_{i,j}
 
 Tuple comparison realises the canonical variable order
-q < Sim < Tor(1,1) < Tor(1,2) < ...  A Weyl element acts on SIM and the torus
-variables of its shape's ring, fixing q; group_act and symmetrize raise
+q < Sim < Tor(1,1) < Tor(1,2) < ...  A Weyl element, a signed permutation of
+each factor's torus slots (see WeylElement and weyl_group), acts on SIM and the
+torus variables of its shape's ring, fixing q; group_act and symmetrize raise
 SubstitutionError on any other variable.
 """
 
@@ -28,7 +29,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-from . import perm
 
 INT32_MAX = 2**31 - 1
 
@@ -322,110 +322,88 @@ class WeylShape:
     sizes: Tuple[int, ...]
 
     @property
-    def qs(self) -> Tuple[int, ...]:
-        return tuple(n // 2 for n in self.sizes)
-
-    @property
     def all_even(self) -> bool:
         return all(n % 2 == 0 for n in self.sizes)
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Per-factor permutation, with a sign vector per factor at inert places."""
+    """A signed permutation of each factor's torus slots, in signed one-line notation.
 
-    split: bool
-    perms: Tuple[Tuple[int, ...], ...]  # one-line notation, 1-based images
-    signs: Optional[Tuple[Tuple[int, ...], ...]] = None  # entries +-1, inert only
-
-    @staticmethod
-    def identity(shape: WeylShape) -> "WeylElement":
-        degs = shape.sizes if shape.split else shape.qs
-        perms = tuple(tuple(range(1, d + 1)) for d in degs)
-        signs = None if shape.split else tuple(tuple(1 for _ in range(d)) for d in degs)
-        return WeylElement(shape.split, perms, signs)
-
-
-def _factor_slots(shape: WeylShape, linear: Optional[Sequence[int]]):
-    """Per factor: (number of slots, number of fixed linear slots, last movable slot).
-
-    The movable block is lin+1..top; at split places the slots after top
-    mirror the fixed linear ones.
+    Entry j of perms[i - 1] is k when the element sends X_{i,j} to X_{i,k}, and
+    -k when it sends X_{i,j} to X_{i,k}^{-1} (inert places only).
     """
-    for i, n in enumerate(shape.sizes):
-        lin = linear[i] if linear else 0
-        deg = n if shape.split else n // 2
-        yield deg, lin, (n - lin if shape.split else deg)
+
+    perms: Tuple[Tuple[int, ...], ...]
 
 
-def weyl_group(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[WeylElement, ...]:
-    """Enumerate the relative Weyl group for the given shape.
+def _identity(shape: WeylShape) -> WeylElement:
+    """The identity of the shape's torus slots: n_i per factor at split places, n_i // 2 at inert ones."""
+    return WeylElement(tuple(tuple(range(1, (n if shape.split else n // 2) + 1)) for n in shape.sizes))
 
-    With `linear`, factor i keeps its first linear[i] slots fixed (and their
-    mirrors in the split presentation), with sign +1 at inert places: the
-    Weyl group of the standard Levi with that linear part.
 
-    This builds all |W| elements (|W| grows factorially with the factor
-    sizes).  Orbits and invariance need only a generating set, so the
-    library's hot paths use weyl_generators instead.
-    """
-    factors = []
-    for deg, lin, top in _factor_slots(shape, linear):
-        blocks = [(j,) for j in range(1, lin + 1)] + [tuple(range(lin + 1, top + 1))]
-        blocks += [(j,) for j in range(top + 1, deg + 1)]
-        perms = perm.block_perms(blocks)
-        if shape.split:
-            factors.append(perms)
-        else:
-            fixed = (1,) * lin
-            signs = [fixed + s for s in product((1, -1), repeat=deg - lin)]
-            factors.append([(p, s) for p in perms for s in signs])
-    if shape.split:
-        return tuple(WeylElement(True, combo) for combo in product(*factors))
-    return tuple(
-        WeylElement(False, tuple(c[0] for c in combo), tuple(c[1] for c in combo))
-        for combo in product(*factors)
-    )
+def _compose(a: WeylElement, b: WeylElement) -> WeylElement:
+    """The product a b, in which b acts first."""
+    return WeylElement(tuple(
+        tuple(x[e - 1] if e > 0 else -x[-e - 1] for e in y) for x, y in zip(a.perms, b.perms)
+    ))
+
+
+def _closure(seed, step) -> set:
+    """Everything reachable from seed by repeated steps; step(x) yields the neighbours of x."""
+    seen, todo = {seed}, [seed]
+    while todo:
+        for y in step(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
 
 def weyl_generators(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[WeylElement, ...]:
-    """A generating set of weyl_group(shape, linear), with at most sum(sizes) elements.
+    """The Coxeter generators of weyl_group(shape, linear), at most sum(sizes) of them.
 
-    For each factor: the adjacent transpositions inside its movable block and,
-    at inert places, the sign change of its last movable slot (Coxeter
-    generators of S_k and of the hyperoctahedral group).  The other factors
-    act trivially.  The trivial group gets the empty set.
+    Factor i fixes its first linear[i] slots, and at split places their mirrors, the
+    last ones.  Its generators are the adjacent transpositions of the slots between
+    and, at inert places, the sign change of its last slot (generators of S_k and of
+    the hyperoctahedral group).  The trivial group gets the empty set.
     """
-    ident = WeylElement.identity(shape)
+    ident = _identity(shape).perms
     gens = []
-    for i, (_, lin, top) in enumerate(_factor_slots(shape, linear)):
-        p0 = ident.perms[i]
-        s0 = None if shape.split else ident.signs[i]
-        local = [(p0[: j - 1] + (j + 1, j) + p0[j + 1 :], s0) for j in range(lin + 1, top)]
+    for i, (n, p0) in enumerate(zip(shape.sizes, ident)):
+        lin = linear[i] if linear else 0
+        top = n - lin if shape.split else len(p0)  # the movable block is lin+1..top
+        local = [p0[: j - 1] + (j + 1, j) + p0[j + 1 :] for j in range(lin + 1, top)]
         if not shape.split and top > lin:
-            local.append((p0, s0[:-1] + (-1,)))
-        for p, s in local:
-            perms = ident.perms[:i] + (p,) + ident.perms[i + 1 :]
-            signs = None if shape.split else ident.signs[:i] + (s,) + ident.signs[i + 1 :]
-            gens.append(WeylElement(shape.split, perms, signs))
+            local.append(p0[:-1] + (-top,))
+        gens += [WeylElement(ident[:i] + (p,) + ident[i + 1 :]) for p in local]
     return tuple(gens)
+
+
+def weyl_group(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[WeylElement, ...]:
+    """The closure of weyl_generators(shape, linear) under composition, sorted by perms:
+    with `linear`, the Weyl group of that standard Levi, an ordered subsequence of the
+    full group.  Its |W| elements grow factorially with the sizes; orbits and invariance
+    need only generators, so the library's hot paths use weyl_generators instead."""
+    gens = weyl_generators(shape, linear)
+    group = _closure(_identity(shape), lambda w: (_compose(g, w) for g in gens))
+    return tuple(sorted(group, key=lambda w: w.perms))
 
 
 def _weyl_table(w: WeylElement, shape: WeylShape) -> dict:
     """w as a substitution table over every variable of the shape's ring.
 
-    X_{i,j} goes to X_{i,w(j)}, inverted when w flips slot w(j).  When every
-    inert factor is even, each flipped slot also divides SIM by its torus
-    variable.
+    X_{i,j} goes to X_{i,k} for entry k of w, and to X_{i,k}^{-1} for entry
+    -k.  When every factor is even, each entry -k also divides SIM by X_{i,k}.
     """
     table = {}
-    all_flips = []
-    for i in range(1, len(shape.sizes) + 1):
-        signs = (1,) * len(w.perms[i - 1]) if shape.split else w.signs[i - 1]
-        for j, img in enumerate(w.perms[i - 1], start=1):
-            table[tor(i, j)] = (False, 0, ((tor(i, img), signs[img - 1]),))
-        all_flips += [(tor(i, j), -1) for j, s in enumerate(signs, start=1) if s == -1]
-    table[SIM] = (False, 0, _mono([(SIM, 1)] + (all_flips if shape.all_even else [])))
+    flips = []
+    for i, p in enumerate(w.perms, start=1):
+        for j, e in enumerate(p, start=1):
+            table[tor(i, j)] = (False, 0, ((tor(i, abs(e)), 1 if e > 0 else -1),))
+            if e < 0:
+                flips.append((tor(i, -e), -1))
+    table[SIM] = (False, 0, _mono([(SIM, 1)] + (flips if shape.all_even else [])))
     return table
 
 
@@ -433,9 +411,9 @@ def group_act(w: WeylElement, f: LaurentPoly, shape: WeylShape) -> LaurentPoly:
     """Act by a Weyl element; a ring automorphism of the ambient Laurent ring.
 
     Split factors permute the torus variables.  Inert factors act by signed
-    permutations; a sign flip at slot j inverts X_{i,j} and, when every factor
-    is even, multiplies the similitude variable by X_{i,j}^{-1}.  A variable
-    outside the shape's ring raises SubstitutionError.
+    permutations; a negative entry -k inverts the image X_{i,k} and, when
+    every factor is even, multiplies the similitude variable by X_{i,k}^{-1}.
+    A variable outside the shape's ring raises SubstitutionError.
     """
     return _apply(_weyl_table(w, shape), f)
 
@@ -453,19 +431,10 @@ def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -
     """
     tables = [(_weyl_table(w, shape), {}) for w in group]
 
-    def orbit(m: Monomial) -> set:
-        seen = {m}
-        todo = [m]
-        while todo:
-            x = todo.pop()
-            for t, memo in tables:
-                y = _image(t, memo, x, 1)[0]
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        return seen
+    def images(m: Monomial) -> Iterator[Monomial]:
+        return (_image(t, memo, m, 1)[0] for t, memo in tables)
 
-    return LaurentPoly.from_terms((mono, c) for m, c in f.terms() for mono in orbit(m))
+    return LaurentPoly.from_terms((mono, c) for m, c in f.terms() for mono in _closure(m, images))
 
 
 def is_invariant(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -> bool:

@@ -2,8 +2,9 @@
 
 A permutation w is the tuple (w(1), ..., w(n)) of its 1-based images.  The
 block groups are products of symmetric groups on runs of consecutive
-positions: the Weyl groups of standard Levi subgroups, and (with signs added
-at inert places) the relative Weyl groups of the Satake models.
+positions: the Weyl groups of the standard Levi subgroups that characters
+walks.  The relative Weyl groups of the Satake models are not built here:
+laurent.weyl_group closes their generators under composition.
 """
 
 from __future__ import annotations

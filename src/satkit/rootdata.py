@@ -80,7 +80,7 @@ class SignedGroupDatum:
 
 @dataclass(frozen=True)
 class EndoTriple:
-    """Per-factor splittings (n_i^+, n_i^-) with even total minus part."""
+    """Per-factor splittings (n_i^+, n_i^-) of the sizes of a GroupDatum, with even total minus part."""
 
     nplus: Tuple[int, ...]
     nminus: Tuple[int, ...]
@@ -95,6 +95,7 @@ class EndoTriple:
             raise ParityError(f"sum of minus parts {sum(nm)} is odd")
         object.__setattr__(self, "nplus", np_)
         object.__setattr__(self, "nminus", nm)
+        GroupDatum(self.sizes())  # refuses no factor, or one of size 0, with its messages
 
     @property
     def r(self) -> int:

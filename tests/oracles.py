@@ -3,11 +3,11 @@
 import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 
 from satkit import perm
 from satkit.characters import (
-    KostantDatum, KostantEntry, WallError, _w_s, pairing_coroot, rho2, truncate_cohomology
+    KostantDatum, KostantEntry, WallError, pairing_coroot, rho2, truncate_cohomology
 )
 from satkit.laurent import (
     QVAR, SIM, LaurentPoly, SubstitutionError, WeylElement, _mono, _split_q, _weyl_table, serialize_poly,
@@ -125,15 +125,21 @@ def pretty_by_records(f):
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def slots(shape):
+    """The number of torus slots of each factor: n_i split, q_i = n_i // 2 inert."""
+    return shape.sizes if shape.split else tuple(n // 2 for n in shape.sizes)
+
+
+def identity(shape):
+    """The identity Weyl element of the shape."""
+    return WeylElement(tuple(tuple(range(1, d + 1)) for d in slots(shape)))
+
+
 def weyl_order(shape):
     """|W| from its closed form: prod n_i! split, prod 2^{q_i} q_i! inert."""
     out = 1
-    if shape.split:
-        for n in shape.sizes:
-            out *= factorial(n)
-    else:
-        for q in shape.qs:
-            out *= 2**q * factorial(q)
+    for d in slots(shape):
+        out *= factorial(d) if shape.split else 2**d * factorial(d)
     return out
 
 
@@ -148,17 +154,17 @@ def act_monomial_by_cases(w, m, shape):
         elif v[0] == "t":
             i, j = v[1], v[2]
             img = w.perms[i - 1][j - 1]
-            if shape.split:
+            if img > 0:
                 pairs.append((tor(i, img), e))
             else:
-                pairs.append((tor(i, img), e * w.signs[i - 1][img - 1]))
+                pairs.append((tor(i, -img), -e))
         else:  # SIM
             pairs.append((v, e))
-            if not shape.split and shape.all_even:
-                for i, eps in enumerate(w.signs, start=1):
-                    for j, s in enumerate(eps, start=1):
-                        if s == -1:
-                            pairs.append((tor(i, j), -e))
+            if shape.all_even:
+                for i, entries in enumerate(w.perms, start=1):
+                    for img in entries:
+                        if img < 0:
+                            pairs.append((tor(i, -img), -e))
     return _mono(pairs)
 
 
@@ -378,7 +384,8 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
         rs = sorted([r + 1 for r in range(s - 1) if bits >> r & 1] + [s])
         kd = KostantDatum(p, q, frozenset(rs))
         entries = kostant_cohomology_by_length(kd, weight)
-        coeff_base = Fraction((-1) ** (s - len(rs)), _w_s(rs))
+        w_s = prod(factorial(b - a) for a, b in zip([0] + rs, rs))  # r_1! (r_2 - r_1)! ...
+        coeff_base = Fraction((-1) ** (s - len(rs)), w_s)
         for e in truncate_cohomology(entries, rs, direction):
             for w_m, det_m in kd.levi_group():
                 expanded = perm.act(w_m, e.shifted2)
@@ -426,34 +433,60 @@ def sample_rotation_vector_by_fractions(rng, n):
     return lam
 
 
+def _unsigned(entries):
+    """A factor's signed one-line tuple as (permutation, sign of each image slot)."""
+    signs = [1] * len(entries)
+    for k in entries:
+        signs[abs(k) - 1] = 1 if k > 0 else -1
+    return tuple(abs(k) for k in entries), tuple(signs)
+
+
+def _signed(p, signs):
+    """Invert _unsigned: entry j is p(j) times the sign of slot p(j)."""
+    return tuple(k * signs[k - 1] for k in p)
+
+
 def compose(w1, w2):
-    """The product w1 w2 of two Weyl elements (w2 acts first)."""
-    if w1.split != w2.split:
-        raise ValueError("mixed split/inert Weyl elements")
-    perms = tuple(
-        tuple(p1[p2[j] - 1] for j in range(len(p1)))
-        for p1, p2 in zip(w1.perms, w2.perms)
-    )
-    if w1.split:
-        return WeylElement(True, perms)
-    signs = []
-    for p1, e1, e2 in zip(w1.perms, w1.signs, w2.signs):
-        # (e1, p1)(e2, p2) = (e1 * p1(e2), p1 p2)
+    """The product w1 w2 of two Weyl elements (w2 acts first), through each
+    factor's (permutation, signs) pair: (p1, e1)(p2, e2) = (p1 p2, e1 * p1(e2))."""
+    perms = []
+    for a, b in zip(w1.perms, w2.perms):
+        (p1, e1), (p2, e2) = _unsigned(a), _unsigned(b)
         inv1 = perm.inverse(p1)
-        signs.append(tuple(e1[k] * e2[inv1[k] - 1] for k in range(len(e1))))
-    return WeylElement(False, perms, tuple(signs))
+        perms.append(_signed(
+            tuple(p1[p2[j] - 1] for j in range(len(p1))),
+            tuple(e1[k] * e2[inv1[k] - 1] for k in range(len(e1))),
+        ))
+    return WeylElement(tuple(perms))
 
 
 def inverse(w):
     """The inverse of a Weyl element."""
-    perms = tuple(perm.inverse(p) for p in w.perms)
-    if w.split:
-        return WeylElement(True, perms)
-    signs = tuple(
-        tuple(e[p[k] - 1] for k in range(len(e)))
-        for p, e in zip(w.perms, w.signs)
-    )
-    return WeylElement(False, perms, signs)
+    perms = []
+    for entries in w.perms:
+        p, e = _unsigned(entries)
+        perms.append(_signed(perm.inverse(p), tuple(e[p[k] - 1] for k in range(len(e)))))
+    return WeylElement(tuple(perms))
+
+
+def weyl_group_by_blocks(shape, linear=None):
+    """laurent.weyl_group(shape, linear) as a product over the factors of the
+    permutations moving each block of slots within itself, times, at inert
+    places, the sign patterns of the movable slots: the enumeration that the
+    closure of the Coxeter generators replaces.  Factor i keeps its first
+    linear[i] slots fixed, and at split places their mirrors too."""
+    factors = []
+    for i, (n, d) in enumerate(zip(shape.sizes, slots(shape))):
+        lin = linear[i] if linear else 0
+        top = n - lin if shape.split else d
+        blocks = [(j,) for j in range(1, lin + 1)] + [tuple(range(lin + 1, top + 1))]
+        blocks += [(j,) for j in range(top + 1, d + 1)]
+        if shape.split:
+            signs = [(1,) * d]
+        else:
+            signs = [(1,) * lin + s for s in product((1, -1), repeat=d - lin)]
+        factors.append([_signed(p, s) for p in perm.block_perms(blocks) for s in signs])
+    return tuple(WeylElement(combo) for combo in product(*factors))
 
 
 def det_bareiss(rows):

@@ -357,6 +357,14 @@ def test_phi_identity_gu21_seeded():
         assert rep["equal"]
 
 
+@pytest.mark.parametrize("p, q, s", [(1, 3, 3), (0, 2, 2)])
+def test_phi_identity_needs_2s_at_most_p_plus_q(p, q, s):
+    # GU(p, q) has no Levi with s linear slots: refused with that condition, not the Levi's
+    weight = Weight(0, (tuple(range(p + q, 0, -1)),))
+    with pytest.raises(ValueError, match=r"need 2s <= p \+ q"):
+        verify_phi_identity(p, q, s, weight)
+
+
 def test_phi_identity_lt_direction():
     rep = verify_phi_identity(2, 1, 1, Weight(0, ((5, 1, -4),)), direction="<")
     assert rep["equal"]

@@ -112,6 +112,9 @@ def test_precondition_violation_exit_code(capsys):
     # a subset family past the entry ceiling
     code, out = invoke(capsys, ["subsets", "--n", "4097", "--p", "1024", "--json"])
     assert code == 3 and out == ""
+    # an endoscopic datum with a factor of size 0
+    argv = ["weight-transfer", "--endo", "1-0,0-0", "--omega=1;", "--C", "1", "--weight", "0:5/", "--json"]
+    assert invoke(capsys, argv) == (3, "")
 
 
 @pytest.mark.parametrize(
@@ -171,6 +174,9 @@ WORKERS = [(characters, name) for name in LEMMAS] + [
         ["transfer-square", "--levi-s", "1"],
         ["transfer-square", "--A", ""],
         ["transfer-square", "--n", "4", "--endo", "2-2", "--n-max", "6"],
+        # 2s > p + q: GU(p, q) has no Levi with s linear slots
+        ["phi-identity", "--pq", "1,3", "--s", "3", "--seed", "1"],
+        ["phi-identity", "--pq", "0,2", "--s", "2", "--seed", "1"],
     ],
 )
 def test_suite_parameters_are_checked_before_any_case(capsys, monkeypatch, argv):

@@ -13,11 +13,14 @@ from oracles import (
     act_monomial_by_cases,
     apply_by_mono,
     compose,
+    identity,
     pretty_by_records,
     serialize_poly_by_records,
+    slots,
     sum_terms_by_addition,
     symmetrize_by_mono,
     symmetrize_over_group,
+    weyl_group_by_blocks,
     weyl_order,
 )
 
@@ -281,14 +284,14 @@ def test_substitute_rejects_non_monomial_image():
 
 def test_group_act_split_transposition():
     shape = WeylShape(split=True, sizes=(2,))
-    w = WeylElement(True, ((2, 1),))
+    w = WeylElement(((2, 1),))
     assert group_act(w, LaurentPoly.var(tor(1, 1)), shape) == LaurentPoly.var(tor(1, 2))
 
 
 def test_group_act_identity():
     rng = random.Random(5)
     shape = WeylShape(split=True, sizes=(2, 1))
-    e = WeylElement.identity(shape)
+    e = identity(shape)
     for _ in range(10):
         f = random_poly(rng)
         assert group_act(e, f, shape) == f
@@ -297,12 +300,12 @@ def test_group_act_identity():
 def test_group_act_inert_similitude_adjustment():
     # n=2 inert: the sign flip multiplies the global similitude by X_{1,1}^{-1}.
     shape = WeylShape(split=False, sizes=(2,))
-    w = WeylElement(False, ((1,),), ((-1,),))
+    w = WeylElement(((-1,),))
     img = group_act(w, LaurentPoly.var(SIM), shape)
     assert img == LaurentPoly.monomial({SIM: 1, tor(1, 1): -1})
     # with an odd factor present the global variable is central, hence fixed
     shape2 = WeylShape(split=False, sizes=(2, 3))
-    w2 = WeylElement(False, ((1,), (1,)), ((-1,), (1,)))
+    w2 = WeylElement(((-1,), (1,)))
     assert group_act(w2, LaurentPoly.var(SIM), shape2) == LaurentPoly.var(SIM)
 
 
@@ -335,23 +338,22 @@ def test_group_action_composition(shape):
         assert group_act(compose(w1, w2), f, shape) == group_act(w1, group_act(w2, f, shape), shape)
 
 
-@pytest.mark.parametrize(
-    "shape, linear",
-    [(shape, None) for shape in COMPOSITION_SHAPES]
-    + [
-        (WeylShape(split=True, sizes=(4,)), (1,)),
-        (WeylShape(split=True, sizes=(5,)), (2,)),
-        (WeylShape(split=True, sizes=(4, 3)), (1, 1)),
-        (WeylShape(split=False, sizes=(4,)), (1,)),
-        (WeylShape(split=False, sizes=(4,)), (2,)),
-        (WeylShape(split=False, sizes=(5, 2)), (1, 0)),
-        (WeylShape(split=False, sizes=(6, 1)), (1, 0)),
-    ],
-)
+GENERATED_GROUPS = [(shape, None) for shape in COMPOSITION_SHAPES] + [
+    (WeylShape(split=True, sizes=(4,)), (1,)),
+    (WeylShape(split=True, sizes=(5,)), (2,)),
+    (WeylShape(split=True, sizes=(4, 3)), (1, 1)),
+    (WeylShape(split=False, sizes=(4,)), (1,)),
+    (WeylShape(split=False, sizes=(4,)), (2,)),
+    (WeylShape(split=False, sizes=(5, 2)), (1, 0)),
+    (WeylShape(split=False, sizes=(6, 1)), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("shape, linear", GENERATED_GROUPS)
 def test_weyl_generators_generate_the_group(shape, linear):
     gens = weyl_generators(shape, linear)
     assert len(gens) <= sum(shape.sizes)
-    closure = {WeylElement.identity(shape)}
+    closure = {identity(shape)}
     frontier = list(closure)
     while frontier:
         w = frontier.pop()
@@ -361,6 +363,17 @@ def test_weyl_generators_generate_the_group(shape, linear):
                 closure.add(ws)
                 frontier.append(ws)
     assert closure == set(weyl_group(shape, linear))
+
+
+@pytest.mark.parametrize("shape, linear", GENERATED_GROUPS)
+def test_weyl_group_matches_the_block_enumeration(shape, linear):
+    # the Levi's group is the Weyl group of its movable blocks, of sizes n_i - 2 linear[i]
+    linear_ = linear or (0,) * len(shape.sizes)
+    movable = WeylShape(shape.split, tuple(n - 2 * lin for n, lin in zip(shape.sizes, linear_)))
+    group = weyl_group(shape, linear)
+    assert list(group) == sorted(group, key=lambda w: w.perms)
+    assert len(set(group)) == len(group) == weyl_order(movable)
+    assert set(group) == set(weyl_group_by_blocks(shape, linear))
 
 
 @st.composite
@@ -581,9 +594,7 @@ def test_symmetrize_output_invariant():
     rng = random.Random(3)
     for shape in [WeylShape(split=True, sizes=(3,)), WeylShape(split=False, sizes=(4,))]:
         group = weyl_group(shape)
-        vars_ = [SIM] + [
-            tor(1, j) for j in range(1, (shape.sizes[0] if shape.split else shape.qs[0]) + 1)
-        ]
+        vars_ = [SIM] + [tor(1, j) for j in range(1, slots(shape)[0] + 1)]
         for _ in range(10):
             exps = {v: rng.randint(-2, 2) for v in vars_}
             f = LaurentPoly.monomial(exps, coeff=rng.randint(1, 3))

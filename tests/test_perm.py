@@ -1,4 +1,4 @@
-"""The permutation helpers and the one Levi-aware Weyl enumerator built on them."""
+"""The permutation helpers, and the Levi Weyl groups as ordered subgroups of the full one."""
 
 from itertools import combinations, permutations, product
 
@@ -17,14 +17,14 @@ def _inversions(w):
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
-def _fixes_linear(w, sizes, linear):
+def _fixes_linear(w, split, sizes, linear):
+    """Whether w fixes the first linear[i] slots of each factor (their signs included,
+    as entries are signed), and at split places their mirrors too."""
     for i, (n, lin) in enumerate(zip(sizes, linear)):
         for j in range(1, lin + 1):
             if w.perms[i][j - 1] != j:
                 return False
-            if w.split and w.perms[i][n - j] != n + 1 - j:
-                return False
-            if not w.split and w.signs[i][j - 1] != 1:
+            if split and w.perms[i][n - j] != n + 1 - j:
                 return False
     return True
 
@@ -37,7 +37,7 @@ def test_levi_weyl_group_is_ordered_subgroup(split, sizes):
     assert len(full) == weyl_order(shape)
     for linear in product(*(range(n // 2 + 1) for n in sizes)):
         levi = weyl_group(shape, linear)
-        assert levi == tuple(w for w in full if _fixes_linear(w, sizes, linear))
+        assert levi == tuple(w for w in full if _fixes_linear(w, split, sizes, linear))
 
 
 def test_parity_is_sign_of_length():

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from satkit.laurent import WeylElement, WeylShape, weyl_group
+from satkit.laurent import WeylShape, weyl_group
 from satkit.rootdata import (
     EndoTriple,
     GroupDatum,
@@ -22,7 +22,7 @@ from satkit.rootdata import (
     tamagawa,
 )
 
-from oracles import brute_force_endoscopic_classes, canonical_endo, compose, inverse
+from oracles import brute_force_endoscopic_classes, canonical_endo, compose, identity, inverse
 
 
 def all_signatures(n_total):
@@ -66,7 +66,7 @@ def test_weyl_group_table(g, ctx):
     group = weyl_group(WeylShape(ctx.split, g.sizes))
     elems = set(group)
     assert len(elems) == len(group)
-    e = WeylElement.identity(WeylShape(ctx.split, g.sizes))
+    e = identity(WeylShape(ctx.split, g.sizes))
     assert e in elems
     for w in group:
         assert compose(w, e) == w and compose(e, w) == w
@@ -94,6 +94,11 @@ def test_endoscopy_parity_constraint():
         EndoTriple((1,), (2, 1))  # mismatched lengths
     with pytest.raises(ParityError):
         EndoTriple((2, 1), (1, 0))
+    # a datum of no group: GroupDatum's refusals
+    with pytest.raises(ValueError, match="need at least one factor"):
+        EndoTriple((), ())
+    with pytest.raises(ValueError, match="factor sizes must be >= 1"):
+        EndoTriple((1, 0), (0, 0))
 
 
 def test_endoscopy_vs_brute_force():

@@ -777,7 +777,7 @@ def test_transfer_square_inert_even_degree():
 
 ROUTED_GROUPS = [GroupDatum(sizes) for r in (1, 2) for sizes in product(range(1, 6), repeat=r)]
 ROUTED_PLACES = [PlaceContext(split=split, d=d) for split in (True, False) for d in (1, 2, 3)]
-ROUTED_DATA = [h for g in ROUTED_GROUPS for h, _ in enumerate_endoscopic(g)] + [EndoTriple((0,), (0,))]
+ROUTED_DATA = [h for g in ROUTED_GROUPS for h, _ in enumerate_endoscopic(g)] + [EndoTriple((6,), (0,))]
 
 
 def _built(build, *args):
