@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
-from satkit import perm
+from satkit import perm, satake
 from satkit.characters import (
     KostantDatum, KostantEntry, WallError, pairing_coroot, rho2, truncate_cohomology
 )
@@ -533,11 +533,12 @@ def nonsingular_subsets_by_recursion(n, p):
 
 
 def transfer_square_by_rebuilding(g, h, levi, A, ctx):
-    """The report of satake.verify_transfer_square, with the generators and the
-    group-level transfer built again for each case instead of kept per (g, h, ctx)."""
+    """The report of satake.verify_transfer_square, found by mapping every default
+    generator through both composites instead of comparing slot images.  The Levi
+    map is read from satake when called, so that a test may replace it there."""
     signs = levi_sign_data(g, h, levi, A)
     b_tilde = twisted_transfer_map(g, h, ctx)
-    b_levi = levi_twisted_transfer(g, h, levi, A, ctx)
+    b_levi = satake.levi_twisted_transfer(g, h, levi, A, ctx)
     gens = default_generators(g, ctx)
     failures = []
     for label, f in gens:
@@ -562,6 +563,21 @@ def transfer_square_by_rebuilding(g, h, levi, A, ctx):
         "cases": len(gens),
         "failures": failures,
     }
+
+
+def elementary(n, k):
+    """e_k(X_{1,1..n}), a sum of products of torus variables."""
+    return sum((prod((LaurentPoly.var(tor(1, j)) for j in js), start=LaurentPoly.one())
+                for js in combinations(range(1, n + 1), k)), LaurentPoly.zero())
+
+
+def differing_elementary(phi, psi, n):
+    """The first k in 1..n with phi(e_k) != psi(e_k), or None when every e_k agrees."""
+    for k in range(1, n + 1):
+        e_k = elementary(n, k)
+        if phi(e_k) != psi(e_k):
+            return k
+    return None
 
 
 def default_generators_by_orbits(g, ctx):
@@ -711,7 +727,7 @@ def levi_twisted_transfer_s_prime(g, h, levi, A, ctx):
     satake.levi_twisted_transfer with its A-routed linear images negated, so
     that every linear image is positive.  The two differ by the sign character
     attached to A, and with s'_M the transfer square fails on some cases."""
-    sub = levi_twisted_transfer(g, h, levi, A, ctx)
+    sub = levi_twisted_transfer(g, h, levi, A, ctx)  # bound at import: a test may put this function in satake
     n = g.sizes[0]
     images = dict(sub.images)
     for j in set(A):

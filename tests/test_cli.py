@@ -73,6 +73,9 @@ def test_verify_transfer_square_single(capsys):
     )
     assert code == 0
     assert json.loads(out)["failures"] == []
+    # one slot and no linear pair: the generators are X, one basic function, e_1 and p_2
+    code, out = invoke(capsys, ["verify", "transfer-square", "--n", "1", "--endo", "1-0", "--levi-s", "0", "--json"])
+    assert (code, json.loads(out)) == (0, {"suite": "transfer-square", "cases": 4, "failures": []})
 
 
 def test_byte_identical_reruns(capsys):
@@ -362,6 +365,12 @@ def test_transfer_square_suite_matches_per_case_reports(capsys, monkeypatch, var
     assert json.loads(out) == {"suite": "transfer-square", "cases": cases, "failures": failures}
     assert code == (1 if failures else 0)
     assert (cases, bool(failures)) == (354, variant == "s'_M")
+
+
+def test_transfer_square_sweep_to_n_12_passes(capsys):
+    # each case decides the square on the whole invariant ring, n >= 5 included
+    code, out = invoke(capsys, ["verify", "transfer-square", "--n-max", "12", "--json"])
+    assert (code, json.loads(out)) == (0, {"suite": "transfer-square", "cases": 6980, "failures": []})
 
 
 def test_every_satkit_error_class_is_a_precondition_error():

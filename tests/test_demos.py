@@ -16,9 +16,10 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 def test_demos_found():
     assert len(DEMOS) == 4
     names = {os.path.splitext(os.path.basename(p))[0] for p in DEMOS}
-    # readme.out holds the README examples' stdout (tests/test_cli.py) and corpus.json
-    # the benchmark jobs' digests (tests/test_corpus.py)
-    assert {os.path.splitext(f)[0] for f in os.listdir(GOLDEN)} - {"readme", "corpus"} == names
+    # readme.out holds the README examples' stdout (tests/test_cli.py), corpus.json the
+    # benchmark jobs' digests (tests/test_corpus.py) and refusals.txt the CLI's refusals
+    # (tests/test_refusals.py)
+    assert {os.path.splitext(f)[0] for f in os.listdir(GOLDEN)} - {"readme", "corpus", "refusals"} == names
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)

@@ -474,25 +474,9 @@ def test_transfer_square_examples():
 
 
 @pytest.mark.parametrize("ctx", [SPLIT, INERT2])
-def test_cached_group_sides_give_the_rebuilt_reports(ctx):
-    satake._group_side.cache_clear()
-    cases = list(transfer_square_cases(6))
-    want = [transfer_square_by_rebuilding(*case, ctx) for case in cases]
-    assert [verify_transfer_square(*case, ctx) for case in cases] == want  # misses, then hits
-    assert [verify_transfer_square(*case, ctx) for case in reversed(cases)] == want[::-1]  # hits
-    info = satake._group_side.cache_info()
-    assert (len(cases), info.misses, info.hits) == (42, 14, 2 * 42 - 14)
-
-
-def test_group_side_cache_stays_within_its_bound():
-    satake._group_side.cache_clear()
-    seen = set()
-    for d in (1, 2, 3):
-        for g, h, levi, A in transfer_square_cases(6):
-            verify_transfer_square(g, h, levi, A, PlaceContext(split=True, d=d))
-            seen.add((g, h, d))
-            assert satake._group_side.cache_info().currsize == min(len(seen), satake.GROUP_SIDES_KEPT)
-    assert len(seen) == 42 > satake.GROUP_SIDES_KEPT
+def test_slot_images_give_the_rebuilt_reports(ctx):
+    for case in transfer_square_cases(6):
+        assert verify_transfer_square(*case, ctx) == transfer_square_by_rebuilding(*case, ctx)
 
 
 @pytest.mark.parametrize(
@@ -504,28 +488,154 @@ def test_group_side_cache_stays_within_its_bound():
     ],
 )
 def test_invalid_transfer_square_cases_build_and_keep_nothing(monkeypatch, g, h, levi, A):
-    satake._group_side.cache_clear()
-    satake._generators.cache_clear()
     built = []
     monkeypatch.setattr(satake, "default_generators", lambda *args: built.append(args))
     with pytest.raises(ValueError):
         verify_transfer_square(g, h, levi, A, SPLIT)
-    assert built == [] and satake._group_side.cache_info().currsize == 0
-    assert satake._generators.cache_info().currsize == 0
+    assert built == []
 
 
-def test_generators_are_built_once_per_group_and_place(capsys, monkeypatch):
-    satake._group_side.cache_clear()
-    satake._generators.cache_clear()
+def test_a_passing_sweep_builds_no_generator(capsys, monkeypatch):
     built = []
-    build = satake.default_generators
-    monkeypatch.setattr(satake, "default_generators", lambda *args: built.append(args) or build(*args))
+    monkeypatch.setattr(satake, "default_generators", lambda *args: built.append(args))
     assert cli.run(["verify", "transfer-square", "--n-max", "6", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["cases"] == 354
-    assert built == [(GroupDatum((n,)), SPLIT) for n in range(2, 7)]
+    assert built == []
 
 
-@pytest.mark.parametrize("ctx", [SPLIT, PlaceContext(split=True, d=2), PlaceContext(split=True, d=3), INERT2])
+SQUARE_PLACES = [SPLIT, PlaceContext(split=True, d=2), PlaceContext(split=True, d=3), INERT2]
+
+
+@pytest.mark.parametrize("ctx", SQUARE_PLACES)
+def test_case_count_is_the_number_of_generators(ctx):
+    for n in range(1, 13):
+        g = GroupDatum((n,))
+        count = len(default_generators(g, ctx))
+        assert satake.generator_count(n) == count
+        assert verify_transfer_square(g, EndoTriple((n,), (0,)), LeviDatum(0), [], ctx)["cases"] == count
+
+
+FAILURE_KEYS = ["generator", "input", "levi_then_transfer", "transfer_then_levi", "difference"]
+
+
+def test_a_difference_no_generator_sees_is_reported_by_its_e_k(monkeypatch):
+    monkeypatch.setattr(satake, "levi_twisted_transfer", oracles.levi_twisted_transfer_s_prime)
+    monkeypatch.setattr(satake, "default_generators", lambda g, ctx: [("Z", LaurentPoly.var(SIM))])
+    failing = 0
+    for g, h, levi, A in transfer_square_cases(6):
+        failures = verify_transfer_square(g, h, levi, A, SPLIT)["failures"]
+        if failures:
+            failing += 1
+            (record,) = failures
+            assert list(record) == FAILURE_KEYS and record["generator"].startswith("e_")
+            k, n = int(record["generator"][2:]), g.sizes[0]
+            b_levi = oracles.levi_twisted_transfer_s_prime(g, h, levi, A, SPLIT)
+            assert oracles.differing_elementary(b_levi, twisted_transfer_map(g, h, SPLIT), n) == k
+            assert record["input"] == serialize_poly(oracles.elementary(n, k))
+    assert failing > 0
+
+
+SQUARE_CASES = list(transfer_square_cases(8))
+
+
+def _perturbed(how, v, w):
+    """levi_twisted_transfer with the images of slots v and w swapped, or the image of v
+    negated ("flip") or multiplied by one of its variables, or by q ("exponent")."""
+
+    def perturbed(*args):
+        sub = levi_twisted_transfer(*args)
+        images = dict(sub.images)
+        if how == "swap":
+            images[v], images[w] = images[w], images[v]
+        elif how == "flip":
+            images[v] = -images[v]
+        else:
+            ((m, _),) = images[v].terms()
+            images[v] = images[v] * (LaurentPoly.var(m[-1][0]) if m else mono({}, q=1))
+        return Substitution(sub.source, sub.target, images)
+
+    return perturbed
+
+
+@st.composite
+def square_maps(draw):
+    """A transfer-square case at one of SQUARE_PLACES, and a Levi map: b_{s_M}, the
+    s'_M control, or b_{s_M} with one route perturbed."""
+    case = draw(st.sampled_from(SQUARE_CASES))
+    ctx = draw(st.sampled_from(SQUARE_PLACES))
+    how = draw(st.sampled_from(["none", "s'_M", "swap", "flip", "exponent"]))
+    if how == "none":
+        return case, ctx, levi_twisted_transfer
+    if how == "s'_M":
+        return case, ctx, oracles.levi_twisted_transfer_s_prime
+    j1, j2, *_ = draw(st.permutations(range(1, case[0].sizes[0] + 1)))
+    v = SIM if how != "swap" and draw(st.booleans()) else tor(1, j1)
+    return case, ctx, _perturbed(how, v, tor(1, j2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(square_maps())
+def test_slot_images_decide_the_square_as_the_generators_do(data):
+    (g, h, levi, A), ctx, build = data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(satake, "levi_twisted_transfer", build)
+        got = verify_transfer_square(g, h, levi, A, ctx)
+        want = transfer_square_by_rebuilding(g, h, levi, A, ctx)
+        b_levi = build(g, h, levi, A, ctx)
+    if want["failures"] or not got["failures"]:
+        assert got == want
+        return
+    # no generator sees the difference: one record names the first e_k that does
+    (record,) = got.pop("failures")
+    assert got == {key: value for key, value in want.items() if key != "failures"}
+    k = oracles.differing_elementary(b_levi, twisted_transfer_map(g, h, ctx), g.sizes[0])
+    assert record["generator"] == f"e_{k}" and list(record) == FAILURE_KEYS
+
+
+@st.composite
+def monomial_map_pairs(draw):
+    """Two maps of the split ring of GU(n), n <= 7, sending X and each slot to a signed
+    q-monomial in three variables.  The second is drawn afresh, or is the first with
+    its slot images permuted after no change, one image changed, or a cancelling pair
+    m, -m of slot images replaced by c, -c, which e_1 does not see."""
+    n = draw(st.integers(1, 7))
+    target = hecke_ring(GroupDatum((2,)), SPLIT)
+    monomial = st.builds(
+        lambda sign, q, e: mono({v: x for v, x in zip(target.variables(), e) if x}, coeff=sign, q=q),
+        st.sampled_from([1, -1]), st.integers(0, 1), st.tuples(*[st.integers(-1, 1)] * 3),
+    )
+    slots = [tor(1, j) for j in range(1, n + 1)]
+    first = {SIM: draw(monomial), **{v: draw(monomial) for v in slots}}
+    mode = draw(st.sampled_from(["fresh", "permuted", "changed"] + ["cancelling"] * (n >= 2)))
+    second = {SIM: draw(monomial), **{v: draw(monomial) for v in slots}} if mode == "fresh" else dict(first)
+    if mode == "changed":
+        second[draw(st.sampled_from([SIM, *slots]))] = draw(monomial)
+    if mode == "cancelling":
+        m, c = draw(monomial), draw(monomial)
+        first[slots[0]], first[slots[1]] = m, -m
+        second[slots[0]], second[slots[1]] = c, -c
+    if mode != "fresh":
+        order = draw(st.permutations(slots))
+        second = {SIM: second[SIM], **{v: second[u] for v, u in zip(slots, order)}}
+    source = hecke_ring(GroupDatum((n,)), SPLIT)
+    return n, Substitution(source, target, first), Substitution(source, target, second)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_map_pairs())
+def test_equal_slot_multisets_are_equal_e_k_images(data):
+    """The theorem behind verify_transfer_square: with the similitude's images equal,
+    the slot images agree as multisets exactly when the images of every e_k agree."""
+    n, phi, psi = data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(satake, "twisted_transfer_map", lambda *args: phi)
+        mp.setattr(satake, "levi_twisted_transfer", lambda *args: psi)
+        report = verify_transfer_square(GroupDatum((n,)), EndoTriple((n,), (0,)), LeviDatum(0), [], SPLIT)
+    agree = phi.images[SIM] == psi.images[SIM] and oracles.differing_elementary(phi, psi, n) is None
+    assert (report["failures"] == []) == agree
+
+
+@pytest.mark.parametrize("ctx", SQUARE_PLACES)
 def test_generators_match_the_orbit_sums(ctx):
     for n in range(1, 10):
         g = GroupDatum((n,))
