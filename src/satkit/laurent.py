@@ -195,13 +195,13 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            if not self.is_term():
-                raise ValueError("negative power of a non-monomial")
+        if self.is_term():  # one monomial power: only the exponents of the result are checked
             ((m, c),) = self._terms.items()
-            if c * c != 1:
+            if k < 0 and c * c != 1:
                 raise ValueError("negative power needs a unit coefficient")
-            return LaurentPoly({mono_pow(m, k): c ** -k})  # c is +-1: exact, unlike c**k
+            return LaurentPoly({mono_pow(m, k): c ** abs(k)})  # c is +-1 if k < 0: exact, unlike c**k
+        if k < 0:
+            raise ValueError("negative power of a non-monomial")
         out = LaurentPoly.one()
         base = self
         while k:

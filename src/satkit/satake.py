@@ -11,11 +11,11 @@ X_{i,1..q_i} together with the extended-index convention
 
 used to resolve upper indices produced by the transfer formulas.
 
-The four morphism families (base change, endoscopic transfer, twisted
-transfer, constant term) are realised as variable substitutions; twisted
-transfer commutes with constant terms on every invariant exactly when both
-routes give the same variable images up to a permutation of the torus slots
-(verify_transfer_square).
+The four morphism families (base change, endoscopic transfer, twisted transfer,
+constant term) are tables sending each variable to a signed q-monomial, written
+with no ring arithmetic; twisted transfer commutes with constant terms on every
+invariant exactly when both routes give the same entries up to a permutation of
+the torus slots (verify_transfer_square).
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from .laurent import (
     QVAR,
     SIM,
     LaurentPoly,
+    Monomial,
     Var,
     WeylElement,
     WeylShape,
     _apply,
     _check_exp,
     _mono,
-    _substitution_table,
     _tor_subset_sum,
     _var_name,
     is_invariant,
@@ -119,19 +119,29 @@ def hecke_ring(g: GroupDatum, ctx: PlaceContext, side: str = "target") -> HeckeR
     raise ValueError("side must be 'source' or 'target'")
 
 
-def resolve_tor(ring: HeckeRing, i: int, j: int) -> LaurentPoly:
-    """Extended-index resolution of X_{i,j} inside the given ring."""
+def _resolved(ring: HeckeRing, v: Var, e: int) -> Monomial:
+    """v^e in the ring as a q-free canonical monomial, each exponent checked to 32 bits:
+    SIM stands for the central element (see norm_similitude), and an inert X_{i,j} with
+    j > q_i is read through the extended-index convention."""
+    if v == SIM:
+        if ring.split_presentation or not ring.datum.all_even:
+            return ((SIM, _check_exp(e)),)
+        inverses = ((tor(i, j), -e) for i, q_i in enumerate(ring.datum.qs, 1) for j in range(1, q_i + 1))
+        return ((SIM, _check_exp(2 * e)), *inverses)  # |-e| <= |2e|
+    _, i, j = v
     n_i = ring.datum.sizes[i - 1]
     if not 1 <= j <= n_i:
         raise ValueError(f"index {j} out of range for factor of size {n_i}")
-    if ring.split_presentation:
-        return LaurentPoly.var(tor(i, j))
-    q_i = n_i // 2
-    if j <= q_i:
-        return LaurentPoly.var(tor(i, j))
-    if n_i % 2 == 1 and j == q_i + 1:
-        return LaurentPoly.one()
-    return LaurentPoly.var(tor(i, n_i + 1 - j), -1)
+    if ring.split_presentation or j <= n_i // 2:
+        return ((v, _check_exp(e)),)
+    if n_i % 2 == 1 and j == n_i // 2 + 1:
+        return ()
+    return ((tor(i, n_i + 1 - j), _check_exp(-e)),)
+
+
+def resolve_tor(ring: HeckeRing, i: int, j: int) -> LaurentPoly:
+    """Extended-index resolution of X_{i,j} inside the given ring."""
+    return LaurentPoly({_resolved(ring, tor(i, j), 1): 1})
 
 
 def norm_similitude(ring: HeckeRing) -> LaurentPoly:
@@ -143,9 +153,7 @@ def norm_similitude(ring: HeckeRing) -> LaurentPoly:
     element is Sim^2 times the product of all inverse torus variables;
     with an odd factor the global variable is already the central element.
     """
-    if ring.split_presentation or not ring.datum.all_even:
-        return LaurentPoly.var(SIM)
-    return _tor_subset_sum(((SIM, 2),), [(range(1, q_i + 1), q_i, -1) for q_i in ring.datum.qs])
+    return LaurentPoly({_resolved(ring, SIM, 1): 1})
 
 
 # -- substitutions ---------------------------------------------------------------
@@ -153,19 +161,21 @@ def norm_similitude(ring: HeckeRing) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class Substitution:
-    """A morphism of Satake models given by variable images (signed q-monomials),
-    compiled into a substitution table on the first call and reused by later ones."""
+    """A morphism of Satake models as the table laurent._apply reads: v -> (negative,
+    q shift, m), the image (-1)^negative q^shift m of v, m a q-free canonical monomial."""
 
     source: HeckeRing
     target: HeckeRing
-    images: Dict[Var, LaurentPoly]
-
-    @cached_property
-    def _table(self) -> dict:
-        return _substitution_table(self.images)
+    table: Dict[Var, Tuple[bool, int, Monomial]]
 
     def __call__(self, f: LaurentPoly) -> LaurentPoly:
-        return _apply(self._table, f)
+        return _apply(self.table, f)
+
+    @cached_property
+    def images(self) -> Dict[Var, LaurentPoly]:
+        """The table's images as polynomials, built on first use, for printing."""
+        return {v: LaurentPoly({((QVAR, iq), *m) if iq else m: -1 if neg else 1})
+                for v, (neg, iq, m) in self.table.items()}
 
     def as_json_dict(self) -> Dict[str, str]:
         return {_var_name(v): serialize_poly(img) for v, img in sorted(self.images.items())}
@@ -204,16 +214,15 @@ def _routed_map(source: HeckeRing, target: HeckeRing, a: int, routes) -> Substit
     The similitude maps to the a-th power of the target's central element.
     Each route (i, j, factor, position, sign) sends the torus slot X_{i,j} to
     sign * X_{factor,position}^a, the target variable read through its
-    extended-index convention; a route with no factor points into an empty
-    block.
+    extended-index convention (see _resolved); a route with no factor points
+    into an empty block.
     """
-    images: Dict[Var, LaurentPoly] = {SIM: norm_similitude(target) ** a}
+    table = {SIM: (False, 0, _resolved(target, SIM, a))}
     for i, j, factor, position, sign in routes:
         if factor is None:
             raise ValueError("routing into an empty block")
-        image = resolve_tor(target, factor, position) ** a
-        images[tor(i, j)] = -image if sign < 0 else image
-    return Substitution(source, target, images)
+        table[tor(i, j)] = (sign < 0, 0, _resolved(target, tor(factor, position), a))
+    return Substitution(source, target, table)
 
 
 # -- base change -----------------------------------------------------------------
@@ -229,7 +238,8 @@ def base_change_map(g: GroupDatum, ctx: PlaceContext) -> Substitution:
     source = hecke_ring(g, ctx, "source")
     target = hecke_ring(g, ctx, "target")
     if not ctx.splits_over_l:
-        return Substitution(source, target, {v: LaurentPoly.var(v, ctx.d) for v in source.variables()})
+        d = _check_exp(ctx.d)
+        return Substitution(source, target, {v: (False, 0, ((v, d),)) for v in source.variables()})
     routes = [(i, j, i, j, 1) for i, n_i in enumerate(g.sizes, start=1) for j in range(1, n_i + 1)]
     return _routed_map(source, target, ctx.a, routes)
 
@@ -288,12 +298,12 @@ def transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Substitutio
     if ctx.split:
         return _routed_map(source, target, 1, _block_routes(g, h, 1))
     fp, fm = _block_routing(g, h)
-    images: Dict[Var, LaurentPoly] = {SIM: LaurentPoly.var(SIM)}
+    table = {SIM: (False, 0, ((SIM, 1),))}
     for i, (npl, _) in enumerate(h.pairs(), start=1):
         qp = npl // 2
         for j in range(1, g.sizes[i - 1] // 2 + 1):
-            images[tor(i, j)] = LaurentPoly.var(tor(fp[i - 1], j) if j <= qp else tor(fm[i - 1], j - qp))
-    return Substitution(source, target, images)
+            table[tor(i, j)] = (False, 0, ((tor(fp[i - 1], j) if j <= qp else tor(fm[i - 1], j - qp), 1),))
+    return Substitution(source, target, table)
 
 
 def twisted_transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Substitution:
@@ -505,7 +515,7 @@ def verify_transfer_square(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx
     n = g.sizes[0]
     failures = []
     # with equal similitude images, all images sort equal exactly when the slots' do
-    levi_images, group_images = ((b._table[SIM], sorted(b._table.values())) for b in (b_levi, b_tilde))
+    levi_images, group_images = ((b.table[SIM], sorted(b.table.values())) for b in (b_levi, b_tilde))
     if levi_images != group_images:
         failures = list(_square_failures(b_levi, b_tilde, default_generators(g, ctx)))
         # the generators leave e_k for n // 2 < k < n - 1 undetermined

@@ -10,8 +10,8 @@ from satkit.characters import (
     KostantDatum, KostantEntry, WallError, pairing_coroot, rho2, truncate_cohomology
 )
 from satkit.laurent import (
-    QVAR, SIM, LaurentPoly, SubstitutionError, WeylElement, _mono, _split_q, _weyl_table, serialize_poly,
-    symmetrize, tor,
+    QVAR, SIM, LaurentPoly, SubstitutionError, WeylElement, _mono, _split_q, _substitution_table, _weyl_table,
+    serialize_poly, symmetrize, tor,
 )
 from satkit.rootdata import EndoTriple, _swap_class
 from satkit.satake import (
@@ -68,6 +68,27 @@ def sum_terms_by_addition(pairs):
     for m, c in pairs:
         total = total + LaurentPoly.monomial(dict(m), coeff=c)
     return total
+
+
+def power_by_squaring(f, k):
+    """f ** k by square-and-multiply for k >= 0, as LaurentPoly.__pow__ computes it for
+    more than one term: the oracle for a one-term f, which the library raises to one
+    monomial power.  A negative k needs one term with coefficient +-1, as there."""
+    if k < 0:
+        if not f.is_term():
+            raise ValueError("negative power of a non-monomial")
+        ((m, c),) = f.terms()
+        if c * c != 1:
+            raise ValueError("negative power needs a unit coefficient")
+        return LaurentPoly({_mono((v, e * k) for v, e in m): c ** -k})  # c is +-1: exact, unlike c**k
+    out = LaurentPoly.one()
+    base = f
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return out
 
 
 def _var_name(v):
@@ -611,13 +632,13 @@ def base_change_by_hand(g, ctx):
     if not ctx.splits_over_l:
         for v in source.variables():
             images[v] = LaurentPoly.var(v, ctx.d)
-        return Substitution(source, target, images)
+        return Substitution(source, target, _substitution_table(images))
     a = ctx.a
     images[SIM] = norm_similitude(target) ** a
     for i, n_i in enumerate(g.sizes, start=1):
         for j in range(1, n_i + 1):
             images[tor(i, j)] = resolve_tor(target, i, j) ** a
-    return Substitution(source, target, images)
+    return Substitution(source, target, _substitution_table(images))
 
 
 def transfer_by_hand(g, h, ctx):
@@ -644,7 +665,7 @@ def transfer_by_hand(g, h, ctx):
                     images[tor(i, j)] = LaurentPoly.var(tor(fp[i - 1], j))
                 else:
                     images[tor(i, j)] = LaurentPoly.var(tor(fm[i - 1], j - qp))
-    return Substitution(source, target, images)
+    return Substitution(source, target, _substitution_table(images))
 
 
 def twisted_transfer_by_hand(g, h, ctx):
@@ -667,7 +688,7 @@ def twisted_transfer_by_hand(g, h, ctx):
                 images[tor(i, j)] = resolve_tor(target, fp[i - 1], j) ** a
             else:
                 images[tor(i, j)] = -resolve_tor(target, fm[i - 1], j - npl) ** a
-    return Substitution(source, target, images)
+    return Substitution(source, target, _substitution_table(images))
 
 
 def levi_twisted_transfer_by_hand(g, h, levi, signs, ctx, variant="s_M"):
@@ -719,7 +740,7 @@ def levi_twisted_transfer_by_hand(g, h, levi, signs, ctx, variant="s_M"):
             images[tor(1, i)] = t_image(1, i - r2)
         else:
             images[tor(1, i)] = -t_image(2, i - (r1 + m1))
-    return Substitution(source, target, images)
+    return Substitution(source, target, _substitution_table(images))
 
 
 def levi_twisted_transfer_s_prime(g, h, levi, A, ctx):
@@ -733,4 +754,4 @@ def levi_twisted_transfer_s_prime(g, h, levi, A, ctx):
     for j in set(A):
         images[tor(1, j)] = -images[tor(1, j)]
         images[tor(1, n + 1 - j)] = -images[tor(1, n + 1 - j)]
-    return Substitution(sub.source, sub.target, images)
+    return Substitution(sub.source, sub.target, _substitution_table(images))

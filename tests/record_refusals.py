@@ -41,6 +41,9 @@ EXPONENTS = [
     ["constant-term", "--n", "4", "--levi-s", "1", "--alpha", "2", "--levi-kottwitz", "--d", "3000000000", "--json"],
     ["frobenius-trace", "--sig", "1+1", "--m", "3000000000", "--place", "split", "--field", "E", "--json"],
     ["frobenius-trace", "--sig", "1+1", "--m", "1500000000", "--place", "inert", "--field", "E", "--json"],
+    ["base-change", "--n", "2", "--d", "3000000000", "--json"],
+    ["base-change", "--n", "2", "--place", "inert", "--d", "6000000000", "--json"],
+    ["twisted-transfer", "--n", "4", "--endo", "2-2", "--d", "3000000000", "--json"],
 ]
 
 # test_cli.py: test_suite_parameters_are_checked_before_any_case

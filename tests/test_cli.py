@@ -127,6 +127,11 @@ def test_precondition_violation_exit_code(capsys):
         ["constant-term", "--n", "4", "--levi-s", "1", "--alpha", "2", "--levi-kottwitz", "--d", "3000000000"],
         ["frobenius-trace", "--sig", "1+1", "--m", "3000000000", "--place", "split", "--field", "E"],
         ["frobenius-trace", "--sig", "1+1", "--m", "1500000000", "--place", "inert", "--field", "E"],
+        # maps: the refusal names an exponent of the image (a = d at a split place, 2a = d for
+        # the inert similitude of even factors), not an intermediate square of a power
+        ["base-change", "--n", "2", "--d", "3000000000"],
+        ["base-change", "--n", "2", "--place", "inert", "--d", "6000000000"],
+        ["twisted-transfer", "--n", "4", "--endo", "2-2", "--d", "3000000000"],
     ],
 )
 def test_exponents_past_32_bits_exit_3(capsys, argv):

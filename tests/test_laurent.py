@@ -14,6 +14,7 @@ from oracles import (
     apply_by_mono,
     compose,
     identity,
+    power_by_squaring,
     pretty_by_records,
     serialize_poly_by_records,
     slots,
@@ -236,6 +237,41 @@ def test_exponent_overflow():
     big = LaurentPoly.monomial({SIM: 2**30})
     with pytest.raises(ExponentOverflowError):
         big * big * big
+
+
+@st.composite
+def one_term_powers(draw):
+    """A one-term polynomial and a power k: k in -3..5 when its coefficient is +-1,
+    0..5 otherwise; the coefficient is an int or a Fraction, at times stored as a
+    Fraction when integral."""
+    exps_of_vars = draw(st.dictionaries(st.sampled_from(VARS), exps, max_size=3))
+    unit = draw(st.booleans())
+    c = draw(st.sampled_from((1, -1)) if unit else int_or_fraction.filter(bool))
+    f = LaurentPoly.monomial(exps_of_vars, coeff=c, q_exp=draw(st.integers(-2, 2)))
+    k = draw(st.integers(-3 if unit else 0, 5))
+    return (with_fraction_coefficients(f) if draw(st.booleans()) else f), k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(one_term_powers())
+def test_one_term_power_matches_square_and_multiply(case):
+    f, k = case
+    got, want = f**k, power_by_squaring(f, k)
+    assert got == want and got.is_term() and serialize_poly(got) == serialize_poly(want)
+    assert all(is_exact_coefficient(c) for _, c in got.terms())
+
+
+def test_one_term_power_checks_only_its_own_exponents():
+    x = LaurentPoly.var(SIM)
+    assert x**INT32_MAX == LaurentPoly.monomial({SIM: INT32_MAX})
+    with pytest.raises(ExponentOverflowError, match="^exponent 3000000000 exceeds 32-bit range$"):
+        x**3_000_000_000
+    with pytest.raises(ExponentOverflowError, match="^exponent 2147483648 exceeds"):
+        power_by_squaring(x, 3_000_000_000)  # an intermediate square overflows first
+    with pytest.raises(ValueError, match="unit coefficient"):
+        LaurentPoly.monomial({SIM: 1}, coeff=2) ** -1
+    with pytest.raises(ValueError, match="non-monomial"):
+        (x + LaurentPoly.one()) ** -1
 
 
 def test_substitute_examples():

@@ -26,6 +26,7 @@ from satkit.laurent import (
     symmetrize,
     tor,
     _mono,
+    _substitution_table,
 )
 from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext, enumerate_endoscopic
 from satkit.satake import (
@@ -552,7 +553,7 @@ def _perturbed(how, v, w):
         else:
             ((m, _),) = images[v].terms()
             images[v] = images[v] * (LaurentPoly.var(m[-1][0]) if m else mono({}, q=1))
-        return Substitution(sub.source, sub.target, images)
+        return Substitution(sub.source, sub.target, _substitution_table(images))
 
     return perturbed
 
@@ -618,7 +619,7 @@ def monomial_map_pairs(draw):
         order = draw(st.permutations(slots))
         second = {SIM: second[SIM], **{v: second[u] for v, u in zip(slots, order)}}
     source = hecke_ring(GroupDatum((n,)), SPLIT)
-    return n, Substitution(source, target, first), Substitution(source, target, second)
+    return n, *(Substitution(source, target, _substitution_table(images)) for images in (first, second))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -697,13 +698,14 @@ def test_compiled_substitution_matches_substitute(case):
     assert serialize_poly(sub(f)) == serialize_poly(want)
 
 
-def test_substitution_with_a_bad_image_raises_when_called():
-    r = hecke_ring(GroupDatum((2,)), SPLIT)
+def test_a_bad_image_is_refused_when_compiled_into_a_table():
+    """A Substitution holds a table of signed q-monomials, so an image that is not one
+    is refused when its images are compiled, before any map is built."""
     images = {SIM: LaurentPoly.var(SIM), tor(1, 1): mono({tor(1, 1): 1}, coeff=2)}
-    sub = Substitution(r, r, images)  # built without complaint, as before
-    for _ in range(2):
-        with pytest.raises(SubstitutionError):
-            sub(LaurentPoly.var(SIM))
+    with pytest.raises(SubstitutionError, match="non-unit coefficient 2"):
+        _substitution_table(images)
+    with pytest.raises(SubstitutionError, match="not a single term"):
+        _substitution_table({**images, tor(1, 1): LaurentPoly.var(SIM) + LaurentPoly.one()})
 
 
 def test_exponent_identity():
@@ -887,23 +889,31 @@ def test_transfer_square_inert_even_degree():
 
 ROUTED_GROUPS = [GroupDatum(sizes) for r in (1, 2) for sizes in product(range(1, 6), repeat=r)]
 ROUTED_PLACES = [PlaceContext(split=split, d=d) for split in (True, False) for d in (1, 2, 3)]
+# degrees where an exponent of the images (d, a, or 2a for the inert similitude of even
+# factors) just passes 2^31 - 1 or stays within it
+EDGE_PLACES = [
+    PlaceContext(split=split, d=d) for split in (True, False) for d in (2**31 - 1, 2**31, 3 * 10**9, 2**32)
+]
 ROUTED_DATA = [h for g in ROUTED_GROUPS for h, _ in enumerate_endoscopic(g)] + [EndoTriple((6,), (0,))]
 
 
 def _built(build, *args):
-    """A builder's images, source and target, or the class and message of its error."""
+    """A builder's images, table, source and target, or the class and message of its
+    error; the images compile back into the table."""
     try:
         sub = build(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    return sub.as_json_dict(), sub.source, sub.target
+    assert _substitution_table(sub.images) == sub.table
+    return sub.as_json_dict(), sub.table, sub.source, sub.target
 
 
 def test_routed_maps_match_the_hand_written_builders():
     """Every group with r <= 2 and n_i <= 5, every endoscopic datum, split and
-    inert places of degree 1-3, and every Levi case of the transfer-square suite."""
+    inert places of degree 1-3 and at the 32-bit edge, and every Levi case of the
+    transfer-square suite."""
     refused = 0
-    for g, ctx in product(ROUTED_GROUPS, ROUTED_PLACES):
+    for g, ctx in product(ROUTED_GROUPS, ROUTED_PLACES + EDGE_PLACES):
         assert _built(base_change_map, g, ctx) == _built(oracles.base_change_by_hand, g, ctx)
         for h, _ in enumerate_endoscopic(g):
             assert _built(transfer_map, g, h, ctx) == _built(oracles.transfer_by_hand, g, h, ctx)
@@ -911,7 +921,7 @@ def test_routed_maps_match_the_hand_written_builders():
             assert got == _built(oracles.twisted_transfer_by_hand, g, h, ctx)
             refused += got[0] is PlaceError
     assert refused > 0  # the odd-degree inert places
-    for (g, h, levi, A), ctx in product(cli.square_cases(6), ROUTED_PLACES):
+    for (g, h, levi, A), ctx in product(cli.square_cases(6), ROUTED_PLACES + EDGE_PLACES):
         sd = levi_sign_data(g, h, levi, A)
         got = _built(levi_twisted_transfer, g, h, levi, A, ctx)
         assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx)
@@ -928,7 +938,7 @@ def test_routed_maps_refuse_what_the_hand_written_builders_refuse(data):
     accepts, and the library refuses wherever it does not."""
     g = data.draw(st.sampled_from(ROUTED_GROUPS[:5]) | st.sampled_from(ROUTED_GROUPS))
     h = data.draw(st.sampled_from([h for h, _ in enumerate_endoscopic(g)]) | st.sampled_from(ROUTED_DATA))
-    ctx = data.draw(st.sampled_from(ROUTED_PLACES))
+    ctx = data.draw(st.sampled_from(ROUTED_PLACES + EDGE_PLACES))
     assert _built(transfer_map, g, h, ctx) == _built(oracles.transfer_by_hand, g, h, ctx)
     assert _built(twisted_transfer_map, g, h, ctx) == _built(oracles.twisted_transfer_by_hand, g, h, ctx)
     levi = LeviDatum(data.draw(st.integers(0, 3)))
@@ -940,6 +950,38 @@ def test_routed_maps_refuse_what_the_hand_written_builders_refuse(data):
         assert got == (type(exc), str(exc))
     else:
         assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx)
+
+
+def test_map_building_does_no_ring_arithmetic(monkeypatch):
+    """Each builder writes its table directly and a passing square compares tables, so
+    with LaurentPoly's arithmetic disabled every map of the routed-map test still builds
+    (or is refused as before), and every transfer-square case to n = 8 still passes."""
+
+    def arithmetic(*args):
+        raise AssertionError("LaurentPoly arithmetic while building a map")
+
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(LaurentPoly, op, arithmetic)
+    calls = []
+    for g, ctx in product(ROUTED_GROUPS, ROUTED_PLACES + EDGE_PLACES):
+        calls.append((base_change_map, g, ctx))
+        for h, _ in enumerate_endoscopic(g):
+            calls += [(transfer_map, g, h, ctx), (twisted_transfer_map, g, h, ctx)]
+    cases = list(product(cli.square_cases(8), ROUTED_PLACES))
+    calls += [(levi_twisted_transfer, *case, ctx) for case, ctx in cases]
+    built = 0
+    for build, *args in calls:
+        try:
+            build(*args)
+        except (PlaceError, ExponentOverflowError):
+            continue
+        built += 1
+    passed = 0
+    for case, ctx in cases:
+        if ctx.splits_over_l:
+            assert verify_transfer_square(*case, ctx)["failures"] == []
+            passed += 1
+    assert built > len(calls) // 2 and passed == 4 * len(list(cli.square_cases(8)))  # split d = 1..3, inert d = 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
