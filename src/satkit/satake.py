@@ -71,12 +71,11 @@ class HeckeRing:
 
     def __post_init__(self):
         if self.levi_linear is not None:
-            lin = tuple(int(x) for x in self.levi_linear)
+            lin = tuple(map(int, self.levi_linear))
             if len(lin) != self.datum.r:
                 raise ValueError("one linear-slot count per factor required")
             for s, n in zip(lin, self.datum.sizes):
-                if not 0 <= 2 * s <= n:
-                    raise ValueError(f"linear count {s} out of range 0..{n // 2} for factor size {n}")
+                _check_linear(s, n)
             object.__setattr__(self, "levi_linear", lin)
 
     @property
@@ -104,6 +103,12 @@ class HeckeRing:
         if not f.variables() <= allowed:
             return False
         return is_invariant(f, self.generators(), self.shape)
+
+
+def _check_linear(s: int, n: int) -> None:
+    """Refuse s linear slots in a factor of size n unless 0 <= 2s <= n."""
+    if not 0 <= 2 * s <= n:
+        raise ValueError(f"linear count {s} out of range 0..{n // 2} for factor size {n}")
 
 
 def hecke_ring(g: GroupDatum, ctx: PlaceContext, side: str = "target") -> HeckeRing:
@@ -141,6 +146,8 @@ def _resolved(ring: HeckeRing, v: Var, e: int) -> Monomial:
 
 def resolve_tor(ring: HeckeRing, i: int, j: int) -> LaurentPoly:
     """Extended-index resolution of X_{i,j} inside the given ring."""
+    if not 1 <= i <= ring.datum.r:
+        raise ValueError(f"factor {i} out of range for a group of {ring.datum.r} factors")
     return LaurentPoly({_resolved(ring, tor(i, j), 1): 1})
 
 
@@ -215,13 +222,16 @@ def _routed_map(source: HeckeRing, target: HeckeRing, a: int, routes) -> Substit
     Each route (i, j, factor, position, sign) sends the torus slot X_{i,j} to
     sign * X_{factor,position}^a, the target variable read through its
     extended-index convention (see _resolved); a route with no factor points
-    into an empty block.
+    into an empty block.  A split target reads every slot as itself, and the
+    similitude's entry has checked a, so its slots are written directly.
     """
     table = {SIM: (False, 0, _resolved(target, SIM, a))}
+    split = target.split_presentation
     for i, j, factor, position, sign in routes:
         if factor is None:
             raise ValueError("routing into an empty block")
-        table[tor(i, j)] = (sign < 0, 0, _resolved(target, tor(factor, position), a))
+        w = tor(factor, position)
+        table[tor(i, j)] = (sign < 0, 0, ((w, a),) if split else _resolved(target, w, a))
     return Substitution(source, target, table)
 
 
@@ -252,13 +262,13 @@ def _require_match(g: GroupDatum, h: EndoTriple):
         raise ValueError(f"endoscopic datum {h} does not match {g}")
 
 
-def _block_routing(g: GroupDatum, h: EndoTriple):
-    """Target factor index for each (source factor, sign) with zero blocks dropped."""
-    _require_match(g, h)
+def _block_routing(pairs):
+    """Target factor index for each (source factor, sign) of the blocks (n^+_i, n^-_i),
+    zero blocks dropped.  Its callers check the datum against the group, once per map."""
     fp: List[Optional[int]] = []
     fm: List[Optional[int]] = []
     idx = 0
-    for npl, nmi in h.pairs():
+    for npl, nmi in pairs:
         if npl > 0:
             idx += 1
             fp.append(idx)
@@ -272,14 +282,14 @@ def _block_routing(g: GroupDatum, h: EndoTriple):
     return fp, fm
 
 
-def _block_routes(g: GroupDatum, h: EndoTriple, minus_sign: int):
-    """Blockwise routes of every torus slot of g: the first n^+_i slots of factor
-    i go to its plus block, the rest to its minus block with sign minus_sign."""
-    fp, fm = _block_routing(g, h)
+def _block_routes(pairs, minus_sign: int):
+    """Blockwise routes of every torus slot: the first n^+_i slots of factor i go to
+    its plus block, the other n^-_i to its minus block with sign minus_sign."""
+    fp, fm = _block_routing(pairs)
     return [
         (i, j, fp[i - 1], j, 1) if j <= npl else (i, j, fm[i - 1], j - npl, minus_sign)
-        for i, (npl, _) in enumerate(h.pairs(), start=1)
-        for j in range(1, g.sizes[i - 1] + 1)
+        for i, (npl, nmi) in enumerate(pairs, start=1)
+        for j in range(1, npl + nmi + 1)
     ]
 
 
@@ -293,15 +303,17 @@ def transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Substitutio
     else to slot j - q^+ of its minus block, named directly rather than
     resolved through extended indices.
     """
+    _require_match(g, h)
+    pairs = h.pairs()
     source = hecke_ring(g, ctx, "target")
     target = HeckeRing(h.group_datum(), split_presentation=ctx.split)
     if ctx.split:
-        return _routed_map(source, target, 1, _block_routes(g, h, 1))
-    fp, fm = _block_routing(g, h)
+        return _routed_map(source, target, 1, _block_routes(pairs, 1))
+    fp, fm = _block_routing(pairs)
     table = {SIM: (False, 0, ((SIM, 1),))}
-    for i, (npl, _) in enumerate(h.pairs(), start=1):
+    for i, (npl, nmi) in enumerate(pairs, start=1):
         qp = npl // 2
-        for j in range(1, g.sizes[i - 1] // 2 + 1):
+        for j in range(1, (npl + nmi) // 2 + 1):
             table[tor(i, j)] = (False, 0, ((tor(fp[i - 1], j) if j <= qp else tor(fm[i - 1], j - qp), 1),))
     return Substitution(source, target, table)
 
@@ -321,9 +333,10 @@ def twisted_transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Sub
             "twisted transfer implemented only when the group splits over L "
             "(split p, or inert p with even d)"
         )
+    _require_match(g, h)
     source = hecke_ring(g, ctx, "source")
     target = HeckeRing(h.group_datum(), split_presentation=ctx.split)
-    return _routed_map(source, target, ctx.a, _block_routes(g, h, -1))
+    return _routed_map(source, target, ctx.a, _block_routes(h.pairs(), -1))
 
 
 # -- Levi subgroups and constant terms ---------------------------------------------
@@ -332,7 +345,7 @@ def twisted_transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Sub
 @dataclass(frozen=True)
 class LeviDatum:
     """The standard Levi with linear part (Res G_m)^s (single-factor group);
-    m_ring checks that the group has it."""
+    _require_levi checks that the group has it."""
 
     s: int
 
@@ -352,12 +365,12 @@ def levi_sign_data(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A) -> LeviSign
     The |A| linear pairs route to the second block, the rest to the first;
     consistency forces m_k = n_k - 2 r_k >= 0.  H must be a datum of G.
     """
-    m_ring(g, levi)
+    _require_levi(g, levi)
     s = levi.s
-    A = tuple(sorted(set(int(x) for x in A)))
-    if any(x < 1 or x > s for x in A):
+    A = tuple(sorted({int(x) for x in A}))
+    if A and (A[0] < 1 or A[-1] > s):
         raise ValueError(f"A={A} not a subset of 1..{s}")
-    n1, n2 = h.pairs()[0]
+    n1, n2 = h.nplus[0], h.nminus[0]
     r2 = len(A)
     r1 = s - r2
     m1 = n1 - 2 * r1
@@ -376,12 +389,16 @@ def _require_single_factor(g: GroupDatum):
         raise ValueError("Levi operations are implemented for single-factor groups")
 
 
+def _require_levi(g: GroupDatum, levi: LeviDatum):
+    """The one check that g has the Levi: a single factor, and 0 <= 2s <= n."""
+    _require_single_factor(g)
+    _check_linear(levi.s, g.sizes[0])
+
+
 def m_ring(g: GroupDatum, levi: LeviDatum) -> HeckeRing:
     """The Levi's ring: same variables, invariance only under the Levi Weyl group.
-
-    The one check that g has the Levi: a single factor, and 0 <= 2s <= n
-    (enforced by HeckeRing).
-    """
+    It refuses what _require_levi refuses, with the same messages (HeckeRing checks
+    the linear count)."""
     _require_single_factor(g)
     return HeckeRing(g, split_presentation=True, levi_linear=(levi.s,))
 
@@ -394,7 +411,7 @@ def levi_constant_term(f: LaurentPoly, g: GroupDatum, levi: LeviDatum, ctx: Plac
     returned unchanged once its invariance under the full Weyl group is
     verified.
     """
-    m_ring(g, levi)
+    _require_levi(g, levi)
     if not hecke_ring(g, ctx, "source").contains(f):
         raise ValueError("constant term input is not invariant under the full Weyl group")
     return f
@@ -409,7 +426,7 @@ def levi_kottwitz_function(
     times the subset sum over the middle block; for alpha >= n - s + 1 it is
     the single monomial (Z Z_1 ... Z_alpha)^{-1}.
     """
-    m_ring(g, levi)
+    _require_levi(g, levi)
     if not ctx.splits_over_l:
         raise PlaceError("Levi spherical functions need the group split over L")
     n, s = g.sizes[0], levi.s
@@ -438,10 +455,11 @@ def levi_twisted_transfer(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx:
     if not ctx.splits_over_l:
         raise PlaceError("Levi twisted transfer needs the group split over L")
     n, s, m1 = g.sizes[0], levi.s, signs.m1
-    n1, n2 = h.pairs()[0]
-    not_a = tuple(j for j in range(1, s + 1) if j not in signs.A)
+    pairs = h.pairs()
+    n1, n2 = pairs[0]
+    not_a = [j for j in range(1, s + 1) if j not in signs.A]
     r1, r2 = len(not_a), len(signs.A)
-    fp, fm = _block_routing(g, h)
+    fp, fm = _block_routing(pairs)
     source = m_ring(g, levi)
     levi_linear = tuple(r for r, size in ((r1, n1), (r2, n2)) if size > 0)
     target = HeckeRing(h.group_datum(), split_presentation=ctx.split, levi_linear=levi_linear)

@@ -15,9 +15,9 @@ from satkit.laurent import (
 )
 from satkit.rootdata import EndoTriple, _swap_class
 from satkit.satake import (
-    HeckeRing, PlaceError, Substitution, _block_routing, _require_single_factor, default_generators,
-    hecke_ring, kottwitz_function, levi_sign_data, levi_twisted_transfer, m_ring, norm_similitude,
-    resolve_tor, twisted_transfer_map,
+    HeckeRing, PlaceError, Substitution, _block_routing, _require_match, _require_single_factor,
+    default_generators, hecke_ring, kottwitz_function, levi_sign_data, levi_twisted_transfer, m_ring,
+    norm_similitude, resolve_tor, twisted_transfer_map,
 )
 
 
@@ -646,7 +646,8 @@ def transfer_by_hand(g, h, ctx):
     h_datum = h.group_datum()
     source = hecke_ring(g, ctx, "target")
     target = HeckeRing(h_datum, split_presentation=ctx.split)
-    fp, fm = _block_routing(g, h)
+    _require_match(g, h)
+    fp, fm = _block_routing(h.pairs())
     images = {SIM: LaurentPoly.var(SIM)}
     if ctx.split:
         for i, (npl, _) in enumerate(h.pairs(), start=1):
@@ -678,7 +679,8 @@ def twisted_transfer_by_hand(g, h, ctx):
     h_datum = h.group_datum()
     source = hecke_ring(g, ctx, "source")
     target = HeckeRing(h_datum, split_presentation=ctx.split)
-    fp, fm = _block_routing(g, h)
+    _require_match(g, h)
+    fp, fm = _block_routing(h.pairs())
     a = ctx.a
     images = {SIM: norm_similitude(target) ** a}
     for i, (npl, _) in enumerate(h.pairs(), start=1):
@@ -707,7 +709,8 @@ def levi_twisted_transfer_by_hand(g, h, levi, signs, ctx, variant="s_M"):
     if (m1, m2) != (n1 - 2 * r1, n2 - 2 * r2) or m1 < 0 or m2 < 0:
         raise ValueError("sign data inconsistent with the endoscopic datum")
     h_datum = h.group_datum()
-    fp, fm = _block_routing(g, h)
+    _require_match(g, h)
+    fp, fm = _block_routing(h.pairs())
     source = m_ring(g, levi)
     lin_by_factor = {}
     if fp[0] is not None:

@@ -378,6 +378,63 @@ def test_transfer_square_sweep_to_n_12_passes(capsys):
     assert (code, json.loads(out)) == (0, {"suite": "transfer-square", "cases": 6980, "failures": []})
 
 
+def test_square_cases_are_the_consistent_cases_in_the_same_order():
+    for n_max in range(1, 13):
+        assert list(cli.square_cases(n_max)) == list(transfer_square_cases(n_max))
+
+
+def test_a_sweep_checks_each_case_at_most_twice(capsys, monkeypatch):
+    """The enumeration checks no case: verify_transfer_square checks each once, and
+    the Levi map once more.  No inconsistent (s, A) reaches levi_sign_data."""
+    consistent = {(g, h, levi, tuple(a_set)) for g, h, levi, a_set in transfer_square_cases(6)}
+    checked, verified = [], []
+    sign_data, verify = satake.levi_sign_data, satake.verify_transfer_square
+
+    def counted_sign_data(g, h, levi, a_set):
+        checked.append((g, h, levi, tuple(a_set)))
+        return sign_data(g, h, levi, a_set)
+
+    def counted_verify(*args):
+        verified.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(satake, "levi_sign_data", counted_sign_data)
+    monkeypatch.setattr(satake, "verify_transfer_square", counted_verify)
+    code, out = invoke(capsys, ["verify", "transfer-square", "--n-max", "6", "--json"])
+    assert (code, json.loads(out)["cases"]) == (0, 354)
+    assert len(verified) == len(consistent) == 42
+    assert len(checked) <= 2 * len(verified)
+    assert set(checked) <= consistent
+
+
+MAP_ARGVS = [
+    ["transfer", "--n", "2,3", "--endo", "2-0,1-2"],
+    ["transfer", "--n", "4", "--endo", "2-2", "--place", "inert"],
+    ["twisted-transfer", "--n", "5", "--endo", "3-2", "--place", "inert", "--d", "2"],
+    ["base-change", "--n", "3,2", "--place", "inert", "--d", "3"],
+]
+
+
+def test_json_output_builds_no_human_text(capsys, monkeypatch):
+    expected = [invoke(capsys, argv + ["--json"]) for argv in MAP_ARGVS]
+    assert all(code == 0 for code, _ in expected)
+
+    def refuse(f):
+        raise AssertionError("human text built")
+
+    monkeypatch.setattr(cli, "pretty", refuse)
+    assert [invoke(capsys, argv + ["--json"]) for argv in MAP_ARGVS] == expected
+    with pytest.raises(AssertionError, match="human text built"):
+        run(MAP_ARGVS[0])
+
+
+def test_render_builds_the_human_text_only_when_printed():
+    built = []
+    result = ({"a": 1}, lambda: built.append(1) or "text")
+    assert cli.render(result, True) == '{"a":1}' and built == []
+    assert cli.render(result, False) == "text" and built == [1]
+
+
 def test_every_satkit_error_class_is_a_precondition_error():
     # an error class outside the tuple would escape `run` as a traceback, not exit 3
     names = [m.name for m in pkgutil.iter_modules(satkit.__path__)]
@@ -478,7 +535,7 @@ def test_parser_is_built_once(capsys):
 
 def test_handler_is_looked_up_when_the_command_runs(capsys, monkeypatch):
     build_parser()
-    monkeypatch.setattr(cli, "cmd_subsets", lambda args: ({"stub": args.n}, "stub"))
+    monkeypatch.setattr(cli, "cmd_subsets", lambda args: ({"stub": args.n}, lambda: "stub"))
     assert invoke(capsys, ["subsets", "--n", "3", "--p", "2", "--json"]) == (0, '{"stub":3}\n')
 
 

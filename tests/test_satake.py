@@ -44,6 +44,7 @@ from satkit.satake import (
     levi_sign_data,
     levi_twisted_transfer,
     norm_similitude,
+    resolve_tor,
     transfer_map,
     twisted_transfer_map,
     verify_transfer_square,
@@ -93,6 +94,16 @@ def test_contains_on_large_inert_ring_uses_generators():
     assert r.contains(orbit)
     assert not r.contains(x11)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (-1, 1), (3, 1)])
+def test_resolve_tor_refuses_a_factor_outside_the_group(i, j):
+    # on split GU(2) x GU(3), i = 0 and i = -1 once read a factor from the end and
+    # returned X_0_3 and X_-1_1, and i = 3 raised IndexError
+    ring = HeckeRing(GroupDatum((2, 3)), split_presentation=True)
+    assert resolve_tor(ring, 2, 3) == LaurentPoly.var(tor(2, 3))
+    with pytest.raises(ValueError, match=f"factor {i} out of range for a group of 2 factors"):
+        resolve_tor(ring, i, j)
 
 
 # -- basic spherical functions -------------------------------------------------
@@ -502,6 +513,35 @@ def test_a_passing_sweep_builds_no_generator(capsys, monkeypatch):
     assert cli.run(["verify", "transfer-square", "--n-max", "6", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["cases"] == 354
     assert built == []
+
+
+def _counted(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that appends (arguments, result) to calls."""
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_square_case_checks_each_map_once(monkeypatch):
+    """Per case of the --n-max 6 sweep: H is matched against G once in the case's own
+    levi_sign_data and once per map; every ring built is kept by one of the two maps;
+    and no GroupDatum is checked again, H's datum coming from the checked triple."""
+    cases = list(cli.square_cases(6))
+    matched, rings, data, maps = [], [], [], []
+    _counted(monkeypatch, satake, "_require_match", matched)
+    _counted(monkeypatch, HeckeRing, "__post_init__", rings)
+    _counted(monkeypatch, GroupDatum, "__post_init__", data)
+    _counted(monkeypatch, satake, "_routed_map", maps)
+    for case in cases:
+        assert verify_transfer_square(*case, SPLIT)["failures"] == []
+    assert (len(matched), len(maps), len(data)) == (3 * len(cases), 2 * len(cases), 0)
+    kept = [id(ring) for _, sub in maps for ring in (sub.source, sub.target)]
+    assert sorted(id(args[0]) for args, _ in rings) == sorted(kept)
 
 
 SQUARE_PLACES = [SPLIT, PlaceContext(split=True, d=2), PlaceContext(split=True, d=3), INERT2]
