@@ -4,11 +4,9 @@ JSON.
 
 Every command is one row of COMMANDS or SUITES: its name, help, handler and
 flags.  A handler returns its result and `run` prints it: a LaurentPoly or a
-(payload, human) pair, where human is a zero-argument callable that builds the
-text; `render` calls it only when that text is printed, without --json.  A
-suite's handler instead yields (cases, failure records) per unit of work, and
-`run_suite` reports the stream as such a pair.  The parser is built once per
-process.
+(payload, human) pair.  A suite's handler instead yields (cases, failure
+records) per unit of work, and `run_suite` reports the stream as such a
+pair.  The parser is built once per process.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on usage errors (argparse), 3 on precondition violations.  Output on
@@ -97,8 +95,8 @@ def cmd_transfer(args) -> tuple:
     else:
         build = satake.transfer_map if args.command == "transfer" else satake.twisted_transfer_map
         sub = build(g, EndoTriple(*args.endo), ctx)
-    return {"images": sub.as_json_dict()}, lambda: "\n".join(
-        f"{_var_name(v)} -> {pretty(img)}" for v, img in sorted(sub.images.items()))
+    human = "\n".join(f"{_var_name(v)} -> {pretty(img)}" for v, img in sorted(sub.images.items()))
+    return {"images": sub.as_json_dict()}, human
 
 
 def cmd_constant_term(args) -> LaurentPoly:
@@ -121,11 +119,12 @@ def cmd_endoscopy(args) -> tuple:
             for t, o in classes
         ],
     }
-    return payload, lambda: "\n".join(
+    human = "\n".join(
         f"({','.join(map(str, t.nplus))} | {','.join(map(str, t.nminus))})"
         f"  outer order {o}"
         for t, o in classes
     )
+    return payload, human
 
 
 def cmd_invariants(args) -> tuple:
@@ -141,7 +140,7 @@ def cmd_invariants(args) -> tuple:
         h = EndoTriple(*args.endo)
         payload["iota"] = str(rootdata.iota(datum, h))
         payload["iota_GH"] = str(rootdata.iota_gh(g, h))
-    return payload, lambda: " ".join(f"{k_}={v}" for k_, v in payload.items())
+    return payload, " ".join(f"{k_}={v}" for k_, v in payload.items())
 
 
 def cmd_kostant(args) -> tuple:
@@ -156,12 +155,13 @@ def cmd_kostant(args) -> tuple:
         ]
 
     if args.command == "kostant":
-        return {"entries": records(entries)}, lambda: "\n".join(
+        human = "\n".join(
             f"k={e.degree} omega={e.omega} 2(w(lambda)-rho)={e.weight2}" for e in entries
         )
+        return {"entries": records(entries)}, human
     kept = characters.truncate_cohomology(entries, s_set, ">" if args.dir == "gt" else "<")
-    return {"direction": args.dir, "kept": records(kept)}, lambda: (
-        "\n".join(f"k={e.degree} omega={e.omega}" for e in kept) or "(none)")
+    human = "\n".join(f"k={e.degree} omega={e.omega}" for e in kept) or "(none)"
+    return {"direction": args.dir, "kept": records(kept)}, human
 
 
 def cmd_weyl_char(args) -> LaurentPoly:
@@ -172,7 +172,7 @@ def cmd_weight_transfer(args) -> tuple:
     h = EndoTriple(*args.endo)
     out = characters.endoscopic_weight_transfer(Weight(*args.weight), h, args.omega, args.C)
     blocks = [list(b) for b in out.blocks]
-    return {"a": out.a, "blocks": blocks}, lambda: f"a={out.a} blocks={blocks}"
+    return {"a": out.a, "blocks": blocks}, f"a={out.a} blocks={blocks}"
 
 
 def cmd_frobenius_trace(args) -> LaurentPoly:
@@ -183,7 +183,7 @@ def cmd_frobenius_trace(args) -> LaurentPoly:
 def cmd_subsets(args) -> tuple:
     subsets, det = characters.nonsingular_subsets(args.n, args.p)
     subsets = [list(s) for s in subsets]
-    return {"subsets": subsets, "det": det}, lambda: f"subsets={subsets} det={det}"
+    return {"subsets": subsets, "det": det}, f"subsets={subsets} det={det}"
 
 
 # -- verification suites: each yields (cases, failure records) per unit of work --------
@@ -332,8 +332,8 @@ def cmd_verify_transfer_square(args) -> Iterator[tuple]:
     ctx = PlaceContext(split=True, d=1)
     for g, h, levi, a_set in combos:
         report = satake.verify_transfer_square(g, h, levi, a_set, ctx)
-        keys = ("group", "endo", "levi_s", "A")
-        yield report["cases"], [{**{k: report[k] for k in keys}, **fail} for fail in report["failures"]]
+        case = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
+        yield report["cases"], [{**case, **fail} for fail in report["failures"]]
 
 
 def run_suite(name: str, stream) -> tuple:
@@ -344,7 +344,7 @@ def run_suite(name: str, stream) -> tuple:
         failures += fails
     payload = {"suite": name, "cases": cases, "failures": failures}
     lines = [f"suite {name}: {cases} cases, {len(failures)} failures"]
-    return payload, lambda: "\n".join(lines + [json.dumps(f, separators=(",", ":")) for f in failures])
+    return payload, "\n".join(lines + [json.dumps(f, separators=(",", ":")) for f in failures])
 
 
 # -- command table and parser ---------------------------------------------------------
@@ -433,11 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def render(result, as_json: bool) -> str:
-    """A handler's result as the text printed on stdout; the human text is built only here."""
+    """A handler's result as the text printed on stdout."""
     if isinstance(result, LaurentPoly):
         return '{"poly":' + serialize_poly(result) + "}" if as_json else pretty(result)
     payload, human = result
-    return json.dumps(payload, separators=(",", ":")) if as_json else human()
+    return json.dumps(payload, separators=(",", ":")) if as_json else human
 
 
 def run(argv: Optional[List[str]] = None) -> int:

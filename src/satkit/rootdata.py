@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from operator import add
 from typing import List, Optional, Tuple
 
 
@@ -33,14 +32,6 @@ class GroupDatum:
         if any(n < 1 for n in self.sizes):
             raise ValueError("factor sizes must be >= 1")
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-
-    @classmethod
-    def _unchecked(cls, sizes: Tuple[int, ...]) -> "GroupDatum":
-        """The datum of sizes already known to be a tuple of positive ints, at least one,
-        built without checking them again."""
-        datum = object.__new__(cls)
-        object.__setattr__(datum, "sizes", sizes)
-        return datum
 
     @property
     def r(self) -> int:
@@ -111,7 +102,7 @@ class EndoTriple:
         return len(self.nplus)
 
     def sizes(self) -> Tuple[int, ...]:
-        return tuple(map(add, self.nplus, self.nminus))
+        return tuple(a + b for a, b in zip(self.nplus, self.nminus))
 
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(zip(self.nplus, self.nminus))
@@ -120,10 +111,9 @@ class EndoTriple:
         return self.sizes() == g.sizes
 
     def group_datum(self) -> GroupDatum:
-        """The datum of the endoscopic group (zero blocks contribute G_m and drop out).
-        The blocks were checked with the triple: nonnegative ints, and each pair has a
-        positive one; so the datum is not checked again."""
-        return GroupDatum._unchecked(tuple(b for pair in self.pairs() for b in pair if b > 0))
+        """The datum of the endoscopic group (zero blocks contribute G_m and drop out)."""
+        parts = [b for pair in self.pairs() for b in pair if b > 0]
+        return GroupDatum(tuple(parts))
 
 
 @dataclass(frozen=True)

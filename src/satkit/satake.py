@@ -71,7 +71,7 @@ class HeckeRing:
 
     def __post_init__(self):
         if self.levi_linear is not None:
-            lin = tuple(map(int, self.levi_linear))
+            lin = tuple(int(x) for x in self.levi_linear)
             if len(lin) != self.datum.r:
                 raise ValueError("one linear-slot count per factor required")
             for s, n in zip(lin, self.datum.sizes):
@@ -222,16 +222,13 @@ def _routed_map(source: HeckeRing, target: HeckeRing, a: int, routes) -> Substit
     Each route (i, j, factor, position, sign) sends the torus slot X_{i,j} to
     sign * X_{factor,position}^a, the target variable read through its
     extended-index convention (see _resolved); a route with no factor points
-    into an empty block.  A split target reads every slot as itself, and the
-    similitude's entry has checked a, so its slots are written directly.
+    into an empty block.
     """
     table = {SIM: (False, 0, _resolved(target, SIM, a))}
-    split = target.split_presentation
     for i, j, factor, position, sign in routes:
         if factor is None:
             raise ValueError("routing into an empty block")
-        w = tor(factor, position)
-        table[tor(i, j)] = (sign < 0, 0, ((w, a),) if split else _resolved(target, w, a))
+        table[tor(i, j)] = (sign < 0, 0, _resolved(target, tor(factor, position), a))
     return Substitution(source, target, table)
 
 
@@ -367,10 +364,10 @@ def levi_sign_data(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A) -> LeviSign
     """
     _require_levi(g, levi)
     s = levi.s
-    A = tuple(sorted({int(x) for x in A}))
-    if A and (A[0] < 1 or A[-1] > s):
+    A = tuple(sorted(set(int(x) for x in A)))
+    if any(x < 1 or x > s for x in A):
         raise ValueError(f"A={A} not a subset of 1..{s}")
-    n1, n2 = h.nplus[0], h.nminus[0]
+    n1, n2 = h.pairs()[0]
     r2 = len(A)
     r1 = s - r2
     m1 = n1 - 2 * r1
@@ -457,7 +454,7 @@ def levi_twisted_transfer(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx:
     n, s, m1 = g.sizes[0], levi.s, signs.m1
     pairs = h.pairs()
     n1, n2 = pairs[0]
-    not_a = [j for j in range(1, s + 1) if j not in signs.A]
+    not_a = tuple(j for j in range(1, s + 1) if j not in signs.A)
     r1, r2 = len(not_a), len(signs.A)
     fp, fm = _block_routing(pairs)
     source = m_ring(g, levi)

@@ -407,34 +407,6 @@ def test_a_sweep_checks_each_case_at_most_twice(capsys, monkeypatch):
     assert set(checked) <= consistent
 
 
-MAP_ARGVS = [
-    ["transfer", "--n", "2,3", "--endo", "2-0,1-2"],
-    ["transfer", "--n", "4", "--endo", "2-2", "--place", "inert"],
-    ["twisted-transfer", "--n", "5", "--endo", "3-2", "--place", "inert", "--d", "2"],
-    ["base-change", "--n", "3,2", "--place", "inert", "--d", "3"],
-]
-
-
-def test_json_output_builds_no_human_text(capsys, monkeypatch):
-    expected = [invoke(capsys, argv + ["--json"]) for argv in MAP_ARGVS]
-    assert all(code == 0 for code, _ in expected)
-
-    def refuse(f):
-        raise AssertionError("human text built")
-
-    monkeypatch.setattr(cli, "pretty", refuse)
-    assert [invoke(capsys, argv + ["--json"]) for argv in MAP_ARGVS] == expected
-    with pytest.raises(AssertionError, match="human text built"):
-        run(MAP_ARGVS[0])
-
-
-def test_render_builds_the_human_text_only_when_printed():
-    built = []
-    result = ({"a": 1}, lambda: built.append(1) or "text")
-    assert cli.render(result, True) == '{"a":1}' and built == []
-    assert cli.render(result, False) == "text" and built == [1]
-
-
 def test_every_satkit_error_class_is_a_precondition_error():
     # an error class outside the tuple would escape `run` as a traceback, not exit 3
     names = [m.name for m in pkgutil.iter_modules(satkit.__path__)]
@@ -535,7 +507,7 @@ def test_parser_is_built_once(capsys):
 
 def test_handler_is_looked_up_when_the_command_runs(capsys, monkeypatch):
     build_parser()
-    monkeypatch.setattr(cli, "cmd_subsets", lambda args: ({"stub": args.n}, lambda: "stub"))
+    monkeypatch.setattr(cli, "cmd_subsets", lambda args: ({"stub": args.n}, "stub"))
     assert invoke(capsys, ["subsets", "--n", "3", "--p", "2", "--json"]) == (0, '{"stub":3}\n')
 
 

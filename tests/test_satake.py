@@ -529,17 +529,15 @@ def _counted(monkeypatch, owner, name, calls):
 
 def test_a_square_case_checks_each_map_once(monkeypatch):
     """Per case of the --n-max 6 sweep: H is matched against G once in the case's own
-    levi_sign_data and once per map; every ring built is kept by one of the two maps;
-    and no GroupDatum is checked again, H's datum coming from the checked triple."""
+    levi_sign_data and once per map; and every ring built is kept by one of the two maps."""
     cases = list(cli.square_cases(6))
-    matched, rings, data, maps = [], [], [], []
+    matched, rings, maps = [], [], []
     _counted(monkeypatch, satake, "_require_match", matched)
     _counted(monkeypatch, HeckeRing, "__post_init__", rings)
-    _counted(monkeypatch, GroupDatum, "__post_init__", data)
     _counted(monkeypatch, satake, "_routed_map", maps)
     for case in cases:
         assert verify_transfer_square(*case, SPLIT)["failures"] == []
-    assert (len(matched), len(maps), len(data)) == (3 * len(cases), 2 * len(cases), 0)
+    assert (len(matched), len(maps)) == (3 * len(cases), 2 * len(cases))
     kept = [id(ring) for _, sub in maps for ring in (sub.source, sub.target)]
     assert sorted(id(args[0]) for args, _ in rings) == sorted(kept)
 
