@@ -2,11 +2,11 @@
 unitary similitude groups.
 
 Submodules:
-    perm        permutations and the block (Levi Weyl) groups
     laurent     exact multivariate Laurent polynomials, Weyl actions, JSON form
     rootdata    group data, elliptic endoscopic data, stabilization coefficients
     satake      spherical Hecke algebra models and the transfer morphisms
-    characters  Kostant cohomology, signed partition lemmas, Weyl characters
+    characters  Kostant cohomology and its signed permutations, signed partition
+                lemmas, Weyl characters
     cli         deterministic command-line front end
 """
 

@@ -8,7 +8,8 @@ doubled weight vectors, so every comparison is exact integer arithmetic.
 Conventions: positive roots are e_i - e_j for i < j, dominant weights are
 non-increasing within each block, and the minimal-length coset
 representatives are the permutations whose inverse is increasing on each
-Levi block.
+Levi block.  Every permutation walked is built together with its sign or
+its length; none has its sign read off after it is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from itertools import combinations, permutations, product
 from math import factorial, lcm, prod
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from . import perm
 from .laurent import (
     INT32_MAX, SIM, ExponentOverflowError, LaurentPoly, _check_exp, _merge, _tor_subset_sum, tor,
 )
@@ -203,6 +203,38 @@ class Weight:
 # -- Kostant cohomology with truncation -------------------------------------------
 
 
+def _signed_perms(items: Sequence) -> Iterator[Tuple[tuple, int]]:
+    """The orderings of items in the order of itertools.permutations, each with
+    the sign of its permutation of the positions (for increasing items, the
+    lexicographic order and the ordering's own sign).  The orderings of k
+    positions come in k runs: run i puts position i first, ahead of the i
+    smaller positions, which adds i inversions to those of an ordering of the
+    other k - 1 positions, and every run lists these in the same order."""
+    signs = [1]
+    for k in range(2, len(items) + 1):
+        signs = [-t if i & 1 else t for i in range(k) for t in signs]
+    return zip(permutations(items), signs)
+
+
+def _signed_block_perms(blocks: Sequence[Sequence[int]]) -> List[Tuple[Tuple[int, ...], int]]:
+    """The permutations moving each block of positions only within itself, with
+    their signs.  The blocks are runs of consecutive positions that partition
+    1..n, in increasing order; elements come in the product order of the
+    blocks' lexicographic orders, and a sign is the product of its blocks'."""
+    factors = [list(_signed_perms(b)) for b in blocks]
+    return [
+        (sum((w for w, _ in combo), ()), prod(sign for _, sign in combo)) for combo in product(*factors)
+    ]
+
+
+def _act(w: Sequence[int], v: Sequence) -> tuple:
+    """(w.v)_i = v_{w^{-1}(i)}: the entry at position j moves to position w(j)."""
+    out = [None] * len(v)
+    for j, img in enumerate(w):
+        out[img - 1] = v[j]
+    return tuple(out)
+
+
 def levi_blocks(n: int, s_set: Iterable[int]) -> List[List[int]]:
     """Position blocks of the standard Levi attached to a subset of {1..q}."""
     rs = sorted(set(int(r) for r in s_set))
@@ -256,8 +288,13 @@ def _shuffles(sizes: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
                 yield chosen + tail, crossings + length
 
     values = tuple(range(1, sum(sizes) + 1))
-    graded = sorted((length, perm.inverse(inv)) for inv, length in inverses(values, sizes))
-    return {w: length for length, w in graded}
+    graded = []
+    for inv, length in inverses(values, sizes):
+        w = [0] * len(inv)
+        for pos, img in enumerate(inv, start=1):
+            w[img - 1] = pos
+        graded.append((length, tuple(w)))
+    return {w: length for length, w in sorted(graded)}
 
 
 @dataclass(frozen=True)
@@ -295,7 +332,7 @@ class KostantDatum:
 
     def levi_group(self) -> List[Tuple[Tuple[int, ...], int]]:
         """Block permutations with their signs."""
-        return [(w, perm.parity(w)) for w in perm.block_perms(self.blocks())]
+        return _signed_block_perms(self.blocks())
 
 
 @dataclass(frozen=True)
@@ -330,7 +367,7 @@ def kostant_cohomology(kd: KostantDatum, weight: Weight) -> List[KostantEntry]:
     r2 = rho2(kd.n)
     out = []
     for w, length in kd.coset_reps().items():
-        shifted2 = perm.act(w, lam2)
+        shifted2 = _act(w, lam2)
         weight2 = tuple(x - y for x, y in zip(shifted2, r2))
         out.append(KostantEntry(length, w, weight2, shifted2))
     return out
@@ -399,12 +436,13 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
     want_pos = direction == ">"
     s_fact = factorial(s)
     # each sigma permutes the first s linear slots and their mirrors together:
-    # slot j takes its entry from slot sigma^{-1}(j)
+    # slot j takes its entry from slot sigma^{-1}(j); tau runs over the
+    # sigma^{-1}, 0-based, as sigma runs over the group
     sources = []
-    for sigma in permutations(range(1, s + 1)):
+    for tau in permutations(range(s)):
         src = list(range(n))
-        for j, i in enumerate(perm.inverse(sigma)):
-            src[j], src[n - 1 - j] = i - 1, n - i
+        for j, i in enumerate(tau):
+            src[j], src[n - 1 - j] = i, n - 1 - i
         sources.append(src)
 
     side_a: Dict[Tuple[int, ...], int] = {}
@@ -414,7 +452,7 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
         # truncation keeps, tested in the order of kostant_cohomology
         survivors = []
         for w, length in kd.coset_reps().items():
-            v = perm.act(w, lam2)
+            v = _act(w, lam2)
             if _truncation_keeps(v, rs, want_pos, w):
                 survivors.append((v, (-1) ** length))
         # the Levi elements fixing the middle: its block split into single slots
@@ -423,10 +461,10 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
             blocks += [[j] for j in b] if s < b[0] <= n - s else [b]
         # a Levi element w followed by a translate, as one map of slots (slot
         # k of the term takes the entry at slot idx[k]); translates of
-        # different elements often coincide, so their signs are summed once
+        # different elements often coincide, so their signs are summed once;
+        # w^{-1} runs over the group as w does, with the same sign
         moves: Dict[Tuple[int, ...], int] = {}
-        for w in perm.block_perms(blocks):
-            w_inv, det = perm.inverse(w), perm.parity(w)
+        for w_inv, det in _signed_block_perms(blocks):
             _merge(moves, ((tuple([w_inv[i] - 1 for i in src]), det) for src in sources))
         coeff_base = (-1) ** (s - len(rs)) * multinomial
         for v, det in survivors:
@@ -438,12 +476,17 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
     side_b: Dict[Tuple[int, ...], int] = {}
     # a kept term of side B: the positions of lam2 that fill the middle, in
     # increasing order (so its entries decrease), and an ordering of the rest
-    # in slots 1..s and n-s+1..n
+    # in slots 1..s and n-s+1..n.  Its w^{-1} is A + rest + B, with A and B the
+    # first and last s positions of that ordering.  Besides the inversions of
+    # the ordering, whose sign _signed_perms gives, w^{-1} crosses rest
+    # s*m + sum_A lt - sum_B lt times, where lt(x) counts the b in rest with
+    # b < x; that has the parity of s*m + the sum of lt over A and B.
     for rest in combinations(range(1, n + 1), m):
         middle = tuple([lam2[i - 1] for i in rest])
         outer_pos = [i for i in range(1, n + 1) if i not in rest]
         outer_vals = [lam2[i - 1] for i in outer_pos]
-        for outer_inv, outer in zip(permutations(outer_pos), permutations(outer_vals)):
+        rest_coeff = (-1) ** (s * m + sum(b < x for x in outer_pos for b in rest)) * s_fact
+        for outer, sign in _signed_perms(outer_vals):
             ok = True
             for r in range(1, s + 1):
                 val = pairing_coroot(outer, r)  # slots r and n+1-r of the term
@@ -453,16 +496,15 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
                     ok = False
                     break
             if ok:
-                w_inv = outer_inv[:s] + rest + outer_inv[s:]
-                _merge(side_b, ((outer[:s] + middle + outer[s:], perm.parity(w_inv) * s_fact),))
+                _merge(side_b, ((outer[:s] + middle + outer[s:], sign * rest_coeff),))
 
     diff = []
     for key in sorted(side_a.keys() | side_b.keys()):
         c = side_a.get(key, 0) - side_b.get(key, 0)
         if not c:
             continue
-        for order, arranged in zip(permutations(range(1, m + 1)), permutations(key[s : n - s])):
-            c_order = Fraction(c * perm.parity(order), s_fact)
+        for arranged, sign in _signed_perms(key[s : n - s]):
+            c_order = Fraction(c * sign, s_fact)
             diff.append((list(key[:s] + arranged + key[n - s :]), str(c_order)))
     diff.sort()
     return {

@@ -134,8 +134,6 @@ def cmd_invariants(args) -> tuple:
     k = rootdata.k_invariant(g)
     d = rootdata.packet_size_signed(g)
     payload = {"tau": tau, "k": k, "d": d, "kt_check": f"2^{g.n - 1}"}
-    if k * tau != 2 ** (g.n - 1):
-        raise ValueError("k * tau deviates from 2^{n-1}")
     if args.endo:
         h = EndoTriple(*args.endo)
         payload["iota"] = str(rootdata.iota(datum, h))

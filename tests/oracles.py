@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
-from satkit import perm, satake
+from satkit import satake
 from satkit.characters import (
     KostantDatum, KostantEntry, WallError, pairing_coroot, rho2, truncate_cohomology
 )
@@ -31,6 +31,28 @@ def length(w):
             if wi > w[j]:
                 inv += 1
     return inv
+
+
+def perm_sign(w):
+    """(-1) to the number of inversions."""
+    return (-1) ** length(w)
+
+
+def perm_inverse(w):
+    """The permutation of 1..n sending w(j) back to j."""
+    return tuple(w.index(i) + 1 for i in range(1, len(w) + 1))
+
+
+def act(w, v):
+    """(w.v)_i = v_{w^{-1}(i)}."""
+    inv = perm_inverse(w)
+    return tuple(v[inv[i] - 1] for i in range(len(v)))
+
+
+def block_perms(blocks):
+    """The permutations moving each block of consecutive positions within itself,
+    in the product order of the blocks' lexicographic permutation orders."""
+    return [sum(combo, ()) for combo in product(*(permutations(b) for b in blocks))]
 
 
 def canonical_endo(t):
@@ -245,7 +267,7 @@ def symmetrize_by_mono(f, group, shape):
 def _alternant(exps, vars_):
     n = len(vars_)
     return LaurentPoly.from_terms(
-        (_mono((vars_[i], exps[w[i] - 1]) for i in range(n)), perm.parity(w))
+        (_mono((vars_[i], exps[w[i] - 1]) for i in range(n)), perm_sign(w))
         for w in permutations(range(1, n + 1))
     )
 
@@ -358,7 +380,7 @@ def coset_reps_by_filter(kd):
     blocks = kd.blocks()
     reps = []
     for w in permutations(range(1, kd.n + 1)):
-        inv = perm.inverse(w)
+        inv = perm_inverse(w)
         if all(inv[x - 1] < inv[y - 1] for b in blocks for x, y in zip(b, b[1:])):
             reps.append(w)
     return reps
@@ -372,7 +394,7 @@ def kostant_cohomology_by_length(kd, weight):
     r2 = rho2(kd.n)
     entries = []
     for w in coset_reps_by_filter(kd):
-        shifted2 = perm.act(w, lam2)
+        shifted2 = act(w, lam2)
         weight2 = tuple(x - y for x, y in zip(shifted2, r2))
         entries.append(KostantEntry(length(w), w, weight2, shifted2))
     entries.sort(key=lambda e: (e.degree, e.omega))
@@ -388,7 +410,7 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
     lam2 = tuple(2 * x for x in weight.blocks[0])
 
     def sigma_act(vec, sigma):
-        inv = perm.inverse(sigma)
+        inv = perm_inverse(sigma)
         out = list(vec)
         for j in range(1, s + 1):
             out[j - 1] = vec[inv[j - 1] - 1]
@@ -408,14 +430,14 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
         w_s = prod(factorial(b - a) for a, b in zip([0] + rs, rs))  # r_1! (r_2 - r_1)! ...
         coeff_base = Fraction((-1) ** (s - len(rs)), w_s)
         for e in truncate_cohomology(entries, rs, direction):
-            for w_m, det_m in kd.levi_group():
-                expanded = perm.act(w_m, e.shifted2)
+            for w_m in block_perms(kd.blocks()):
+                expanded, det_m = act(w_m, e.shifted2), perm_sign(w_m)
                 for sigma in permutations(range(1, s + 1)):
                     add(side_a, sigma_act(expanded, sigma), coeff_base * det_m * (-1) ** e.degree)
 
     side_b = {}
     for w in permutations(range(1, n + 1)):
-        v = perm.act(w, lam2)
+        v = act(w, lam2)
         ok = True
         for r in range(1, s + 1):
             val = pairing_coroot(v, r)
@@ -425,7 +447,7 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
                 ok = False
                 break
         if ok:
-            add(side_b, v, Fraction(perm.parity(w)))
+            add(side_b, v, Fraction(perm_sign(w)))
 
     diff = []
     for k in sorted(set(side_a) | set(side_b)):
@@ -473,7 +495,7 @@ def compose(w1, w2):
     perms = []
     for a, b in zip(w1.perms, w2.perms):
         (p1, e1), (p2, e2) = _unsigned(a), _unsigned(b)
-        inv1 = perm.inverse(p1)
+        inv1 = perm_inverse(p1)
         perms.append(_signed(
             tuple(p1[p2[j] - 1] for j in range(len(p1))),
             tuple(e1[k] * e2[inv1[k] - 1] for k in range(len(e1))),
@@ -486,7 +508,7 @@ def inverse(w):
     perms = []
     for entries in w.perms:
         p, e = _unsigned(entries)
-        perms.append(_signed(perm.inverse(p), tuple(e[p[k] - 1] for k in range(len(e)))))
+        perms.append(_signed(perm_inverse(p), tuple(e[p[k] - 1] for k in range(len(e)))))
     return WeylElement(tuple(perms))
 
 
@@ -506,7 +528,7 @@ def weyl_group_by_blocks(shape, linear=None):
             signs = [(1,) * d]
         else:
             signs = [(1,) * lin + s for s in product((1, -1), repeat=d - lin)]
-        factors.append([_signed(p, s) for p in perm.block_perms(blocks) for s in signs])
+        factors.append([_signed(p, s) for p in block_perms(blocks) for s in signs])
     return tuple(WeylElement(combo) for combo in product(*factors))
 
 

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, permutations
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
@@ -179,6 +180,58 @@ def compositions(n):
     for cuts in range(2 ** (n - 1)):
         bounds = [0] + [i + 1 for i in range(n - 1) if cuts >> i & 1] + [n]
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def _inversions(w):
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def test_signed_perms_are_lexicographic_with_sign_of_length():
+    for n in range(8):
+        items = tuple(range(1, n + 1))
+        signed = list(characters._signed_perms(items))
+        assert [w for w, _ in signed] == list(permutations(items))
+        for w, sign in signed:
+            assert sign == oracles.perm_sign(w) == (-1) ** _inversions(w)
+            assert oracles.length(w) == _inversions(w)
+
+
+def test_signed_block_perms_keep_the_product_order_and_signs():
+    blocks = [(1, 2), (3,), (4, 5, 6)]
+    signed = characters._signed_block_perms(blocks)
+    assert signed == [(w, oracles.perm_sign(w)) for w in oracles.block_perms(blocks)]
+    assert len(signed) == 2 * 1 * 6
+    assert signed[0] == ((1, 2, 3, 4, 5, 6), 1) and signed[1] == ((1, 2, 3, 4, 6, 5), -1)
+    for w, _ in signed:
+        assert all(sorted(w[b[0] - 1 : b[-1]]) == list(b) for b in blocks)
+    for blocks in ([[1, 2, 3, 4]], [[1], [2, 3, 4], [5, 6]], [[1, 2], [3], [4], [5, 6]]):
+        assert characters._signed_block_perms(blocks) == [
+            (w, oracles.perm_sign(w)) for w in oracles.block_perms(blocks)
+        ]
+
+
+def test_act_moves_the_entry_at_j_to_w_j():
+    v = ("a", "b", "c", "d")
+    for w in permutations(range(1, 5)):
+        inv = oracles.perm_inverse(w)
+        assert all(w[inv[i] - 1] == i + 1 for i in range(4))
+        assert characters._act(w, characters._act(inv, v)) == v
+        assert characters._act(w, v) == tuple(v[inv[i] - 1] for i in range(4)) == oracles.act(w, v)
+
+
+def test_kostant_levi_group_signs():
+    for n in range(1, 7):
+        for q in range(n // 2 + 1):
+            for k in range(q + 1):
+                for s_set in map(frozenset, combinations(range(1, q + 1), k)):
+                    kd = KostantDatum(n - q, q, s_set)
+                    group = kd.levi_group()
+                    assert len(group) == kd.levi_order()
+                    for w, det in group:
+                        expect = 1
+                        for b in kd.blocks():
+                            expect *= (-1) ** _inversions([b.index(w[pos - 1]) + 1 for pos in b])
+                        assert det == expect
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1,11 +1,13 @@
-"""No library module imports a name it never uses."""
+"""No library module imports a name it never uses, and the module lists name every module."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "satkit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "satkit"
 
 # Imported on purpose and never used: perfbench's span test reads satake.substitute
 # to check that a traced run wraps a function in every module that binds it.
@@ -51,3 +53,13 @@ def test_the_names_kept_on_purpose_are_imported_and_unused():
     for module, name in UNUSED_ON_PURPOSE:
         tree = ast.parse((SRC / f"{module}.py").read_text())
         assert name in set(imported(tree)) and name not in used(tree)
+
+
+def test_module_lists_name_exactly_the_modules():
+    stems = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    doc = ast.get_docstring(ast.parse((SRC / "__init__.py").read_text()))
+    submodules = set(re.findall(r"^    (\w+) ", doc.split("Submodules:")[1], re.M))
+    layout = (ROOT / "README.md").read_text().split("## Layout")[1].split("\n## ")[0]
+    rows = set(re.findall(r"^\| `satkit\.(\w+)`", layout, re.M))
+    assert submodules == stems
+    assert rows == stems

@@ -5,6 +5,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -410,6 +411,32 @@ def test_weyl_group_matches_the_block_enumeration(shape, linear):
     assert list(group) == sorted(group, key=lambda w: w.perms)
     assert len(set(group)) == len(group) == weyl_order(movable)
     assert set(group) == set(weyl_group_by_blocks(shape, linear))
+
+
+LEVI_SHAPES = [(1,), (2,), (3,), (4,), (5,), (2, 1), (2, 2), (3, 2), (4, 4)]
+
+
+def _fixes_linear(w, split, sizes, linear):
+    """Whether w fixes the first linear[i] slots of each factor (their signs included,
+    as entries are signed), and at split places their mirrors too."""
+    for i, (n, lin) in enumerate(zip(sizes, linear)):
+        for j in range(1, lin + 1):
+            if w.perms[i][j - 1] != j:
+                return False
+            if split and w.perms[i][n - j] != n + 1 - j:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("split", [True, False])
+@pytest.mark.parametrize("sizes", LEVI_SHAPES)
+def test_levi_weyl_group_is_ordered_subgroup(split, sizes):
+    shape = WeylShape(split=split, sizes=sizes)
+    full = weyl_group(shape)
+    assert len(full) == weyl_order(shape)
+    for linear in product(*(range(n // 2 + 1) for n in sizes)):
+        levi = weyl_group(shape, linear)
+        assert levi == tuple(w for w in full if _fixes_linear(w, split, sizes, linear))
 
 
 @st.composite
