@@ -6,7 +6,10 @@ Every command is one row of COMMANDS or SUITES: its name, help, handler and
 flags.  A handler returns its result and `run` prints it: a LaurentPoly or a
 (payload, human) pair.  A suite's handler instead yields (cases, failure
 records) per unit of work, and `run_suite` reports the stream as such a
-pair.  The parser is built once per process.
+pair.  The parsers are built once per process.  An argv that starts with a
+command, or with `verify` and a suite, is parsed by that command's own parser;
+top-level help, unknown commands and arguments the command does not know go
+through the top parser, which prints their help and usage errors.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on usage errors (argparse), 3 on precondition violations.  Output on
@@ -407,27 +410,57 @@ SUITES = (
 )
 
 
-def add_commands(sub, rows) -> None:
+def add_commands(sub, rows) -> dict:
+    """Add one parser per row to sub; return the parsers by name."""
+    parsers = {}
     for name, help_, handler, flags in rows:
-        p = sub.add_parser(name, help=help_)
+        p = parsers[name] = sub.add_parser(name, help=help_)
         for option, kw in flags:
             p.add_argument(option, **kw)
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.set_defaults(handler=handler)
+    return parsers
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The satkit parser, built on the first call and shared by every later one."""
+def build_parsers() -> tuple:
+    """The top satkit parser and its route table, built on the first call and
+    shared by every later one.  The table maps the argv head that names each
+    command, or `verify` and each suite, to that command's parser and to the
+    namespace values the parsers above it set before they hand it the rest."""
     top = argparse.ArgumentParser(
         prog="satkit",
         description="Exact Satake-side Hecke algebra and discrete-series combinatorics",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    add_commands(sub, COMMANDS)
+    commands = add_commands(sub, COMMANDS)
     verify = sub.add_parser("verify", help="verification suites")
-    add_commands(verify.add_subparsers(dest="suite", required=True), SUITES)
-    return top
+    suites = add_commands(verify.add_subparsers(dest="suite", required=True), SUITES)
+    routes = {(name,): (p, {"command": name}) for name, p in commands.items()}
+    routes.update(
+        {("verify", name): (p, {"command": "verify", "suite": name}) for name, p in suites.items()}
+    )
+    return top, routes
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top satkit parser (see build_parsers)."""
+    return build_parsers()[0]
+
+
+def parse_args(argv: List[str]) -> argparse.Namespace:
+    """The namespace of argv, as the top parser would build it.  A routed argv is
+    parsed by its command's parser alone; any other argv, and any that leaves
+    arguments its command's parser does not know, goes through the top parser,
+    so that it prints the top parser's help or usage error."""
+    top, routes = build_parsers()
+    head = tuple(argv[:2] if argv[:1] == ["verify"] else argv[:1])
+    if head in routes:
+        parser, preset = routes[head]
+        args, extras = parser.parse_known_args(argv[len(head):], argparse.Namespace(**preset))
+        if not extras:
+            return args
+    return top.parse_args(argv)
 
 
 def render(result, as_json: bool) -> str:
@@ -439,7 +472,7 @@ def render(result, as_json: bool) -> str:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
     try:
         result = globals()[args.handler](args)

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import random
+import sys
 import time
 from fractions import Fraction
 from math import factorial
@@ -23,6 +24,8 @@ from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
 from satkit.satake import LeviDatum
 
 import oracles
+import record_corpus
+import record_refusals
 
 SPLIT = PlaceContext(split=True, d=1)
 
@@ -505,6 +508,39 @@ def test_parser_is_built_once(capsys):
     assert build_parser() is parser
 
 
+def test_route_table_is_built_once_with_one_route_per_row(capsys):
+    top, routes = cli.build_parsers()
+    invoke(capsys, ["endoscopy", "--n", "2"])
+    invoke(capsys, ["verify", "partition-lemmas", "--n-max", "1"])
+    assert cli.build_parsers()[1] is routes and build_parser() is top
+    rows = [((name,), {"command": name}, handler) for name, _, handler, _ in cli.COMMANDS]
+    rows += [
+        (("verify", name), {"command": "verify", "suite": name}, handler)
+        for name, _, handler, _ in cli.SUITES
+    ]
+    assert sorted(routes) == sorted(path for path, _, _ in rows)
+    for path, preset, handler in rows:
+        parser, route_preset = routes[path]
+        assert route_preset == preset
+        assert parser.prog == "satkit " + " ".join(path)
+        assert parser.get_default("handler") == handler
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["satkit", "endoscopy", "--n", "4", "--json"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    with open(README_GOLDEN) as fh:
+        transcript = fh.read()
+    assert "$ satkit endoscopy --n 4 --json\n" + capsys.readouterr().out in transcript
+    monkeypatch.setattr(sys, "argv", ["satkit", "endoscopy", "--n", "4", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
 def test_handler_is_looked_up_when_the_command_runs(capsys, monkeypatch):
     build_parser()
     monkeypatch.setattr(cli, "cmd_subsets", lambda args: ({"stub": args.n}, "stub"))
@@ -619,3 +655,68 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue()
     if "--json" in argv and out.getvalue():
         json.loads(out.getvalue())
+
+
+# -- the routed parse against the top parser ------------------------------------------
+
+
+def parsed(parse, argv):
+    """(namespace, exit code, stdout, stderr) of one parse of argv; the namespace is
+    None when the parse exits, and the exit code None when it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+def assert_routed_parse_is_the_top_parse(argv):
+    assert parsed(cli.parse_args, argv) == parsed(build_parser().parse_args, argv), argv
+
+
+def test_routed_parse_matches_the_top_parser_on_every_recorded_argv():
+    argvs_seen = [argv for _, _, _, argv in record_corpus.jobs()]
+    assert len(argvs_seen) == 1800
+    argvs_seen += record_refusals.ARGVS + readme_commands()
+    for argv in argvs_seen:
+        assert_routed_parse_is_the_top_parse(argv)
+
+
+NOISE = ["--bogus", "--bogus=1", "extra", "7", "--", "-h", "--help", "-x", "--json", "verify"]
+HEADS = [[], ["nope"], ["verify"], ["verify", "nope"], ["verify", "-h"], ["-h"], ["--", "endoscopy"]]
+
+
+@st.composite
+def mistyped_argvs(draw):
+    """argvs() as typed by hand: values after a space, flags abbreviated (`--n-m 4`) or
+    repeated, unknown flags, extra positionals, `--` and `-h` anywhere, and now and then
+    an unknown or missing command in place of the command."""
+    argv = draw(argvs())
+    depth = 2 if argv[0] == "verify" else 1
+    head, rest = argv[:depth], []
+    for word in argv[depth:]:
+        option, eq, value = word.partition("=")
+        if draw(st.integers(0, 3)) == 3:
+            option = option[: draw(st.integers(3, len(option)))]
+        rest += [option, value] if eq and draw(st.booleans()) else [option + eq + value]
+    if rest and draw(st.booleans()):
+        rest.insert(draw(st.integers(0, len(rest))), draw(st.sampled_from(rest)))
+    for _ in range(draw(st.integers(0, 2))):
+        rest.insert(draw(st.integers(0, len(rest))), draw(st.sampled_from(NOISE)))
+    if draw(st.integers(0, 4)) == 4:
+        head = draw(st.sampled_from(HEADS))
+    return head + rest
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(mistyped_argvs())
+@example([])
+@example(["transfer", "--n", "3", "--endo", "1-2", "--", "--json"])
+@example(["verify", "transfer-square", "--n-m", "4", "--json"])
+@example(["constant-term", "--levi", "1"])
+@example(["endoscopy", "-h"])
+def test_routed_parse_matches_the_top_parser_on_mistyped_argv(argv):
+    assert_routed_parse_is_the_top_parse(argv)
