@@ -11,7 +11,7 @@ from satkit.laurent import (
     SIM,
     LaurentPoly,
     WeylShape,
-    group_act,
+    act,
     is_invariant,
     parse_poly,
     pretty,
@@ -43,18 +43,17 @@ print("substituted:", pretty(substitute(g, images)))
 
 # The symmetric group of a split place acts by permuting torus variables;
 # orbit sums are the basic invariants.  Orbits and invariance need only a
-# generating set: here the adjacent transpositions of S_3.
-shape = WeylShape(split=True, sizes=(3,))
-group = weyl_generators(shape)
-orbit = symmetrize(x1 * x1, group, shape)
+# generating set: here the adjacent transpositions of S_3, each a table of
+# variable images like a substitution's.
+group = weyl_generators(WeylShape(split=True, sizes=(3,)))
+orbit = symmetrize(x1 * x1, group)
 print("orbit of X11^2:", pretty(orbit))
-print("invariant?", is_invariant(orbit, group, shape))
+print("invariant?", is_invariant(orbit, group))
 
 # At an inert place the group is hyperoctahedral: a sign flip inverts a
 # torus variable and multiplies the (all-even) similitude by its inverse.
-ishape = WeylShape(split=False, sizes=(2,))
-(flip,) = weyl_generators(ishape)  # the sign change of the one slot
-print("flip acting on X:", pretty(group_act(flip, X, ishape)))
+(flip,) = weyl_generators(WeylShape(split=False, sizes=(2,)))  # the sign change of the one slot
+print("flip acting on X:", pretty(act(flip, X)))
 
 # Canonical JSON form round-trips exactly.
 text = serialize_poly(g)

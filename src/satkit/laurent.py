@@ -14,10 +14,12 @@ Variables are identified by small tuples:
     tor(i, j)       = ("t", i, j)   the torus variable X_{i,j}
 
 Tuple comparison realises the canonical variable order
-q < Sim < Tor(1,1) < Tor(1,2) < ...  A Weyl element, a signed permutation of
-each factor's torus slots (see WeylElement and weyl_group), acts on SIM and the
-torus variables of its shape's ring, fixing q; group_act and symmetrize raise
-SubstitutionError on any other variable.
+q < Sim < Tor(1,1) < Tor(1,2) < ...  Every ring map here sends each variable
+to a signed q-monomial and is written as one table v -> (negative, q shift,
+monomial), applied by act.  weyl_generators writes a Weyl group's generators
+as such tables over SIM and the torus variables of the shape's ring, fixing q,
+so act, is_invariant and symmetrize raise SubstitutionError on any other
+variable.
 """
 
 from __future__ import annotations
@@ -284,13 +286,17 @@ def _image(table: Mapping, memo: dict, m: Monomial, coeff: Coeff) -> Tuple[Monom
     return tuple(parts), coeff
 
 
-def _apply(table: Mapping, f: LaurentPoly) -> LaurentPoly:
+def act(table: Mapping, f: LaurentPoly) -> LaurentPoly:
+    """Apply the ring map a table v -> (negative, q shift, image monomial) gives: v goes
+    to (-1)^negative q^shift times the q-free monomial, q to q.  Satake morphisms and
+    Weyl generators are such tables; a variable of f the table lacks raises
+    SubstitutionError."""
     memo: dict = {}
     return LaurentPoly.from_terms(_image(table, memo, m, c) for m, c in f.terms())
 
 
 def _substitution_table(images: Mapping[Var, LaurentPoly]) -> dict:
-    """Compile variable images into the _image table v -> (negative, q shift, monomial)."""
+    """Compile variable images into the table act reads, v -> (negative, q shift, monomial)."""
     table = {}
     for v, img in images.items():
         if not img.is_term():
@@ -308,10 +314,10 @@ def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly
     Every non-q variable of f must have an image; images must be single terms
     with coefficient +-1 times a power of q.  q itself maps to q.
     """
-    return _apply(_substitution_table(images), f)
+    return act(_substitution_table(images), f)
 
 
-# -- Weyl elements and actions -----------------------------------------------
+# -- Weyl groups ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -326,29 +332,6 @@ class WeylShape:
         return all(n % 2 == 0 for n in self.sizes)
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A signed permutation of each factor's torus slots, in signed one-line notation.
-
-    Entry j of perms[i - 1] is k when the element sends X_{i,j} to X_{i,k}, and
-    -k when it sends X_{i,j} to X_{i,k}^{-1} (inert places only).
-    """
-
-    perms: Tuple[Tuple[int, ...], ...]
-
-
-def _identity(shape: WeylShape) -> WeylElement:
-    """The identity of the shape's torus slots: n_i per factor at split places, n_i // 2 at inert ones."""
-    return WeylElement(tuple(tuple(range(1, (n if shape.split else n // 2) + 1)) for n in shape.sizes))
-
-
-def _compose(a: WeylElement, b: WeylElement) -> WeylElement:
-    """The product a b, in which b acts first."""
-    return WeylElement(tuple(
-        tuple(x[e - 1] if e > 0 else -x[-e - 1] for e in y) for x, y in zip(a.perms, b.perms)
-    ))
-
-
 def _closure(seed, step) -> set:
     """Everything reachable from seed by repeated steps; step(x) yields the neighbours of x."""
     seen, todo = {seed}, [seed]
@@ -360,76 +343,48 @@ def _closure(seed, step) -> set:
     return seen
 
 
-def weyl_generators(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[WeylElement, ...]:
-    """The Coxeter generators of weyl_group(shape, linear), at most sum(sizes) of them.
+def weyl_generators(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[dict, ...]:
+    """The Coxeter generators of the shape's Weyl group, at most sum(sizes) of them, each
+    a table (see act) over every variable of the shape's ring: SIM and X_{i,j} for j up
+    to n_i at split places, n_i // 2 at inert ones.
 
     Factor i fixes its first linear[i] slots, and at split places their mirrors, the
-    last ones.  Its generators are the adjacent transpositions of the slots between
-    and, at inert places, the sign change of its last slot (generators of S_k and of
-    the hyperoctahedral group).  The trivial group gets the empty set.
+    last ones, which gives the Weyl group of that standard Levi.  Its generators are
+    the transpositions of adjacent slots between, which swap two entries of the
+    identity table, and at inert places the sign change of its last slot X_{i,top},
+    which maps X_{i,top} to its inverse and, when every factor is even, SIM to
+    SIM X_{i,top}^{-1} (generators of S_k and of the hyperoctahedral group).  The
+    trivial group gets the empty set.
     """
-    ident = _identity(shape).perms
+    slots = [n if shape.split else n // 2 for n in shape.sizes]
+    ring = [SIM] + [tor(i, j) for i, d in enumerate(slots, 1) for j in range(1, d + 1)]
+    ident = {v: (False, 0, ((v, 1),)) for v in ring}
     gens = []
-    for i, (n, p0) in enumerate(zip(shape.sizes, ident)):
-        lin = linear[i] if linear else 0
-        top = n - lin if shape.split else len(p0)  # the movable block is lin+1..top
-        local = [p0[: j - 1] + (j + 1, j) + p0[j + 1 :] for j in range(lin + 1, top)]
+    for i, (n, d) in enumerate(zip(shape.sizes, slots), 1):
+        lin = linear[i - 1] if linear else 0
+        top = n - lin if shape.split else d  # the movable block is lin+1..top
+        for x, y in ((tor(i, j), tor(i, j + 1)) for j in range(lin + 1, top)):
+            gens.append({**ident, x: ident[y], y: ident[x]})
         if not shape.split and top > lin:
-            local.append(p0[:-1] + (-top,))
-        gens += [WeylElement(ident[:i] + (p,) + ident[i + 1 :]) for p in local]
+            x = tor(i, top)
+            sim = ((SIM, 1), (x, -1)) if shape.all_even else ((SIM, 1),)
+            gens.append({**ident, x: (False, 0, ((x, -1),)), SIM: (False, 0, sim)})
     return tuple(gens)
 
 
-def weyl_group(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[WeylElement, ...]:
-    """The closure of weyl_generators(shape, linear) under composition, sorted by perms:
-    with `linear`, the Weyl group of that standard Levi, an ordered subsequence of the
-    full group.  Its |W| elements grow factorially with the sizes; orbits and invariance
-    need only generators, so the library's hot paths use weyl_generators instead."""
-    gens = weyl_generators(shape, linear)
-    group = _closure(_identity(shape), lambda w: (_compose(g, w) for g in gens))
-    return tuple(sorted(group, key=lambda w: w.perms))
-
-
-def _weyl_table(w: WeylElement, shape: WeylShape) -> dict:
-    """w as a substitution table over every variable of the shape's ring.
-
-    X_{i,j} goes to X_{i,k} for entry k of w, and to X_{i,k}^{-1} for entry
-    -k.  When every factor is even, each entry -k also divides SIM by X_{i,k}.
-    """
-    table = {}
-    flips = []
-    for i, p in enumerate(w.perms, start=1):
-        for j, e in enumerate(p, start=1):
-            table[tor(i, j)] = (False, 0, ((tor(i, abs(e)), 1 if e > 0 else -1),))
-            if e < 0:
-                flips.append((tor(i, -e), -1))
-    table[SIM] = (False, 0, _mono([(SIM, 1)] + (flips if shape.all_even else [])))
-    return table
-
-
-def group_act(w: WeylElement, f: LaurentPoly, shape: WeylShape) -> LaurentPoly:
-    """Act by a Weyl element; a ring automorphism of the ambient Laurent ring.
-
-    Split factors permute the torus variables.  Inert factors act by signed
-    permutations; a negative entry -k inverts the image X_{i,k} and, when
-    every factor is even, multiplies the similitude variable by X_{i,k}^{-1}.
-    A variable outside the shape's ring raises SubstitutionError.
-    """
-    return _apply(_weyl_table(w, shape), f)
-
-
-def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -> LaurentPoly:
-    """Orbit sum: each term is replaced by the sum of its distinct group images.
+def symmetrize(f: LaurentPoly, group: Sequence[Mapping]) -> LaurentPoly:
+    """Orbit sum: each term is replaced by the sum of its distinct images under the group
+    the tables generate.
 
     Each orbit element appears once (no averaging), matching the convention
     where a spherical function's Satake transform is the plain sum over the
     Weyl translates of a cocharacter.
 
-    `group` may be the whole group or any generating set of it, such as
+    `group` may be every element or any generating set, such as
     weyl_generators(shape): each orbit is the closure of its term under the
-    given elements, so it costs |orbit| * len(group) actions, not |W|.
+    given tables, so it costs |orbit| * len(group) images, not |W|.
     """
-    tables = [(_weyl_table(w, shape), {}) for w in group]
+    tables = [(t, {}) for t in group]
 
     def images(m: Monomial) -> Iterator[Monomial]:
         return (_image(t, memo, m, 1)[0] for t, memo in tables)
@@ -437,9 +392,9 @@ def symmetrize(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -
     return LaurentPoly.from_terms((mono, c) for m, c in f.terms() for mono in _closure(m, images))
 
 
-def is_invariant(f: LaurentPoly, group: Sequence[WeylElement], shape: WeylShape) -> bool:
-    """Whether every given element fixes f; a generating set of the group suffices."""
-    return all(group_act(w, f, shape) == f for w in group)
+def is_invariant(f: LaurentPoly, group: Sequence[Mapping]) -> bool:
+    """Whether every given table fixes f; a generating set of the group suffices."""
+    return all(act(t, f) == f for t in group)
 
 
 # -- canonical serialization --------------------------------------------------

@@ -30,19 +30,19 @@ from .laurent import (
     LaurentPoly,
     Monomial,
     Var,
-    WeylElement,
     WeylShape,
-    _apply,
     _check_exp,
+    _closure,
+    _image,
     _mono,
     _tor_subset_sum,
     _var_name,
+    act,
     is_invariant,
     serialize_poly,
     substitute,  # not called here; the benchmark's span test reads it through this module
     tor,
     weyl_generators,
-    weyl_group,
 )
 from .rootdata import EndoTriple, GroupDatum, PlaceContext
 
@@ -89,12 +89,21 @@ class HeckeRing:
             out.extend(tor(i, j) for j in range(1, b + 1))
         return out
 
-    def weyl(self) -> Tuple[WeylElement, ...]:
-        """Every element of the invariance group; generators() suffices for orbits."""
-        return weyl_group(self.shape, self.levi_linear)
+    def weyl(self) -> Tuple[Dict, ...]:
+        """Every element of the invariance group as a table, sorted: the closure of
+        generators() under composition.  Nothing in src/ calls it; perfbench/spans.py
+        names it in METHODS, so it goes once that installer skips missing names."""
+        gens = [(g, {}) for g in self.generators()]
 
-    def generators(self) -> Tuple[WeylElement, ...]:
-        """A generating set of the invariance group (see laurent.weyl_generators)."""
+        def step(t):  # g after t; a Weyl table has no signs and no q shifts
+            for g, memo in gens:
+                yield tuple((v, (False, 0, _image(g, memo, m, 1)[0])) for v, (_, _, m) in t)
+
+        ident = tuple((v, (False, 0, ((v, 1),))) for v in self.variables())
+        return tuple(map(dict, sorted(_closure(ident, step))))
+
+    def generators(self) -> Tuple[Dict, ...]:
+        """A generating set of the invariance group as tables (see laurent.weyl_generators)."""
         return weyl_generators(self.shape, self.levi_linear)
 
     def contains(self, f: LaurentPoly) -> bool:
@@ -102,7 +111,7 @@ class HeckeRing:
         allowed = set(self.variables())
         if not f.variables() <= allowed:
             return False
-        return is_invariant(f, self.generators(), self.shape)
+        return is_invariant(f, self.generators())
 
 
 def _check_linear(s: int, n: int) -> None:
@@ -168,7 +177,7 @@ def norm_similitude(ring: HeckeRing) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class Substitution:
-    """A morphism of Satake models as the table laurent._apply reads: v -> (negative,
+    """A morphism of Satake models as the table laurent.act reads: v -> (negative,
     q shift, m), the image (-1)^negative q^shift m of v, m a q-free canonical monomial."""
 
     source: HeckeRing
@@ -176,7 +185,7 @@ class Substitution:
     table: Dict[Var, Tuple[bool, int, Monomial]]
 
     def __call__(self, f: LaurentPoly) -> LaurentPoly:
-        return _apply(self.table, f)
+        return act(self.table, f)
 
     @cached_property
     def images(self) -> Dict[Var, LaurentPoly]:

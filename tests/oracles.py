@@ -1,6 +1,7 @@
 """Slow reference implementations that the library's results are checked against."""
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
@@ -10,8 +11,8 @@ from satkit.characters import (
     KostantDatum, KostantEntry, WallError, pairing_coroot, rho2, truncate_cohomology
 )
 from satkit.laurent import (
-    QVAR, SIM, LaurentPoly, SubstitutionError, WeylElement, _mono, _split_q, _substitution_table, _weyl_table,
-    serialize_poly, symmetrize, tor,
+    QVAR, SIM, LaurentPoly, SubstitutionError, _mono, _split_q, _substitution_table, serialize_poly, symmetrize,
+    tor,
 )
 from satkit.rootdata import EndoTriple, _swap_class
 from satkit.satake import (
@@ -173,9 +174,75 @@ def slots(shape):
     return shape.sizes if shape.split else tuple(n // 2 for n in shape.sizes)
 
 
+# -- Weyl elements: the signed one-line form that laurent's slot tables replace ---------
+
+
+@dataclass(frozen=True)
+class WeylElement:
+    """A signed permutation of each factor's torus slots, in signed one-line notation.
+
+    Entry j of perms[i - 1] is k when the element sends X_{i,j} to X_{i,k}, and
+    -k when it sends X_{i,j} to X_{i,k}^{-1} (inert places only).
+    """
+
+    perms: tuple
+
+
 def identity(shape):
     """The identity Weyl element of the shape."""
     return WeylElement(tuple(tuple(range(1, d + 1)) for d in slots(shape)))
+
+
+def weyl_generators_by_elements(shape, linear=None):
+    """laurent.weyl_generators(shape, linear) as Weyl elements, in the same order:
+    factor i fixes its first linear[i] slots, and at split places their mirrors;
+    its generators are the adjacent transpositions of the slots between and, at
+    inert places, the sign change of its last slot."""
+    ident = identity(shape).perms
+    gens = []
+    for i, (n, p0) in enumerate(zip(shape.sizes, ident)):
+        lin = linear[i] if linear else 0
+        top = n - lin if shape.split else len(p0)  # the movable block is lin+1..top
+        local = [p0[: j - 1] + (j + 1, j) + p0[j + 1 :] for j in range(lin + 1, top)]
+        if not shape.split and top > lin:
+            local.append(p0[:-1] + (-top,))
+        gens += [WeylElement(ident[:i] + (p,) + ident[i + 1 :]) for p in local]
+    return tuple(gens)
+
+
+def weyl_group(shape, linear=None):
+    """The closure of weyl_generators_by_elements(shape, linear) under compose, sorted
+    by perms: with `linear`, the Weyl group of that standard Levi."""
+    gens = weyl_generators_by_elements(shape, linear)
+    group, todo = {identity(shape)}, [identity(shape)]
+    while todo:
+        w = todo.pop()
+        for ws in (compose(g, w) for g in gens):
+            if ws not in group:
+                group.add(ws)
+                todo.append(ws)
+    return tuple(sorted(group, key=lambda w: w.perms))
+
+
+def weyl_table(w, shape):
+    """w as a table v -> (negative, q shift, monomial) over every variable of the
+    shape's ring: X_{i,j} goes to X_{i,k} for entry k of w, and to X_{i,k}^{-1} for
+    entry -k.  When every factor is even, each entry -k also divides SIM by X_{i,k}."""
+    table = {}
+    flips = []
+    for i, p in enumerate(w.perms, start=1):
+        for j, e in enumerate(p, start=1):
+            table[tor(i, j)] = (False, 0, ((tor(i, abs(e)), 1 if e > 0 else -1),))
+            if e < 0:
+                flips.append((tor(i, -e), -1))
+    table[SIM] = (False, 0, _mono([(SIM, 1)] + (flips if shape.all_even else [])))
+    return table
+
+
+def group_act(w, f, shape):
+    """The action of a Weyl element: its table applied term by term by image_by_mono.
+    A variable outside the shape's ring raises SubstitutionError."""
+    return apply_by_mono(weyl_table(w, shape), f)
 
 
 def weyl_order(shape):
@@ -188,8 +255,7 @@ def weyl_order(shape):
 
 def act_monomial_by_cases(w, m, shape):
     """The image of a monomial under a Weyl element, branching on each
-    variable's kind: the per-monomial action that laurent.group_act replaces
-    with a substitution table."""
+    variable's kind: the per-monomial action that a slot table replaces."""
     pairs = []
     for v, e in m:
         if v == QVAR:
@@ -247,9 +313,8 @@ def apply_by_mono(table, f):
     return LaurentPoly.from_terms(image_by_mono(table, m, c) for m, c in f.terms())
 
 
-def symmetrize_by_mono(f, group, shape):
+def symmetrize_by_mono(f, tables):
     """laurent.symmetrize's orbit closure with image_by_mono for each term."""
-    tables = [_weyl_table(w, shape) for w in group]
     pairs = []
     for m, c in f.terms():
         seen, todo = {m}, [m]
@@ -513,7 +578,7 @@ def inverse(w):
 
 
 def weyl_group_by_blocks(shape, linear=None):
-    """laurent.weyl_group(shape, linear) as a product over the factors of the
+    """weyl_group(shape, linear) as a product over the factors of the
     permutations moving each block of slots within itself, times, at inert
     places, the sign patterns of the movable slots: the enumeration that the
     closure of the Coxeter generators replaces.  Factor i keeps its first
@@ -629,7 +694,7 @@ def default_generators_by_orbits(g, ctx):
     _require_single_factor(g)
     n = g.sizes[0]
     ring = hecke_ring(g, ctx, "source")
-    group, shape = ring.generators(), ring.shape
+    group = ring.generators()
     gens = [("Z", LaurentPoly.var(SIM))]
     q_n = n // 2
     for alpha in range(n - q_n, n + 1):
@@ -639,7 +704,7 @@ def default_generators_by_orbits(g, ctx):
         seeds.append(("sym Z_1*Z_2", {tor(1, 1): 1, tor(1, 2): 1}))
         seeds.append(("sym Z_1*Z_2^-1", {tor(1, 1): 1, tor(1, 2): -1}))
     for label, exps in seeds:
-        gens.append((label, symmetrize(LaurentPoly.monomial(exps), group, shape)))
+        gens.append((label, symmetrize(LaurentPoly.monomial(exps), group)))
     return gens
 
 

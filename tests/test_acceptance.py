@@ -126,7 +126,7 @@ def test_criterion_03_kottwitz_vs_orbit_sum():
     for sizes in data:
         g = GroupDatum(sizes)
         ring = hecke_ring(g, PlaceContext(split=True, d=1), "source")
-        group, shape = ring.generators(), ring.shape
+        group = ring.generators()
         s_lists = [()]
         for n in sizes:
             s_lists = [acc + (s,) for acc in s_lists for s in range(n + 1)]
@@ -135,7 +135,7 @@ def test_criterion_03_kottwitz_vs_orbit_sum():
             for i, s in enumerate(s_vec, start=1):
                 for j in range(1, s + 1):
                     exps[tor(i, j)] = -1
-            orbit = symmetrize(LaurentPoly.monomial(exps), group, shape)
+            orbit = symmetrize(LaurentPoly.monomial(exps), group)
             base = sum(s * (n - s) for s, n in zip(s_vec, sizes))
             for d in (1, 2):
                 ctx = PlaceContext(split=True, d=d)

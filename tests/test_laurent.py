@@ -11,9 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    WeylElement,
     act_monomial_by_cases,
     apply_by_mono,
     compose,
+    group_act,
     identity,
     power_by_squaring,
     pretty_by_records,
@@ -22,8 +24,11 @@ from oracles import (
     sum_terms_by_addition,
     symmetrize_by_mono,
     symmetrize_over_group,
+    weyl_generators_by_elements,
+    weyl_group,
     weyl_group_by_blocks,
     weyl_order,
+    weyl_table,
 )
 
 import satkit
@@ -34,9 +39,8 @@ from satkit.laurent import (
     ExponentOverflowError,
     LaurentPoly,
     SubstitutionError,
-    WeylElement,
     WeylShape,
-    group_act,
+    act,
     is_invariant,
     parse_poly,
     pretty,
@@ -45,14 +49,11 @@ from satkit.laurent import (
     symmetrize,
     tor,
     weyl_generators,
-    weyl_group,
-    _apply,
     _mono,
     _substitution_table,
-    _weyl_table,
 )
 from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
-from satkit.satake import transfer_map, twisted_transfer_map
+from satkit.satake import HeckeRing, transfer_map, twisted_transfer_map
 
 VARS = [SIM, tor(1, 1), tor(1, 2), tor(2, 1)]
 
@@ -154,7 +155,7 @@ def test_int_coefficients_match_fraction_coefficients(a, b, unit, k, imgs):
         lambda a, b, u: Fraction(-3, 2) * a,
         lambda a, b, u: a * Fraction(4, 2),
         lambda a, b, u: substitute(a, imgs),
-        lambda a, b, u: symmetrize(a, gens, SHAPE_OF_VARS),
+        lambda a, b, u: symmetrize(a, gens),
     ]
     fa, fb, fu = map(with_fraction_coefficients, (a, b, unit))
     for op in ops:
@@ -319,31 +320,43 @@ def test_substitute_rejects_non_monomial_image():
         substitute(LaurentPoly.var(SIM), {SIM: img})
 
 
+def ring_of(shape, linear=None):
+    """The Satake model whose invariance group is the shape's Weyl group, or with
+    `linear` that of its standard Levi."""
+    return HeckeRing(GroupDatum(shape.sizes), shape.split, linear)
+
+
+def frozen(table):
+    """A table as a hashable, sorted tuple of its entries."""
+    return tuple(sorted(table.items()))
+
+
 def test_group_act_split_transposition():
     shape = WeylShape(split=True, sizes=(2,))
-    w = WeylElement(((2, 1),))
-    assert group_act(w, LaurentPoly.var(tor(1, 1)), shape) == LaurentPoly.var(tor(1, 2))
+    (t,) = weyl_generators(shape)
+    assert t == weyl_table(WeylElement(((2, 1),)), shape)
+    assert act(t, LaurentPoly.var(tor(1, 1))) == LaurentPoly.var(tor(1, 2))
 
 
 def test_group_act_identity():
     rng = random.Random(5)
     shape = WeylShape(split=True, sizes=(2, 1))
-    e = identity(shape)
+    e = weyl_table(identity(shape), shape)
+    assert e in ring_of(shape).weyl()
     for _ in range(10):
         f = random_poly(rng)
-        assert group_act(e, f, shape) == f
+        assert act(e, f) == f
 
 
 def test_group_act_inert_similitude_adjustment():
     # n=2 inert: the sign flip multiplies the global similitude by X_{1,1}^{-1}.
-    shape = WeylShape(split=False, sizes=(2,))
-    w = WeylElement(((-1,),))
-    img = group_act(w, LaurentPoly.var(SIM), shape)
-    assert img == LaurentPoly.monomial({SIM: 1, tor(1, 1): -1})
+    (flip,) = weyl_generators(WeylShape(split=False, sizes=(2,)))
+    assert act(flip, LaurentPoly.var(SIM)) == LaurentPoly.monomial({SIM: 1, tor(1, 1): -1})
     # with an odd factor present the global variable is central, hence fixed
     shape2 = WeylShape(split=False, sizes=(2, 3))
-    w2 = WeylElement(((-1,), (1,)))
-    assert group_act(w2, LaurentPoly.var(SIM), shape2) == LaurentPoly.var(SIM)
+    flip2 = weyl_generators(shape2)[0]
+    assert flip2 == weyl_table(WeylElement(((-1,), (1,))), shape2)
+    assert act(flip2, LaurentPoly.var(SIM)) == LaurentPoly.var(SIM)
 
 
 COMPOSITION_SHAPES = [
@@ -360,7 +373,7 @@ COMPOSITION_SHAPES = [
 def test_group_action_composition(shape):
     rng = random.Random(11)
     group = weyl_group(shape)
-    assert len(group) == weyl_order(shape)
+    assert len(group) == len(ring_of(shape).weyl()) == weyl_order(shape)
     vars_ = [SIM] + [
         tor(i, j)
         for i, n in enumerate(shape.sizes, start=1)
@@ -372,7 +385,8 @@ def test_group_action_composition(shape):
             exps = {v: rng.randint(-2, 2) for v in rng.sample(vars_, 2)}
             f = f + LaurentPoly.monomial(exps, coeff=rng.randint(-3, 3))
         w1, w2 = rng.choice(group), rng.choice(group)
-        assert group_act(compose(w1, w2), f, shape) == group_act(w1, group_act(w2, f, shape), shape)
+        t1, t2, t12 = (weyl_table(w, shape) for w in (w1, w2, compose(w1, w2)))
+        assert act(t12, f) == act(t1, act(t2, f))
 
 
 GENERATED_GROUPS = [(shape, None) for shape in COMPOSITION_SHAPES] + [
@@ -390,16 +404,10 @@ GENERATED_GROUPS = [(shape, None) for shape in COMPOSITION_SHAPES] + [
 def test_weyl_generators_generate_the_group(shape, linear):
     gens = weyl_generators(shape, linear)
     assert len(gens) <= sum(shape.sizes)
-    closure = {identity(shape)}
-    frontier = list(closure)
-    while frontier:
-        w = frontier.pop()
-        for s in gens:
-            ws = compose(w, s)
-            if ws not in closure:
-                closure.add(ws)
-                frontier.append(ws)
-    assert closure == set(weyl_group(shape, linear))
+    assert list(gens) == [weyl_table(w, shape) for w in weyl_generators_by_elements(shape, linear)]
+    # the library's closure of the generator tables is the tables of the element group
+    want = {frozen(weyl_table(w, shape)) for w in weyl_group(shape, linear)}
+    assert {frozen(t) for t in ring_of(shape, linear).weyl()} == want
 
 
 @pytest.mark.parametrize("shape, linear", GENERATED_GROUPS)
@@ -407,10 +415,11 @@ def test_weyl_group_matches_the_block_enumeration(shape, linear):
     # the Levi's group is the Weyl group of its movable blocks, of sizes n_i - 2 linear[i]
     linear_ = linear or (0,) * len(shape.sizes)
     movable = WeylShape(shape.split, tuple(n - 2 * lin for n, lin in zip(shape.sizes, linear_)))
-    group = weyl_group(shape, linear)
-    assert list(group) == sorted(group, key=lambda w: w.perms)
-    assert len(set(group)) == len(group) == weyl_order(movable)
-    assert set(group) == set(weyl_group_by_blocks(shape, linear))
+    group = ring_of(shape, linear).weyl()
+    assert [frozen(t) for t in group] == sorted(map(frozen, group))
+    assert len(set(map(frozen, group))) == len(group) == weyl_order(movable)
+    assert set(map(frozen, group)) == {frozen(weyl_table(w, shape)) for w in weyl_group_by_blocks(shape, linear)}
+    assert set(weyl_group(shape, linear)) == set(weyl_group_by_blocks(shape, linear))
 
 
 LEVI_SHAPES = [(1,), (2,), (3,), (4,), (5,), (2, 1), (2, 2), (3, 2), (4, 4)]
@@ -433,10 +442,14 @@ def _fixes_linear(w, split, sizes, linear):
 def test_levi_weyl_group_is_ordered_subgroup(split, sizes):
     shape = WeylShape(split=split, sizes=sizes)
     full = weyl_group(shape)
-    assert len(full) == weyl_order(shape)
+    full_tables = [frozen(t) for t in ring_of(shape).weyl()]
+    assert len(full) == len(full_tables) == weyl_order(shape)
     for linear in product(*(range(n // 2 + 1) for n in sizes)):
         levi = weyl_group(shape, linear)
         assert levi == tuple(w for w in full if _fixes_linear(w, split, sizes, linear))
+        # the library's Levi tables: those of the elements above, in the full group's order
+        fixing = {frozen(weyl_table(w, shape)) for w in levi}
+        assert [frozen(t) for t in ring_of(shape, linear).weyl()] == [t for t in full_tables if t in fixing]
 
 
 @st.composite
@@ -488,7 +501,7 @@ def test_group_act_matches_action_by_cases(data):
     f = data.draw(ring_polys(shape))
     for w in weyl_group(shape):
         want = LaurentPoly.from_terms((act_monomial_by_cases(w, m, shape), c) for m, c in f.terms())
-        assert group_act(w, f, shape) == want
+        assert act(weyl_table(w, shape), f) == group_act(w, f, shape) == want
 
 
 @pytest.mark.parametrize(
@@ -503,22 +516,54 @@ def test_weyl_action_rejects_variables_outside_the_ring(shape, v):
     f = LaurentPoly.var(v) + LaurentPoly.var(SIM)
     gens = weyl_generators(shape)
     with pytest.raises(SubstitutionError):
-        group_act(gens[0], f, shape)
+        act(gens[0], f)
     with pytest.raises(SubstitutionError):
-        symmetrize(f, gens, shape)
+        is_invariant(f, gens)
+    with pytest.raises(SubstitutionError):
+        symmetrize(f, gens)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(weyl_cases())
 def test_generators_match_full_group(case):
     shape, linear, f = case
-    gens, group = weyl_generators(shape, linear), weyl_group(shape, linear)
-    orbit = symmetrize(f, gens, shape)
-    assert orbit == symmetrize_over_group(f, group, shape)
-    assert symmetrize(f, group, shape) == orbit
-    assert is_invariant(orbit, group, shape)
-    for g in (f, orbit, orbit + f, symmetrize(f, weyl_generators(shape), shape)):
-        assert is_invariant(g, gens, shape) == is_invariant(g, group, shape)
+    gens, group = weyl_generators(shape, linear), ring_of(shape, linear).weyl()
+    orbit = symmetrize(f, gens)
+    assert orbit == symmetrize_over_group(f, weyl_group(shape, linear), shape)
+    assert symmetrize(f, group) == orbit
+    assert is_invariant(orbit, group)
+    for g in (f, orbit, orbit + f, symmetrize(f, weyl_generators(shape))):
+        assert is_invariant(g, gens) == is_invariant(g, group)
+
+
+# -- slot tables against the Weyl elements they replace --------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weyl_cases())
+def test_generator_tables_are_the_element_tables(case):
+    shape, linear, _ = case
+    want = [weyl_table(w, shape) for w in weyl_generators_by_elements(shape, linear)]
+    assert list(weyl_generators(shape, linear)) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weyl_cases())
+def test_ring_weyl_tables_are_the_block_enumeration(case):
+    shape, linear, _ = case
+    tables = ring_of(shape, linear).weyl()
+    want = {frozen(weyl_table(w, shape)) for w in weyl_group_by_blocks(shape, linear)}
+    assert set(map(frozen, tables)) == want
+    linear_ = linear or (0,) * len(shape.sizes)
+    assert len(tables) == weyl_order(WeylShape(shape.split, tuple(n - 2 * s for n, s in zip(shape.sizes, linear_))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weyl_cases())
+def test_tables_act_as_the_elements_do(case):
+    shape, linear, f = case
+    for w in weyl_group(shape, linear):
+        assert act(weyl_table(w, shape), f) == group_act(w, f, shape)
 
 
 # -- the memoised term kernel against the one-pass image --------------------------------
@@ -582,7 +627,7 @@ def test_substitute_matches_the_one_pass_image(imgs, f):
     table = _substitution_table(imgs)
     want = outcome(apply_by_mono, table, f)
     assert outcome(substitute, f, imgs) == want
-    assert outcome(_apply, table, f) == want
+    assert outcome(act, table, f) == want
 
 
 @st.composite
@@ -607,9 +652,9 @@ INERT_4 = WeylShape(split=False, sizes=(4,))
 def test_weyl_actions_match_the_one_pass_image(case):
     shape, f = case
     for w in weyl_group(shape):
-        assert outcome(group_act, w, f, shape) == outcome(apply_by_mono, _weyl_table(w, shape), f)
+        assert outcome(act, weyl_table(w, shape), f) == outcome(group_act, w, f, shape)
     gens = weyl_generators(shape)
-    assert outcome(symmetrize, f, gens, shape) == outcome(symmetrize_by_mono, f, gens, shape)
+    assert outcome(symmetrize, f, gens) == outcome(symmetrize_by_mono, f, gens)
 
 
 INERT2 = PlaceContext(split=False, d=2)
@@ -635,17 +680,15 @@ def test_transfer_maps_match_the_one_pass_image(build, g, h, ctx, data):
 
 
 def test_symmetrize_examples():
-    shape = WeylShape(split=True, sizes=(2,))
-    group = weyl_group(shape)
+    group = ring_of(WeylShape(split=True, sizes=(2,))).weyl()
     const = LaurentPoly.const(Fraction(5, 3))
-    assert symmetrize(const, group, shape) == const
-    orb = symmetrize(LaurentPoly.var(tor(1, 1)), group, shape)
+    assert symmetrize(const, group) == const
+    orb = symmetrize(LaurentPoly.var(tor(1, 1)), group)
     assert orb == LaurentPoly.var(tor(1, 1)) + LaurentPoly.var(tor(1, 2))
 
-    shape3 = WeylShape(split=True, sizes=(3,))
-    group3 = weyl_group(shape3)
+    group3 = ring_of(WeylShape(split=True, sizes=(3,))).weyl()
     f = LaurentPoly.monomial({SIM: -1, tor(1, 1): -1})
-    got = symmetrize(f, group3, shape3)
+    got = symmetrize(f, group3)
     want = sum(
         (LaurentPoly.monomial({SIM: -1, tor(1, j): -1}) for j in (2, 3)),
         LaurentPoly.monomial({SIM: -1, tor(1, 1): -1}),
@@ -656,20 +699,19 @@ def test_symmetrize_examples():
 def test_symmetrize_output_invariant():
     rng = random.Random(3)
     for shape in [WeylShape(split=True, sizes=(3,)), WeylShape(split=False, sizes=(4,))]:
-        group = weyl_group(shape)
+        group = ring_of(shape).weyl()
         vars_ = [SIM] + [tor(1, j) for j in range(1, slots(shape)[0] + 1)]
         for _ in range(10):
             exps = {v: rng.randint(-2, 2) for v in vars_}
             f = LaurentPoly.monomial(exps, coeff=rng.randint(1, 3))
-            assert is_invariant(symmetrize(f, group, shape), group, shape)
+            assert is_invariant(symmetrize(f, group), group)
 
 
 def test_is_invariant_examples():
-    shape = WeylShape(split=True, sizes=(2,))
-    group = weyl_group(shape)
-    assert is_invariant(LaurentPoly.const(2), group, shape)
-    assert not is_invariant(LaurentPoly.var(tor(1, 1)), group, shape)
-    assert is_invariant(LaurentPoly.var(tor(1, 1)) + LaurentPoly.var(tor(1, 2)), group, shape)
+    group = ring_of(WeylShape(split=True, sizes=(2,))).weyl()
+    assert is_invariant(LaurentPoly.const(2), group)
+    assert not is_invariant(LaurentPoly.var(tor(1, 1)), group)
+    assert is_invariant(LaurentPoly.var(tor(1, 1)) + LaurentPoly.var(tor(1, 2)), group)
 
 
 def test_serialization_fixed_forms():

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from satkit.laurent import WeylShape, weyl_group
+from satkit.laurent import WeylShape
 from satkit.rootdata import (
     EndoTriple,
     GroupDatum,
@@ -22,7 +22,10 @@ from satkit.rootdata import (
     tamagawa,
 )
 
-from oracles import brute_force_endoscopic_classes, canonical_endo, compose, identity, inverse
+from oracles import (
+    brute_force_endoscopic_classes, canonical_endo, compose, identity, inverse, weyl_group, weyl_table
+)
+from satkit.satake import HeckeRing
 
 
 def all_signatures(n_total):
@@ -46,11 +49,10 @@ def all_signatures(n_total):
 def test_weyl_group_orders():
     split = PlaceContext(split=True, d=1)
     inert = PlaceContext(split=False, d=1)
-    assert len(weyl_group(WeylShape(True, (2,)))) == 2
-    assert len(weyl_group(WeylShape(False, (2,)))) == 2
-    assert len(weyl_group(WeylShape(True, (3, 2)))) == 12
-    assert len(weyl_group(WeylShape(False, (4,)))) == 8
-    assert len(weyl_group(WeylShape(False, (5,)))) == 8
+    cases = [(True, (2,), 2), (False, (2,), 2), (True, (3, 2), 12), (False, (4,), 8), (False, (5,), 8)]
+    for split, sizes, order in cases:
+        assert len(weyl_group(WeylShape(split, sizes))) == order
+        assert len(HeckeRing(GroupDatum(sizes), split).weyl()) == order
 
 
 @pytest.mark.parametrize(
@@ -63,7 +65,8 @@ def test_weyl_group_orders():
     ],
 )
 def test_weyl_group_table(g, ctx):
-    group = weyl_group(WeylShape(ctx.split, g.sizes))
+    shape = WeylShape(ctx.split, g.sizes)
+    group = weyl_group(shape)
     elems = set(group)
     assert len(elems) == len(group)
     e = identity(WeylShape(ctx.split, g.sizes))
@@ -73,6 +76,9 @@ def test_weyl_group_table(g, ctx):
         assert compose(w, inverse(w)) == e
         for v in group:
             assert compose(w, v) in elems
+    # the library's tables are those of the elements
+    tables = {tuple(sorted(t.items())) for t in HeckeRing(g, ctx.split).weyl()}
+    assert tables == {tuple(sorted(weyl_table(w, shape).items())) for w in group}
 
 
 def test_endoscopy_examples():

@@ -20,6 +20,7 @@ from satkit.laurent import (
     ExponentOverflowError,
     LaurentPoly,
     SubstitutionError,
+    act,
     is_invariant,
     serialize_poly,
     substitute,
@@ -76,6 +77,26 @@ def test_hecke_ring_variables_and_groups():
     assert len(ri3.weyl()) == 2
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [
+        HeckeRing(GroupDatum((3, 2)), split_presentation=True),
+        HeckeRing(GroupDatum((4, 3)), split_presentation=False),  # inert, an odd factor
+        HeckeRing(GroupDatum((4, 2)), split_presentation=False),  # inert, every factor even
+        HeckeRing(GroupDatum((5, 4)), split_presentation=True, levi_linear=(1, 2)),
+        HeckeRing(GroupDatum((6, 4)), split_presentation=False, levi_linear=(1, 0)),
+    ],
+    ids=["split", "inert-odd", "inert-all-even", "levi-split", "levi-inert"],
+)
+def test_generator_tables_cover_exactly_the_ring_variables(ring):
+    # so a table carries its ring, and invariance needs no shape beside it
+    gens = ring.generators()
+    assert gens
+    for t in gens:
+        assert sorted(t) == ring.variables()
+    assert all(sorted(t) == ring.variables() for t in ring.weyl())
+
+
 def test_ring_contains():
     r = hecke_ring(GroupDatum((2,)), SPLIT)
     f = kottwitz_function(GroupDatum((2,)), (1,), SPLIT)
@@ -89,7 +110,7 @@ def test_contains_on_large_inert_ring_uses_generators():
     r = HeckeRing(GroupDatum((10, 10)), split_presentation=False)
     start = time.perf_counter()
     x11 = LaurentPoly.var(tor(1, 1))
-    orbit = symmetrize(x11, r.generators(), r.shape)
+    orbit = symmetrize(x11, r.generators())
     assert len(orbit) == 10
     assert r.contains(orbit)
     assert not r.contains(x11)
@@ -186,14 +207,14 @@ def test_kottwitz_equals_orbit_sum(sizes, d):
     g = GroupDatum(sizes)
     ctx = PlaceContext(split=True, d=d)
     ring = hecke_ring(g, ctx, "source")
-    group, shape = ring.generators(), ring.shape
+    group = ring.generators()
     for s_vec in _s_choices(sizes):
         exps = {SIM: -1}
         for i, s in enumerate(s_vec, start=1):
             for j in range(1, s + 1):
                 exps[tor(i, j)] = -1
         seed = mono(exps, q=d * sum(s * (n - s) for s, n in zip(s_vec, sizes)))
-        assert kottwitz_function(g, s_vec, ctx) == symmetrize(seed, group, shape)
+        assert kottwitz_function(g, s_vec, ctx) == symmetrize(seed, group)
 
 
 def _s_choices(sizes):
@@ -252,14 +273,12 @@ def test_base_change_lands_in_invariants():
 
 
 def _inert_invariants(ring):
-    group, shape = ring.generators(), ring.shape
+    group = ring.generators()
     gens = [("norm", norm_similitude(ring))]
     q1 = ring.datum.qs[0]
     if q1 >= 1:
-        gens.append(("orbit t11", symmetrize(LaurentPoly.var(tor(1, 1)), group, shape)))
-        gens.append(
-            ("orbit sim*t11", symmetrize(norm_similitude(ring) * LaurentPoly.var(tor(1, 1)), group, shape))
-        )
+        gens.append(("orbit t11", symmetrize(LaurentPoly.var(tor(1, 1)), group)))
+        gens.append(("orbit sim*t11", symmetrize(norm_similitude(ring) * LaurentPoly.var(tor(1, 1)), group)))
     return gens
 
 
@@ -295,7 +314,7 @@ def test_transfer_image_invariant():
             target = HeckeRing(h.group_datum(), split_presentation=True)
             tr = transfer_map(g, h, SPLIT)
             for _, f in default_generators(g, SPLIT):
-                assert is_invariant(tr(f), target.weyl(), target.shape)
+                assert is_invariant(tr(f), target.weyl())
 
 
 def test_transfer_inert_image_invariant():
@@ -812,30 +831,30 @@ def test_source_invariants_map_into_the_target_ring(build, ctxs, keep):
     broken = []
     for sizes, ctx, h, sub in subs:
         for v in sub.source.variables():
-            f = symmetrize(LaurentPoly.var(v), sub.source.generators(), sub.source.shape)
+            f = symmetrize(LaurentPoly.var(v), sub.source.generators())
             if not sub.target.contains(sub(f)):
                 broken.append((sizes, ctx, h, v))
     assert broken == []
 
 
 def test_levi_kottwitz_invariant_under_levi_weyl():
-    from satkit.laurent import group_act
     from satkit.satake import m_ring
 
     for n in range(2, 6):
         g = GroupDatum((n,))
         for s in range(1, n // 2 + 1):
-            group = m_ring(g, LeviDatum(s)).weyl()
-            ring = hecke_ring(g, SPLIT, "source")
+            ring = m_ring(g, LeviDatum(s))
+            tables = ring.weyl()
+            elements = oracles.weyl_group(ring.shape, ring.levi_linear)
+            assert len(tables) == len(elements)
             for alpha in range(n - n // 2, n + 1):
                 f = levi_kottwitz_function(g, LeviDatum(s), alpha, SPLIT)
-                assert all(group_act(w, f, ring.shape) == f for w in group)
+                assert all(act(t, f) == f for t in tables)
+                assert all(oracles.group_act(w, f, ring.shape) == f for w in elements)
 
 
 def test_levi_twisted_image_invariant_under_mh_weyl():
     """b_{s_M} images are invariant under the Hermitian-block Weyl of M_H."""
-    from satkit.laurent import group_act
-
     g = GroupDatum((4,))
     h = EndoTriple((2,), (2,))
     levi = LeviDatum(1)
@@ -843,11 +862,13 @@ def test_levi_twisted_image_invariant_under_mh_weyl():
         bm = levi_twisted_transfer(g, h, levi, A, SPLIT)
         lin = (1 - len(A), len(A))
         target = HeckeRing(h.group_datum(), split_presentation=True, levi_linear=lin)
-        elements = target.weyl()
-        assert len(elements) == 2
+        tables = target.weyl()
+        elements = oracles.weyl_group(target.shape, lin)
+        assert len(tables) == len(elements) == 2
         for _, f in default_generators(g, SPLIT):
             img = bm(f)  # the constant term is the inclusion
-            assert all(group_act(w, img, target.shape) == img for w in elements)
+            assert all(act(t, img) == img for t in tables)
+            assert all(oracles.group_act(w, img, target.shape) == img for w in elements)
 
 
 def test_transfer_two_factor_routing():
