@@ -10,7 +10,6 @@ from fractions import Fraction
 from satkit.laurent import (
     SIM,
     LaurentPoly,
-    WeylShape,
     act,
     is_invariant,
     parse_poly,
@@ -19,8 +18,9 @@ from satkit.laurent import (
     substitute,
     symmetrize,
     tor,
-    weyl_generators,
 )
+from satkit.rootdata import GroupDatum
+from satkit.satake import HeckeRing
 
 # Build some elements: X is the similitude variable, X_{1,j} torus variables.
 X = LaurentPoly.var(SIM)
@@ -44,15 +44,15 @@ print("substituted:", pretty(substitute(g, images)))
 # The symmetric group of a split place acts by permuting torus variables;
 # orbit sums are the basic invariants.  Orbits and invariance need only a
 # generating set: here the adjacent transpositions of S_3, each a table of
-# variable images like a substitution's.
-group = weyl_generators(WeylShape(split=True, sizes=(3,)))
+# variable images like a substitution's, which the ring writes itself.
+group = HeckeRing(GroupDatum((3,)), split_presentation=True).generators()
 orbit = symmetrize(x1 * x1, group)
 print("orbit of X11^2:", pretty(orbit))
 print("invariant?", is_invariant(orbit, group))
 
 # At an inert place the group is hyperoctahedral: a sign flip inverts a
 # torus variable and multiplies the (all-even) similitude by its inverse.
-(flip,) = weyl_generators(WeylShape(split=False, sizes=(2,)))  # the sign change of the one slot
+(flip,) = HeckeRing(GroupDatum((2,)), split_presentation=False).generators()  # the sign change of the one slot
 print("flip acting on X:", pretty(act(flip, X)))
 
 # Canonical JSON form round-trips exactly.

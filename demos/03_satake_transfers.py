@@ -10,7 +10,6 @@ terms to a standard Levi -- checked here as an exact polynomial identity.
 from satkit.laurent import pretty
 from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
 from satkit.satake import (
-    LeviDatum,
     base_change_map,
     kottwitz_function,
     levi_kottwitz_function,
@@ -50,12 +49,13 @@ print("  ", pretty(tr(phi)))
 
 # Levi level: the Hermitian-block basic function, and the transfer square
 # through the signed routing attached to a subset A of the linear slots.
-levi = LeviDatum(1)
+# A standard Levi is given by its linear count s.
+s = 1
 print("Levi basic function (n=4, s=1, alpha=2):")
-print("  ", pretty(levi_kottwitz_function(g, levi, 2, split)))
+print("  ", pretty(levi_kottwitz_function(g, s, 2, split)))
 
 for A in ([], [1]):
-    report = verify_transfer_square(g, h, levi, A, split)
+    report = verify_transfer_square(g, h, s, A, split)
     print(
         f"A={A}: Hermitian split {report['hermitian_split']}, "
         f"{report['cases']} generators, {len(report['failures'])} failures"

@@ -2,7 +2,7 @@
 unitary similitude groups.
 
 Submodules:
-    laurent     exact multivariate Laurent polynomials, Weyl actions, JSON form
+    laurent     exact multivariate Laurent polynomials, ring maps as tables, JSON form
     rootdata    group data, elliptic endoscopic data, stabilization coefficients
     satake      spherical Hecke algebra models and the transfer morphisms
     characters  Kostant cohomology and its signed permutations, signed partition

@@ -34,7 +34,6 @@ from . import characters, laurent, rootdata, satake
 from .characters import KostantDatum, WallError, Weight
 from .laurent import LaurentPoly, _var_name, pretty, serialize_poly
 from .rootdata import EndoTriple, GroupDatum, PlaceContext, SignedGroupDatum
-from .satake import LeviDatum
 
 # Every other satkit error class subclasses ValueError.
 PRECONDITION_ERRORS = (ValueError, laurent.ExponentOverflowError)
@@ -105,11 +104,10 @@ def cmd_transfer(args) -> tuple:
 def cmd_constant_term(args) -> LaurentPoly:
     g = GroupDatum(args.n)
     ctx = make_ctx(args.place, args.d)
-    levi = LeviDatum(args.levi_s)
     if args.levi_kottwitz:
-        return satake.levi_kottwitz_function(g, levi, args.alpha, ctx)
+        return satake.levi_kottwitz_function(g, args.levi_s, args.alpha, ctx)
     f = satake.kottwitz_function(g, (args.alpha,), ctx)
-    return satake.levi_constant_term(f, g, levi, ctx)
+    return satake.levi_constant_term(f, g, args.levi_s, ctx)
 
 
 def cmd_endoscopy(args) -> tuple:
@@ -297,20 +295,20 @@ def cmd_verify_phi_identity(args) -> Iterator[tuple]:
 
 
 def square_cases(n_max: int) -> Iterator[tuple]:
-    """Every (group, datum, Levi, A) with a consistent Levi sign set, n = 2..n_max, in
-    the order of n, n^-, s and the bits of A.  Consistent means that the s - |A| and
-    |A| linear pairs fit the blocks: 2(s - |A|) <= n^+ and 2|A| <= n^-, the condition
-    satake.levi_sign_data checks (each case is checked there, when it is run)."""
+    """Every (group, datum, s, A) with a consistent Levi sign set, n = 2..n_max, s the
+    Levi's linear count, in the order of n, n^-, s and the bits of A.  Consistent means
+    that the s - |A| and |A| linear pairs fit the blocks: 2(s - |A|) <= n^+ and
+    2|A| <= n^-, the condition satake.levi_sign_data checks (each case is checked
+    there, when it is run)."""
     for n in range(2, n_max + 1):
         g = GroupDatum((n,))
         for n2 in range(0, n + 1, 2):
             h = EndoTriple((n - n2,), (n2,))
             for s in range(1, n // 2 + 1):
-                levi = LeviDatum(s)
                 for bits in range(2**s):
                     size = bin(bits).count("1")  # |A|
                     if 2 * (s - size) <= n - n2 and 2 * size <= n2:
-                        yield g, h, levi, [j + 1 for j in range(s) if bits >> j & 1]
+                        yield g, h, s, [j + 1 for j in range(s) if bits >> j & 1]
 
 
 def cmd_verify_transfer_square(args) -> Iterator[tuple]:
@@ -328,11 +326,11 @@ def cmd_verify_transfer_square(args) -> Iterator[tuple]:
     elif not args.endo:
         raise ValueError("--endo is required together with --n")
     else:
-        levi = LeviDatum(1 if args.levi_s is None else args.levi_s)
-        combos = [(GroupDatum(args.n), EndoTriple(*args.endo), levi, list(args.A or ()))]
+        s = 1 if args.levi_s is None else args.levi_s
+        combos = [(GroupDatum(args.n), EndoTriple(*args.endo), s, list(args.A or ()))]
     ctx = PlaceContext(split=True, d=1)
-    for g, h, levi, a_set in combos:
-        report = satake.verify_transfer_square(g, h, levi, a_set, ctx)
+    for g, h, s, a_set in combos:
+        report = satake.verify_transfer_square(g, h, s, a_set, ctx)
         case = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
         yield report["cases"], [{**case, **fail} for fail in report["failures"]]
 

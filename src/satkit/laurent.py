@@ -1,4 +1,4 @@
-"""Exact multivariate Laurent polynomial arithmetic with Weyl-group actions.
+"""Exact multivariate Laurent polynomial arithmetic and the ring maps that act on it.
 
 Polynomials have coefficients in Q adjoined a formal invertible symbol q
 (standing for p^{1/2}, so half-integral powers of p are always integral in
@@ -16,17 +16,16 @@ Variables are identified by small tuples:
 Tuple comparison realises the canonical variable order
 q < Sim < Tor(1,1) < Tor(1,2) < ...  Every ring map here sends each variable
 to a signed q-monomial and is written as one table v -> (negative, q shift,
-monomial), applied by act.  weyl_generators writes a Weyl group's generators
-as such tables over SIM and the torus variables of the shape's ring, fixing q,
-so act, is_invariant and symmetrize raise SubstitutionError on any other
-variable.
+monomial), applied by act; q maps to q.  A Weyl group acts through its
+generators, tables that satake.HeckeRing.generators writes over every variable
+of its ring, so act, is_invariant and symmetrize raise SubstitutionError on a
+variable the ring lacks.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -320,18 +319,6 @@ def substitute(f: LaurentPoly, images: Mapping[Var, LaurentPoly]) -> LaurentPoly
 # -- Weyl groups ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylShape:
-    """Ambient data for a relative Weyl group: factor sizes and the place type."""
-
-    split: bool
-    sizes: Tuple[int, ...]
-
-    @property
-    def all_even(self) -> bool:
-        return all(n % 2 == 0 for n in self.sizes)
-
-
 def _closure(seed, step) -> set:
     """Everything reachable from seed by repeated steps; step(x) yields the neighbours of x."""
     seen, todo = {seed}, [seed]
@@ -343,35 +330,6 @@ def _closure(seed, step) -> set:
     return seen
 
 
-def weyl_generators(shape: WeylShape, linear: Optional[Sequence[int]] = None) -> Tuple[dict, ...]:
-    """The Coxeter generators of the shape's Weyl group, at most sum(sizes) of them, each
-    a table (see act) over every variable of the shape's ring: SIM and X_{i,j} for j up
-    to n_i at split places, n_i // 2 at inert ones.
-
-    Factor i fixes its first linear[i] slots, and at split places their mirrors, the
-    last ones, which gives the Weyl group of that standard Levi.  Its generators are
-    the transpositions of adjacent slots between, which swap two entries of the
-    identity table, and at inert places the sign change of its last slot X_{i,top},
-    which maps X_{i,top} to its inverse and, when every factor is even, SIM to
-    SIM X_{i,top}^{-1} (generators of S_k and of the hyperoctahedral group).  The
-    trivial group gets the empty set.
-    """
-    slots = [n if shape.split else n // 2 for n in shape.sizes]
-    ring = [SIM] + [tor(i, j) for i, d in enumerate(slots, 1) for j in range(1, d + 1)]
-    ident = {v: (False, 0, ((v, 1),)) for v in ring}
-    gens = []
-    for i, (n, d) in enumerate(zip(shape.sizes, slots), 1):
-        lin = linear[i - 1] if linear else 0
-        top = n - lin if shape.split else d  # the movable block is lin+1..top
-        for x, y in ((tor(i, j), tor(i, j + 1)) for j in range(lin + 1, top)):
-            gens.append({**ident, x: ident[y], y: ident[x]})
-        if not shape.split and top > lin:
-            x = tor(i, top)
-            sim = ((SIM, 1), (x, -1)) if shape.all_even else ((SIM, 1),)
-            gens.append({**ident, x: (False, 0, ((x, -1),)), SIM: (False, 0, sim)})
-    return tuple(gens)
-
-
 def symmetrize(f: LaurentPoly, group: Sequence[Mapping]) -> LaurentPoly:
     """Orbit sum: each term is replaced by the sum of its distinct images under the group
     the tables generate.
@@ -381,8 +339,8 @@ def symmetrize(f: LaurentPoly, group: Sequence[Mapping]) -> LaurentPoly:
     Weyl translates of a cocharacter.
 
     `group` may be every element or any generating set, such as
-    weyl_generators(shape): each orbit is the closure of its term under the
-    given tables, so it costs |orbit| * len(group) images, not |W|.
+    satake.HeckeRing.generators(): each orbit is the closure of its term under
+    the given tables, so it costs |orbit| * len(group) images, not |W|.
     """
     tables = [(t, {}) for t in group]
 

@@ -30,7 +30,6 @@ from .laurent import (
     LaurentPoly,
     Monomial,
     Var,
-    WeylShape,
     _check_exp,
     _closure,
     _image,
@@ -42,7 +41,6 @@ from .laurent import (
     serialize_poly,
     substitute,  # not called here; the benchmark's span test reads it through this module
     tor,
-    weyl_generators,
 )
 from .rootdata import EndoTriple, GroupDatum, PlaceContext
 
@@ -78,10 +76,6 @@ class HeckeRing:
                 _check_linear(s, n)
             object.__setattr__(self, "levi_linear", lin)
 
-    @property
-    def shape(self) -> WeylShape:
-        return WeylShape(split=self.split_presentation, sizes=self.datum.sizes)
-
     def variables(self) -> List[Var]:
         out: List[Var] = [SIM]
         bounds = self.datum.sizes if self.split_presentation else self.datum.qs
@@ -103,8 +97,29 @@ class HeckeRing:
         return tuple(map(dict, sorted(_closure(ident, step))))
 
     def generators(self) -> Tuple[Dict, ...]:
-        """A generating set of the invariance group as tables (see laurent.weyl_generators)."""
-        return weyl_generators(self.shape, self.levi_linear)
+        """The Coxeter generators of the invariance group, at most sum(sizes) of them, each
+        a table (see laurent.act) over every variable of the ring.
+
+        Factor i fixes its first levi_linear[i] slots, and in the split presentation
+        their mirrors, the last ones.  Its generators are the transpositions of adjacent
+        slots between, which swap two entries of the identity table, and in the inert
+        presentation the sign change of its last slot X_{i,top}, which maps X_{i,top} to
+        its inverse and, when every factor is even, SIM to SIM X_{i,top}^{-1}
+        (generators of S_k and of the hyperoctahedral group).  The trivial group gets
+        the empty set.
+        """
+        split, sizes = self.split_presentation, self.datum.sizes
+        ident = {v: (False, 0, ((v, 1),)) for v in self.variables()}
+        gens = []
+        for i, (n, lin) in enumerate(zip(sizes, self.levi_linear or (0,) * len(sizes)), 1):
+            top = n - lin if split else n // 2  # the movable block is lin+1..top
+            for x, y in ((tor(i, j), tor(i, j + 1)) for j in range(lin + 1, top)):
+                gens.append({**ident, x: ident[y], y: ident[x]})
+            if not split and top > lin:
+                x = tor(i, top)
+                sim = ((SIM, 1), (x, -1)) if self.datum.all_even else ((SIM, 1),)
+                gens.append({**ident, x: (False, 0, ((x, -1),)), SIM: (False, 0, sim)})
+        return tuple(gens)
 
     def contains(self, f: LaurentPoly) -> bool:
         """Invariance check; also rejects stray variables."""
@@ -348,31 +363,15 @@ def twisted_transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Sub
 # -- Levi subgroups and constant terms ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeviDatum:
-    """The standard Levi with linear part (Res G_m)^s (single-factor group);
-    _require_levi checks that the group has it."""
-
-    s: int
-
-
-@dataclass(frozen=True)
-class LeviSignData:
-    """Sign set A and the induced split of the Hermitian size for a Levi datum."""
-
-    A: Tuple[int, ...]
-    m1: int
-    m2: int
-
-
-def levi_sign_data(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A) -> LeviSignData:
-    """Validate (G, H, s, A) and compute the Hermitian split m = m1 + m2.
+def levi_sign_data(g: GroupDatum, h: EndoTriple, s: int, A) -> Tuple[Tuple[int, ...], int, int]:
+    """Validate (G, H, s, A) and return (A, m1, m2): A sorted without repeats, and the
+    Hermitian split m = m1 + m2.  s is the linear count of the standard Levi, whose
+    linear part is (Res G_m)^s.
 
     The |A| linear pairs route to the second block, the rest to the first;
     consistency forces m_k = n_k - 2 r_k >= 0.  H must be a datum of G.
     """
-    _require_levi(g, levi)
-    s = levi.s
+    _require_levi(g, s)
     A = tuple(sorted(set(int(x) for x in A)))
     if any(x < 1 or x > s for x in A):
         raise ValueError(f"A={A} not a subset of 1..{s}")
@@ -387,7 +386,7 @@ def levi_sign_data(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A) -> LeviSign
             f"give Hermitian sizes ({m1},{m2})"
         )
     _require_match(g, h)
-    return LeviSignData(A, m1, m2)
+    return A, m1, m2
 
 
 def _require_single_factor(g: GroupDatum):
@@ -395,21 +394,21 @@ def _require_single_factor(g: GroupDatum):
         raise ValueError("Levi operations are implemented for single-factor groups")
 
 
-def _require_levi(g: GroupDatum, levi: LeviDatum):
-    """The one check that g has the Levi: a single factor, and 0 <= 2s <= n."""
+def _require_levi(g: GroupDatum, s: int):
+    """The one check that g has the Levi of linear count s: a single factor, and 0 <= 2s <= n."""
     _require_single_factor(g)
-    _check_linear(levi.s, g.sizes[0])
+    _check_linear(s, g.sizes[0])
 
 
-def m_ring(g: GroupDatum, levi: LeviDatum) -> HeckeRing:
+def m_ring(g: GroupDatum, s: int) -> HeckeRing:
     """The Levi's ring: same variables, invariance only under the Levi Weyl group.
     It refuses what _require_levi refuses, with the same messages (HeckeRing checks
     the linear count)."""
     _require_single_factor(g)
-    return HeckeRing(g, split_presentation=True, levi_linear=(levi.s,))
+    return HeckeRing(g, split_presentation=True, levi_linear=(s,))
 
 
-def levi_constant_term(f: LaurentPoly, g: GroupDatum, levi: LeviDatum, ctx: PlaceContext) -> LaurentPoly:
+def levi_constant_term(f: LaurentPoly, g: GroupDatum, s: int, ctx: PlaceContext) -> LaurentPoly:
     """Constant term to the Levi: the identity on polynomials.
 
     Under the Satake models the constant term is the inclusion of the
@@ -417,25 +416,23 @@ def levi_constant_term(f: LaurentPoly, g: GroupDatum, levi: LeviDatum, ctx: Plac
     returned unchanged once its invariance under the full Weyl group is
     verified.
     """
-    _require_levi(g, levi)
+    _require_levi(g, s)
     if not hecke_ring(g, ctx, "source").contains(f):
         raise ValueError("constant term input is not invariant under the full Weyl group")
     return f
 
 
-def levi_kottwitz_function(
-    g: GroupDatum, levi: LeviDatum, alpha: int, ctx: PlaceContext
-) -> LaurentPoly:
+def levi_kottwitz_function(g: GroupDatum, s: int, alpha: int, ctx: PlaceContext) -> LaurentPoly:
     """Satake transform of the Levi-level basic function attached to alpha.
 
     For alpha <= n - s this is q^{d(alpha-s)(n-alpha-s)} (Z Z_1...Z_s)^{-1}
     times the subset sum over the middle block; for alpha >= n - s + 1 it is
     the single monomial (Z Z_1 ... Z_alpha)^{-1}.
     """
-    _require_levi(g, levi)
+    _require_levi(g, s)
     if not ctx.splits_over_l:
         raise PlaceError("Levi spherical functions need the group split over L")
-    n, s = g.sizes[0], levi.s
+    n = g.sizes[0]
     q_n = n // 2
     if not n - q_n <= alpha <= n:
         raise ValueError(f"alpha={alpha} out of range [{n - q_n}, {n}]")
@@ -447,7 +444,7 @@ def levi_kottwitz_function(
     return _tor_subset_sum(head, [(range(s + 1, n - s + 1), alpha - s, -1)])
 
 
-def levi_twisted_transfer(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx: PlaceContext) -> Substitution:
+def levi_twisted_transfer(g: GroupDatum, h: EndoTriple, s: int, A, ctx: PlaceContext) -> Substitution:
     """Twisted transfer at the Levi level (the map b_{s_M}), as a substitution table.
 
     The routed map with exponent a.  The linear pairs indexed by the
@@ -457,22 +454,22 @@ def levi_twisted_transfer(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx:
     of the first block and r_2 = |A| of the second.  (G, H, s, A) are checked
     by levi_sign_data.
     """
-    signs = levi_sign_data(g, h, levi, A)
+    A, m1, _ = levi_sign_data(g, h, s, A)
     if not ctx.splits_over_l:
         raise PlaceError("Levi twisted transfer needs the group split over L")
-    n, s, m1 = g.sizes[0], levi.s, signs.m1
+    n = g.sizes[0]
     pairs = h.pairs()
     n1, n2 = pairs[0]
-    not_a = tuple(j for j in range(1, s + 1) if j not in signs.A)
-    r1, r2 = len(not_a), len(signs.A)
+    not_a = tuple(j for j in range(1, s + 1) if j not in A)
+    r1, r2 = len(not_a), len(A)
     fp, fm = _block_routing(pairs)
-    source = m_ring(g, levi)
+    source = m_ring(g, s)
     levi_linear = tuple(r for r, size in ((r1, n1), (r2, n2)) if size > 0)
     target = HeckeRing(h.group_datum(), split_presentation=ctx.split, levi_linear=levi_linear)
     routes = []
     for k, i_k in enumerate(not_a, start=1):
         routes += [(1, i_k, fp[0], k, 1), (1, n + 1 - i_k, fp[0], n1 + 1 - k, 1)]
-    for l, j_l in enumerate(signs.A, start=1):
+    for l, j_l in enumerate(A, start=1):
         routes += [(1, j_l, fm[0], l, -1), (1, n + 1 - j_l, fm[0], n2 + 1 - l, -1)]
     for i in range(s + 1, n - s + 1):
         routes.append((1, i, fp[0], i - r2, 1) if i <= s + m1 else (1, i, fm[0], i - (r1 + m1), -1))
@@ -519,7 +516,7 @@ def _square_failures(b_levi: Substitution, b_tilde: Substitution, gens):
                    "transfer_then_levi": serialize_poly(rhs), "difference": serialize_poly(lhs - rhs)}
 
 
-def verify_transfer_square(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx: PlaceContext) -> Dict:
+def verify_transfer_square(g: GroupDatum, h: EndoTriple, s: int, A, ctx: PlaceContext) -> Dict:
     """Decide whether twisted transfer commutes with constant terms, on the whole invariant ring.
 
     The constant terms are inclusions, so the square commutes when the Levi map psi
@@ -533,9 +530,9 @@ def verify_transfer_square(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx
     the default generators.  A failing square reports each whose images differ, else
     the first e_k that does.
     """
-    signs = levi_sign_data(g, h, levi, A)
+    A, m1, m2 = levi_sign_data(g, h, s, A)
     b_tilde = twisted_transfer_map(g, h, ctx)
-    b_levi = levi_twisted_transfer(g, h, levi, A, ctx)
+    b_levi = levi_twisted_transfer(g, h, s, A, ctx)
     n = g.sizes[0]
     failures = []
     # with equal similitude images, all images sort equal exactly when the slots' do
@@ -548,9 +545,9 @@ def verify_transfer_square(g: GroupDatum, h: EndoTriple, levi: LeviDatum, A, ctx
     return {
         "group": list(g.sizes),
         "endo": [list(p) for p in h.pairs()],
-        "levi_s": levi.s,
-        "A": list(signs.A),
-        "hermitian_split": [signs.m1, signs.m2],
+        "levi_s": s,
+        "A": list(A),
+        "hermitian_split": [m1, m2],
         "cases": generator_count(n),
         "failures": failures,
     }

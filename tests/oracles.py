@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
+from typing import NamedTuple
 
 from satkit import satake
 from satkit.characters import (
@@ -169,6 +170,23 @@ def pretty_by_records(f):
     return " + ".join(parts).replace("+ -", "- ")
 
 
+class Shape(NamedTuple):
+    """What a Satake model's Weyl group depends on: the presentation and the factor sizes.
+    A size may be 0, as in the movable blocks of a Levi, which a GroupDatum refuses."""
+
+    split: bool
+    sizes: tuple
+
+    @property
+    def all_even(self):
+        return all(n % 2 == 0 for n in self.sizes)
+
+
+def shape_of(ring):
+    """The shape of a HeckeRing: its presentation and its group's factor sizes."""
+    return Shape(ring.split_presentation, ring.datum.sizes)
+
+
 def slots(shape):
     """The number of torus slots of each factor: n_i split, q_i = n_i // 2 inert."""
     return shape.sizes if shape.split else tuple(n // 2 for n in shape.sizes)
@@ -194,7 +212,8 @@ def identity(shape):
 
 
 def weyl_generators_by_elements(shape, linear=None):
-    """laurent.weyl_generators(shape, linear) as Weyl elements, in the same order:
+    """HeckeRing.generators() of the shape's ring with levi_linear=linear as Weyl
+    elements, in the same order:
     factor i fixes its first linear[i] slots, and at split places their mirrors;
     its generators are the adjacent transpositions of the slots between and, at
     inert places, the sign change of its last slot."""
@@ -640,13 +659,13 @@ def nonsingular_subsets_by_recursion(n, p):
     return build(n, p, 0)
 
 
-def transfer_square_by_rebuilding(g, h, levi, A, ctx):
+def transfer_square_by_rebuilding(g, h, s, A, ctx):
     """The report of satake.verify_transfer_square, found by mapping every default
     generator through both composites instead of comparing slot images.  The Levi
     map is read from satake when called, so that a test may replace it there."""
-    signs = levi_sign_data(g, h, levi, A)
+    A, m1, m2 = levi_sign_data(g, h, s, A)
     b_tilde = twisted_transfer_map(g, h, ctx)
-    b_levi = satake.levi_twisted_transfer(g, h, levi, A, ctx)
+    b_levi = satake.levi_twisted_transfer(g, h, s, A, ctx)
     gens = default_generators(g, ctx)
     failures = []
     for label, f in gens:
@@ -665,9 +684,9 @@ def transfer_square_by_rebuilding(g, h, levi, A, ctx):
     return {
         "group": list(g.sizes),
         "endo": [list(p) for p in h.pairs()],
-        "levi_s": levi.s,
-        "A": list(signs.A),
-        "hermitian_split": [signs.m1, signs.m2],
+        "levi_s": s,
+        "A": list(A),
+        "hermitian_split": [m1, m2],
         "cases": len(gens),
         "failures": failures,
     }
@@ -780,25 +799,24 @@ def twisted_transfer_by_hand(g, h, ctx):
     return Substitution(source, target, _substitution_table(images))
 
 
-def levi_twisted_transfer_by_hand(g, h, levi, signs, ctx, variant="s_M"):
+def levi_twisted_transfer_by_hand(g, h, s, signs, ctx, variant="s_M"):
     """satake.levi_twisted_transfer with its image rule written out.  variant="s'_M"
-    keeps the A-routed linear images positive, where "s_M" gives them the sign -1."""
+    keeps the A-routed linear images positive, where "s_M" gives them the sign -1.
+    signs is the (A, m1, m2) of satake.levi_sign_data."""
     _require_single_factor(g)
     if not ctx.splits_over_l:
         raise PlaceError("Levi twisted transfer needs the group split over L")
     n = g.sizes[0]
-    s = levi.s
     n1, n2 = h.pairs()[0]
-    A = signs.A
+    A, m1, m2 = signs
     not_a = tuple(sorted(set(range(1, s + 1)) - set(A)))
     r1, r2 = len(not_a), len(A)
-    m1, m2 = signs.m1, signs.m2
     if (m1, m2) != (n1 - 2 * r1, n2 - 2 * r2) or m1 < 0 or m2 < 0:
         raise ValueError("sign data inconsistent with the endoscopic datum")
     h_datum = h.group_datum()
     _require_match(g, h)
     fp, fm = _block_routing(h.pairs())
-    source = m_ring(g, levi)
+    source = m_ring(g, s)
     lin_by_factor = {}
     if fp[0] is not None:
         lin_by_factor[fp[0]] = r1
@@ -833,12 +851,12 @@ def levi_twisted_transfer_by_hand(g, h, levi, signs, ctx, variant="s_M"):
     return Substitution(source, target, _substitution_table(images))
 
 
-def levi_twisted_transfer_s_prime(g, h, levi, A, ctx):
+def levi_twisted_transfer_s_prime(g, h, s, A, ctx):
     """The negative control b_{s'_M} of the transfer square: the map b_{s_M} of
     satake.levi_twisted_transfer with its A-routed linear images negated, so
     that every linear image is positive.  The two differ by the sign character
     attached to A, and with s'_M the transfer square fails on some cases."""
-    sub = levi_twisted_transfer(g, h, levi, A, ctx)  # bound at import: a test may put this function in satake
+    sub = levi_twisted_transfer(g, h, s, A, ctx)  # bound at import: a test may put this function in satake
     n = g.sizes[0]
     images = dict(sub.images)
     for j in set(A):

@@ -50,7 +50,6 @@ from satkit.rootdata import (
     tamagawa,
 )
 from satkit.satake import (
-    LeviDatum,
     exponent_identity_holds,
     hecke_ring,
     kottwitz_function,
@@ -159,10 +158,10 @@ def test_criterion_04_transfer_square():
                 for bits in range(2**s):
                     a_set = [j + 1 for j in range(s) if bits >> j & 1]
                     try:
-                        levi_sign_data(g, h, LeviDatum(s), a_set)
+                        levi_sign_data(g, h, s, a_set)
                     except ValueError:
                         continue
-                    report = verify_transfer_square(g, h, LeviDatum(s), a_set, ctx)
+                    report = verify_transfer_square(g, h, s, a_set, ctx)
                     cases += report["cases"]
                     failures += len(report["failures"])
     crit.finish(failures == 0 and cases >= 90, f"{cases} generator checks")

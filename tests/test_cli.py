@@ -21,7 +21,6 @@ from satkit import characters, cli, satake
 from satkit.characters import two_partition_hypothesis
 from satkit.cli import build_parser, run
 from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
-from satkit.satake import LeviDatum
 
 import oracles
 import record_corpus
@@ -343,7 +342,7 @@ def test_rotation_suite_builds_no_fraction(capsys, monkeypatch):
 
 
 def transfer_square_cases(n_max):
-    """Every (group, datum, Levi, A) case of `verify transfer-square --n-max`."""
+    """Every (group, datum, Levi linear count s, A) case of `verify transfer-square --n-max`."""
     for n in range(2, n_max + 1):
         g = GroupDatum((n,))
         for n2 in range(0, n + 1, 2):
@@ -352,10 +351,10 @@ def transfer_square_cases(n_max):
                 for bits in range(2**s):
                     a_set = [j + 1 for j in range(s) if bits >> j & 1]
                     try:
-                        satake.levi_sign_data(g, h, LeviDatum(s), a_set)
+                        satake.levi_sign_data(g, h, s, a_set)
                     except ValueError:
                         continue
-                    yield g, h, LeviDatum(s), a_set
+                    yield g, h, s, a_set
 
 
 @pytest.mark.parametrize("variant", ["s_M", "s'_M"])
@@ -365,8 +364,8 @@ def test_transfer_square_suite_matches_per_case_reports(capsys, monkeypatch, var
         monkeypatch.setattr(satake, "levi_twisted_transfer", oracles.levi_twisted_transfer_s_prime)
     code, out = invoke(capsys, ["verify", "transfer-square", "--n-max", "6", "--json"])
     cases, failures = 0, []
-    for g, h, levi, a_set in transfer_square_cases(6):
-        report = satake.verify_transfer_square(g, h, levi, a_set, SPLIT)
+    for g, h, s, a_set in transfer_square_cases(6):
+        report = satake.verify_transfer_square(g, h, s, a_set, SPLIT)
         cases += report["cases"]
         keys = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
         failures += [{**keys, **fail} for fail in report["failures"]]
@@ -389,13 +388,13 @@ def test_square_cases_are_the_consistent_cases_in_the_same_order():
 def test_a_sweep_checks_each_case_at_most_twice(capsys, monkeypatch):
     """The enumeration checks no case: verify_transfer_square checks each once, and
     the Levi map once more.  No inconsistent (s, A) reaches levi_sign_data."""
-    consistent = {(g, h, levi, tuple(a_set)) for g, h, levi, a_set in transfer_square_cases(6)}
+    consistent = {(g, h, s, tuple(a_set)) for g, h, s, a_set in transfer_square_cases(6)}
     checked, verified = [], []
     sign_data, verify = satake.levi_sign_data, satake.verify_transfer_square
 
-    def counted_sign_data(g, h, levi, a_set):
-        checked.append((g, h, levi, tuple(a_set)))
-        return sign_data(g, h, levi, a_set)
+    def counted_sign_data(g, h, s, a_set):
+        checked.append((g, h, s, tuple(a_set)))
+        return sign_data(g, h, s, a_set)
 
     def counted_verify(*args):
         verified.append(args)

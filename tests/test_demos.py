@@ -1,8 +1,10 @@
 """Every demo script runs to completion without writing to stderr, and prints
-exactly the stdout checked in under tests/golden/."""
+exactly the stdout checked in under tests/golden/; the README's library examples
+run as written."""
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -31,3 +33,13 @@ def test_demo_runs_cleanly(path):
     name = os.path.splitext(os.path.basename(path))[0]
     with open(os.path.join(GOLDEN, name + ".out"), "rb") as f:
         assert proc.stdout == f.read()
+
+
+def test_readme_python_examples_run():
+    # the blocks run in order in one namespace: the second reads the first's phi and image
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        blocks = re.findall(r"^```python\n(.*?)^```$", f.read(), flags=re.S | re.M)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["total"] == namespace["phi"] + namespace["image"]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    Shape,
     WeylElement,
     act_monomial_by_cases,
     apply_by_mono,
@@ -39,7 +40,6 @@ from satkit.laurent import (
     ExponentOverflowError,
     LaurentPoly,
     SubstitutionError,
-    WeylShape,
     act,
     is_invariant,
     parse_poly,
@@ -48,7 +48,6 @@ from satkit.laurent import (
     substitute,
     symmetrize,
     tor,
-    weyl_generators,
     _mono,
     _substitution_table,
 )
@@ -137,13 +136,13 @@ unit_terms = st.builds(
     st.integers(-2, 2),
 )
 images = st.fixed_dictionaries({v: unit_terms for v in VARS})
-SHAPE_OF_VARS = WeylShape(split=True, sizes=(2, 1))
+SHAPE_OF_VARS = Shape(split=True, sizes=(2, 1))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(polys(), polys(), unit_terms, st.integers(0, 3), images)
 def test_int_coefficients_match_fraction_coefficients(a, b, unit, k, imgs):
-    gens = weyl_generators(SHAPE_OF_VARS)
+    gens = ring_of(SHAPE_OF_VARS).generators()
     ops = [
         lambda a, b, u: a + b,
         lambda a, b, u: a - b,
@@ -332,15 +331,15 @@ def frozen(table):
 
 
 def test_group_act_split_transposition():
-    shape = WeylShape(split=True, sizes=(2,))
-    (t,) = weyl_generators(shape)
+    shape = Shape(split=True, sizes=(2,))
+    (t,) = ring_of(shape).generators()
     assert t == weyl_table(WeylElement(((2, 1),)), shape)
     assert act(t, LaurentPoly.var(tor(1, 1))) == LaurentPoly.var(tor(1, 2))
 
 
 def test_group_act_identity():
     rng = random.Random(5)
-    shape = WeylShape(split=True, sizes=(2, 1))
+    shape = Shape(split=True, sizes=(2, 1))
     e = weyl_table(identity(shape), shape)
     assert e in ring_of(shape).weyl()
     for _ in range(10):
@@ -350,22 +349,22 @@ def test_group_act_identity():
 
 def test_group_act_inert_similitude_adjustment():
     # n=2 inert: the sign flip multiplies the global similitude by X_{1,1}^{-1}.
-    (flip,) = weyl_generators(WeylShape(split=False, sizes=(2,)))
+    (flip,) = ring_of(Shape(split=False, sizes=(2,))).generators()
     assert act(flip, LaurentPoly.var(SIM)) == LaurentPoly.monomial({SIM: 1, tor(1, 1): -1})
     # with an odd factor present the global variable is central, hence fixed
-    shape2 = WeylShape(split=False, sizes=(2, 3))
-    flip2 = weyl_generators(shape2)[0]
+    shape2 = Shape(split=False, sizes=(2, 3))
+    flip2 = ring_of(shape2).generators()[0]
     assert flip2 == weyl_table(WeylElement(((-1,), (1,))), shape2)
     assert act(flip2, LaurentPoly.var(SIM)) == LaurentPoly.var(SIM)
 
 
 COMPOSITION_SHAPES = [
-    WeylShape(split=True, sizes=(3,)),
-    WeylShape(split=True, sizes=(2, 2)),
-    WeylShape(split=False, sizes=(3,)),
-    WeylShape(split=False, sizes=(4,)),
-    WeylShape(split=False, sizes=(2, 2)),
-    WeylShape(split=False, sizes=(2, 3)),
+    Shape(split=True, sizes=(3,)),
+    Shape(split=True, sizes=(2, 2)),
+    Shape(split=False, sizes=(3,)),
+    Shape(split=False, sizes=(4,)),
+    Shape(split=False, sizes=(2, 2)),
+    Shape(split=False, sizes=(2, 3)),
 ]
 
 
@@ -390,19 +389,19 @@ def test_group_action_composition(shape):
 
 
 GENERATED_GROUPS = [(shape, None) for shape in COMPOSITION_SHAPES] + [
-    (WeylShape(split=True, sizes=(4,)), (1,)),
-    (WeylShape(split=True, sizes=(5,)), (2,)),
-    (WeylShape(split=True, sizes=(4, 3)), (1, 1)),
-    (WeylShape(split=False, sizes=(4,)), (1,)),
-    (WeylShape(split=False, sizes=(4,)), (2,)),
-    (WeylShape(split=False, sizes=(5, 2)), (1, 0)),
-    (WeylShape(split=False, sizes=(6, 1)), (1, 0)),
+    (Shape(split=True, sizes=(4,)), (1,)),
+    (Shape(split=True, sizes=(5,)), (2,)),
+    (Shape(split=True, sizes=(4, 3)), (1, 1)),
+    (Shape(split=False, sizes=(4,)), (1,)),
+    (Shape(split=False, sizes=(4,)), (2,)),
+    (Shape(split=False, sizes=(5, 2)), (1, 0)),
+    (Shape(split=False, sizes=(6, 1)), (1, 0)),
 ]
 
 
 @pytest.mark.parametrize("shape, linear", GENERATED_GROUPS)
 def test_weyl_generators_generate_the_group(shape, linear):
-    gens = weyl_generators(shape, linear)
+    gens = ring_of(shape, linear).generators()
     assert len(gens) <= sum(shape.sizes)
     assert list(gens) == [weyl_table(w, shape) for w in weyl_generators_by_elements(shape, linear)]
     # the library's closure of the generator tables is the tables of the element group
@@ -414,7 +413,7 @@ def test_weyl_generators_generate_the_group(shape, linear):
 def test_weyl_group_matches_the_block_enumeration(shape, linear):
     # the Levi's group is the Weyl group of its movable blocks, of sizes n_i - 2 linear[i]
     linear_ = linear or (0,) * len(shape.sizes)
-    movable = WeylShape(shape.split, tuple(n - 2 * lin for n, lin in zip(shape.sizes, linear_)))
+    movable = Shape(shape.split, tuple(n - 2 * lin for n, lin in zip(shape.sizes, linear_)))
     group = ring_of(shape, linear).weyl()
     assert [frozen(t) for t in group] == sorted(map(frozen, group))
     assert len(set(map(frozen, group))) == len(group) == weyl_order(movable)
@@ -440,7 +439,7 @@ def _fixes_linear(w, split, sizes, linear):
 @pytest.mark.parametrize("split", [True, False])
 @pytest.mark.parametrize("sizes", LEVI_SHAPES)
 def test_levi_weyl_group_is_ordered_subgroup(split, sizes):
-    shape = WeylShape(split=split, sizes=sizes)
+    shape = Shape(split=split, sizes=sizes)
     full = weyl_group(shape)
     full_tables = [frozen(t) for t in ring_of(shape).weyl()]
     assert len(full) == len(full_tables) == weyl_order(shape)
@@ -457,7 +456,7 @@ def weyl_shapes(draw, max_size):
     """A split or inert shape with 1-3 factors of size up to max_size."""
     split = draw(st.booleans())
     sizes = tuple(draw(st.lists(st.integers(1, max_size), min_size=1, max_size=3)))
-    shape = WeylShape(split=split, sizes=sizes)
+    shape = Shape(split=split, sizes=sizes)
     assume(weyl_order(shape) <= 240)
     return shape
 
@@ -507,14 +506,14 @@ def test_group_act_matches_action_by_cases(data):
 @pytest.mark.parametrize(
     "shape, v",
     [
-        (WeylShape(split=False, sizes=(4,)), tor(2, 1)),
-        (WeylShape(split=False, sizes=(4,)), tor(1, 3)),
-        (WeylShape(split=True, sizes=(2,)), tor(1, 3)),
+        (Shape(split=False, sizes=(4,)), tor(2, 1)),
+        (Shape(split=False, sizes=(4,)), tor(1, 3)),
+        (Shape(split=True, sizes=(2,)), tor(1, 3)),
     ],
 )
 def test_weyl_action_rejects_variables_outside_the_ring(shape, v):
     f = LaurentPoly.var(v) + LaurentPoly.var(SIM)
-    gens = weyl_generators(shape)
+    gens = ring_of(shape).generators()
     with pytest.raises(SubstitutionError):
         act(gens[0], f)
     with pytest.raises(SubstitutionError):
@@ -527,12 +526,13 @@ def test_weyl_action_rejects_variables_outside_the_ring(shape, v):
 @given(weyl_cases())
 def test_generators_match_full_group(case):
     shape, linear, f = case
-    gens, group = weyl_generators(shape, linear), ring_of(shape, linear).weyl()
+    ring = ring_of(shape, linear)
+    gens, group = ring.generators(), ring.weyl()
     orbit = symmetrize(f, gens)
     assert orbit == symmetrize_over_group(f, weyl_group(shape, linear), shape)
     assert symmetrize(f, group) == orbit
     assert is_invariant(orbit, group)
-    for g in (f, orbit, orbit + f, symmetrize(f, weyl_generators(shape))):
+    for g in (f, orbit, orbit + f, symmetrize(f, ring_of(shape).generators())):
         assert is_invariant(g, gens) == is_invariant(g, group)
 
 
@@ -544,7 +544,7 @@ def test_generators_match_full_group(case):
 def test_generator_tables_are_the_element_tables(case):
     shape, linear, _ = case
     want = [weyl_table(w, shape) for w in weyl_generators_by_elements(shape, linear)]
-    assert list(weyl_generators(shape, linear)) == want
+    assert list(ring_of(shape, linear).generators()) == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -555,7 +555,7 @@ def test_ring_weyl_tables_are_the_block_enumeration(case):
     want = {frozen(weyl_table(w, shape)) for w in weyl_group_by_blocks(shape, linear)}
     assert set(map(frozen, tables)) == want
     linear_ = linear or (0,) * len(shape.sizes)
-    assert len(tables) == weyl_order(WeylShape(shape.split, tuple(n - 2 * s for n, s in zip(shape.sizes, linear_))))
+    assert len(tables) == weyl_order(Shape(shape.split, tuple(n - 2 * s for n, s in zip(shape.sizes, linear_))))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -640,7 +640,7 @@ def weyl_kernel_cases(draw):
     return shape, draw(kernel_polys(vars_, outside=tor(9, 1)))
 
 
-INERT_4 = WeylShape(split=False, sizes=(4,))
+INERT_4 = Shape(split=False, sizes=(4,))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -653,7 +653,7 @@ def test_weyl_actions_match_the_one_pass_image(case):
     shape, f = case
     for w in weyl_group(shape):
         assert outcome(act, weyl_table(w, shape), f) == outcome(group_act, w, f, shape)
-    gens = weyl_generators(shape)
+    gens = ring_of(shape).generators()
     assert outcome(symmetrize, f, gens) == outcome(symmetrize_by_mono, f, gens)
 
 
@@ -680,13 +680,13 @@ def test_transfer_maps_match_the_one_pass_image(build, g, h, ctx, data):
 
 
 def test_symmetrize_examples():
-    group = ring_of(WeylShape(split=True, sizes=(2,))).weyl()
+    group = ring_of(Shape(split=True, sizes=(2,))).weyl()
     const = LaurentPoly.const(Fraction(5, 3))
     assert symmetrize(const, group) == const
     orb = symmetrize(LaurentPoly.var(tor(1, 1)), group)
     assert orb == LaurentPoly.var(tor(1, 1)) + LaurentPoly.var(tor(1, 2))
 
-    group3 = ring_of(WeylShape(split=True, sizes=(3,))).weyl()
+    group3 = ring_of(Shape(split=True, sizes=(3,))).weyl()
     f = LaurentPoly.monomial({SIM: -1, tor(1, 1): -1})
     got = symmetrize(f, group3)
     want = sum(
@@ -698,7 +698,7 @@ def test_symmetrize_examples():
 
 def test_symmetrize_output_invariant():
     rng = random.Random(3)
-    for shape in [WeylShape(split=True, sizes=(3,)), WeylShape(split=False, sizes=(4,))]:
+    for shape in [Shape(split=True, sizes=(3,)), Shape(split=False, sizes=(4,))]:
         group = ring_of(shape).weyl()
         vars_ = [SIM] + [tor(1, j) for j in range(1, slots(shape)[0] + 1)]
         for _ in range(10):
@@ -708,7 +708,7 @@ def test_symmetrize_output_invariant():
 
 
 def test_is_invariant_examples():
-    group = ring_of(WeylShape(split=True, sizes=(2,))).weyl()
+    group = ring_of(Shape(split=True, sizes=(2,))).weyl()
     assert is_invariant(LaurentPoly.const(2), group)
     assert not is_invariant(LaurentPoly.var(tor(1, 1)), group)
     assert is_invariant(LaurentPoly.var(tor(1, 1)) + LaurentPoly.var(tor(1, 2)), group)

@@ -6,7 +6,6 @@ from math import factorial
 
 import pytest
 
-from satkit.laurent import WeylShape
 from satkit.rootdata import (
     EndoTriple,
     GroupDatum,
@@ -23,7 +22,7 @@ from satkit.rootdata import (
 )
 
 from oracles import (
-    brute_force_endoscopic_classes, canonical_endo, compose, identity, inverse, weyl_group, weyl_table
+    Shape, brute_force_endoscopic_classes, canonical_endo, compose, identity, inverse, weyl_group, weyl_table
 )
 from satkit.satake import HeckeRing
 
@@ -51,7 +50,7 @@ def test_weyl_group_orders():
     inert = PlaceContext(split=False, d=1)
     cases = [(True, (2,), 2), (False, (2,), 2), (True, (3, 2), 12), (False, (4,), 8), (False, (5,), 8)]
     for split, sizes, order in cases:
-        assert len(weyl_group(WeylShape(split, sizes))) == order
+        assert len(weyl_group(Shape(split, sizes))) == order
         assert len(HeckeRing(GroupDatum(sizes), split).weyl()) == order
 
 
@@ -65,11 +64,11 @@ def test_weyl_group_orders():
     ],
 )
 def test_weyl_group_table(g, ctx):
-    shape = WeylShape(ctx.split, g.sizes)
+    shape = Shape(ctx.split, g.sizes)
     group = weyl_group(shape)
     elems = set(group)
     assert len(elems) == len(group)
-    e = identity(WeylShape(ctx.split, g.sizes))
+    e = identity(Shape(ctx.split, g.sizes))
     assert e in elems
     for w in group:
         assert compose(w, e) == w and compose(e, w) == w

@@ -32,7 +32,6 @@ from satkit.laurent import (
 from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext, enumerate_endoscopic
 from satkit.satake import (
     HeckeRing,
-    LeviDatum,
     PlaceError,
     Substitution,
     base_change_map,
@@ -176,7 +175,7 @@ def levi_kottwitz_cases(draw):
 @example((4, 2, 2))  # an empty middle block
 def test_levi_kottwitz_terms_are_canonical_as_built(case):
     n, s, alpha = case
-    f = levi_kottwitz_function(GroupDatum((n,)), LeviDatum(s), alpha, PlaceContext(True, 2))
+    f = levi_kottwitz_function(GroupDatum((n,)), s, alpha, PlaceContext(True, 2))
     assert len(f) == (1 if alpha >= n - s + 1 else comb(n - 2 * s, alpha - s))
     for key, c in f.terms():
         assert key == _mono(key) and c == 1
@@ -187,11 +186,11 @@ def test_builders_refuse_q_exponents_past_32_bits():
     g2, g4 = GroupDatum((2,)), GroupDatum((4,))
     # n = 2, s = 1 gives q^d; n = 4, s = 1, alpha = 2 gives q^d too
     assert len(kottwitz_function(g2, (1,), PlaceContext(True, top))) == 2
-    assert len(levi_kottwitz_function(g4, LeviDatum(1), 2, PlaceContext(True, top))) == 2
+    assert len(levi_kottwitz_function(g4, 1, 2, PlaceContext(True, top))) == 2
     with pytest.raises(ExponentOverflowError):
         kottwitz_function(g2, (1,), PlaceContext(True, top + 1))
     with pytest.raises(ExponentOverflowError):
-        levi_kottwitz_function(g4, LeviDatum(1), 2, PlaceContext(True, top + 1))
+        levi_kottwitz_function(g4, 1, 2, PlaceContext(True, top + 1))
     # s = 0 puts no q in the terms, so no exponent overflows
     assert kottwitz_function(g2, (0,), PlaceContext(True, 3 * top)) == mono({SIM: -1})
 
@@ -405,17 +404,17 @@ def test_twisted_block_factorization(r1, r2, alpha):
 
 def test_levi_kottwitz_examples():
     g = GroupDatum((3,))
-    assert levi_kottwitz_function(g, LeviDatum(1), 3, SPLIT) == mono(
+    assert levi_kottwitz_function(g, 1, 3, SPLIT) == mono(
         {SIM: -1, tor(1, 1): -1, tor(1, 2): -1, tor(1, 3): -1}
     )
-    assert levi_kottwitz_function(g, LeviDatum(1), 2, SPLIT) == mono(
+    assert levi_kottwitz_function(g, 1, 2, SPLIT) == mono(
         {SIM: -1, tor(1, 1): -1, tor(1, 2): -1}
     )
     g4 = GroupDatum((4,))
     want = mono({SIM: -1, tor(1, 1): -1, tor(1, 2): -1}, q=1) + mono(
         {SIM: -1, tor(1, 1): -1, tor(1, 3): -1}, q=1
     )
-    assert levi_kottwitz_function(g4, LeviDatum(1), 2, SPLIT) == want
+    assert levi_kottwitz_function(g4, 1, 2, SPLIT) == want
 
 
 def test_levi_kottwitz_oracle_via_hermitian_block():
@@ -432,7 +431,7 @@ def test_levi_kottwitz_oracle_via_hermitian_block():
                 shift = {tor(1, j): LaurentPoly.var(tor(1, j + s)) for j in range(1, m + 1)}
                 shift[SIM] = mono({SIM: 1, **{tor(1, j): 1 for j in range(1, s + 1)}})
                 expect = substitute(inner, shift)
-                got = levi_kottwitz_function(g, LeviDatum(s), alpha, PlaceContext(True, 2))
+                got = levi_kottwitz_function(g, s, alpha, PlaceContext(True, 2))
                 assert got == expect
 
 
@@ -440,24 +439,24 @@ def test_levi_sign_data_validation():
     g = GroupDatum((3,))
     h = EndoTriple((1,), (2,))
     with pytest.raises(ValueError):
-        levi_sign_data(g, h, LeviDatum(1), [])  # forces a linear pair into GU*(1)
-    sd = levi_sign_data(g, h, LeviDatum(1), [1])
-    assert (sd.m1, sd.m2) == (1, 0)
+        levi_sign_data(g, h, 1, [])  # forces a linear pair into GU*(1)
+    assert levi_sign_data(g, h, 1, [1]) == ((1,), 1, 0)
+    # A comes back sorted, without repeats
+    assert levi_sign_data(GroupDatum((6,)), EndoTriple((2,), (4,)), 2, [2, 1, 2]) == ((1, 2), 2, 0)
     with pytest.raises(ValueError, match="not a subset"):
-        levi_twisted_transfer(GroupDatum((4,)), EndoTriple((2,), (2,)), LeviDatum(1), (2,), SPLIT)
+        levi_twisted_transfer(GroupDatum((4,)), EndoTriple((2,), (2,)), 1, (2,), SPLIT)
     with pytest.raises(ValueError, match="does not match"):
-        levi_sign_data(GroupDatum((5,)), h, LeviDatum(1), (1,))  # a U(3) datum
+        levi_sign_data(GroupDatum((5,)), h, 1, (1,))  # a U(3) datum
 
 
 def test_levi_twisted_transfer_table():
     g = GroupDatum((3,))
     h = EndoTriple((1,), (2,))
-    levi = LeviDatum(1)
-    bp = oracles.levi_twisted_transfer_s_prime(g, h, levi, [1], SPLIT)
+    bp = oracles.levi_twisted_transfer_s_prime(g, h, 1, [1], SPLIT)
     assert bp.images[tor(1, 1)] == LaurentPoly.var(tor(2, 1))
     assert bp.images[tor(1, 3)] == LaurentPoly.var(tor(2, 2))
     assert bp.images[tor(1, 2)] == LaurentPoly.var(tor(1, 1))
-    bm = levi_twisted_transfer(g, h, levi, [1], SPLIT)
+    bm = levi_twisted_transfer(g, h, 1, [1], SPLIT)
     assert bm.images[tor(1, 1)] == mono({tor(2, 1): 1}, coeff=-1)
     assert bm.images[tor(1, 3)] == mono({tor(2, 2): 1}, coeff=-1)
     assert bm.images[tor(1, 2)] == LaurentPoly.var(tor(1, 1))
@@ -466,7 +465,7 @@ def test_levi_twisted_transfer_table():
 def test_levi_twisted_trivial_datum_all_positive():
     g = GroupDatum((2,))
     h = EndoTriple((2,), (0,))
-    bm = levi_twisted_transfer(g, h, LeviDatum(1), [], SPLIT)
+    bm = levi_twisted_transfer(g, h, 1, [], SPLIT)
     for img in bm.images.values():
         assert all(c > 0 for _, c in img.terms())
 
@@ -474,9 +473,9 @@ def test_levi_twisted_trivial_datum_all_positive():
 def test_constant_term_checks_invariance():
     g = GroupDatum((3,))
     f = kottwitz_function(g, (2,), SPLIT)
-    assert levi_constant_term(f, g, LeviDatum(1), SPLIT) == f
+    assert levi_constant_term(f, g, 1, SPLIT) == f
     with pytest.raises(ValueError):
-        levi_constant_term(LaurentPoly.var(tor(1, 1)), g, LeviDatum(1), SPLIT)
+        levi_constant_term(LaurentPoly.var(tor(1, 1)), g, 1, SPLIT)
 
 
 # -- the compatibility square ---------------------------------------------------------------
@@ -484,22 +483,22 @@ def test_constant_term_checks_invariance():
 
 def test_transfer_square_trivial():
     rep = verify_transfer_square(
-        GroupDatum((2,)), EndoTriple((2,), (0,)), LeviDatum(1), [], SPLIT
+        GroupDatum((2,)), EndoTriple((2,), (0,)), 1, [], SPLIT
     )
     assert rep["failures"] == []
 
 
 def test_transfer_square_examples():
     rep = verify_transfer_square(
-        GroupDatum((3,)), EndoTriple((1,), (2,)), LeviDatum(1), [1], SPLIT
+        GroupDatum((3,)), EndoTriple((1,), (2,)), 1, [1], SPLIT
     )
     assert rep["failures"] == []
     rep = verify_transfer_square(
-        GroupDatum((4,)), EndoTriple((2,), (2,)), LeviDatum(1), [], SPLIT
+        GroupDatum((4,)), EndoTriple((2,), (2,)), 1, [], SPLIT
     )
     assert rep["failures"] == []
     rep = verify_transfer_square(
-        GroupDatum((4,)), EndoTriple((2,), (2,)), LeviDatum(1), [1], SPLIT
+        GroupDatum((4,)), EndoTriple((2,), (2,)), 1, [1], SPLIT
     )
     assert rep["failures"] == []
 
@@ -511,18 +510,18 @@ def test_slot_images_give_the_rebuilt_reports(ctx):
 
 
 @pytest.mark.parametrize(
-    "g, h, levi, A",
+    "g, h, s, A",
     [
-        (GroupDatum((4,)), EndoTriple((2,), (2,)), LeviDatum(1), [2]),  # A not in 1..s
-        (GroupDatum((4,)), EndoTriple((4,), (0,)), LeviDatum(2), [1]),  # inconsistent signs
-        (GroupDatum((4,)), EndoTriple((2,), (4,)), LeviDatum(1), []),  # datum of another group
+        (GroupDatum((4,)), EndoTriple((2,), (2,)), 1, [2]),  # A not in 1..s
+        (GroupDatum((4,)), EndoTriple((4,), (0,)), 2, [1]),  # inconsistent signs
+        (GroupDatum((4,)), EndoTriple((2,), (4,)), 1, []),  # datum of another group
     ],
 )
-def test_invalid_transfer_square_cases_build_and_keep_nothing(monkeypatch, g, h, levi, A):
+def test_invalid_transfer_square_cases_build_and_keep_nothing(monkeypatch, g, h, s, A):
     built = []
     monkeypatch.setattr(satake, "default_generators", lambda *args: built.append(args))
     with pytest.raises(ValueError):
-        verify_transfer_square(g, h, levi, A, SPLIT)
+        verify_transfer_square(g, h, s, A, SPLIT)
     assert built == []
 
 
@@ -570,7 +569,7 @@ def test_case_count_is_the_number_of_generators(ctx):
         g = GroupDatum((n,))
         count = len(default_generators(g, ctx))
         assert satake.generator_count(n) == count
-        assert verify_transfer_square(g, EndoTriple((n,), (0,)), LeviDatum(0), [], ctx)["cases"] == count
+        assert verify_transfer_square(g, EndoTriple((n,), (0,)), 0, [], ctx)["cases"] == count
 
 
 FAILURE_KEYS = ["generator", "input", "levi_then_transfer", "transfer_then_levi", "difference"]
@@ -580,14 +579,14 @@ def test_a_difference_no_generator_sees_is_reported_by_its_e_k(monkeypatch):
     monkeypatch.setattr(satake, "levi_twisted_transfer", oracles.levi_twisted_transfer_s_prime)
     monkeypatch.setattr(satake, "default_generators", lambda g, ctx: [("Z", LaurentPoly.var(SIM))])
     failing = 0
-    for g, h, levi, A in transfer_square_cases(6):
-        failures = verify_transfer_square(g, h, levi, A, SPLIT)["failures"]
+    for g, h, s, A in transfer_square_cases(6):
+        failures = verify_transfer_square(g, h, s, A, SPLIT)["failures"]
         if failures:
             failing += 1
             (record,) = failures
             assert list(record) == FAILURE_KEYS and record["generator"].startswith("e_")
             k, n = int(record["generator"][2:]), g.sizes[0]
-            b_levi = oracles.levi_twisted_transfer_s_prime(g, h, levi, A, SPLIT)
+            b_levi = oracles.levi_twisted_transfer_s_prime(g, h, s, A, SPLIT)
             assert oracles.differing_elementary(b_levi, twisted_transfer_map(g, h, SPLIT), n) == k
             assert record["input"] == serialize_poly(oracles.elementary(n, k))
     assert failing > 0
@@ -634,12 +633,12 @@ def square_maps(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(square_maps())
 def test_slot_images_decide_the_square_as_the_generators_do(data):
-    (g, h, levi, A), ctx, build = data
+    (g, h, s, A), ctx, build = data
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(satake, "levi_twisted_transfer", build)
-        got = verify_transfer_square(g, h, levi, A, ctx)
-        want = transfer_square_by_rebuilding(g, h, levi, A, ctx)
-        b_levi = build(g, h, levi, A, ctx)
+        got = verify_transfer_square(g, h, s, A, ctx)
+        want = transfer_square_by_rebuilding(g, h, s, A, ctx)
+        b_levi = build(g, h, s, A, ctx)
     if want["failures"] or not got["failures"]:
         assert got == want
         return
@@ -688,7 +687,7 @@ def test_equal_slot_multisets_are_equal_e_k_images(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(satake, "twisted_transfer_map", lambda *args: phi)
         mp.setattr(satake, "levi_twisted_transfer", lambda *args: psi)
-        report = verify_transfer_square(GroupDatum((n,)), EndoTriple((n,), (0,)), LeviDatum(0), [], SPLIT)
+        report = verify_transfer_square(GroupDatum((n,)), EndoTriple((n,), (0,)), 0, [], SPLIT)
     agree = phi.images[SIM] == psi.images[SIM] and oracles.differing_elementary(phi, psi, n) is None
     assert (report["failures"] == []) == agree
 
@@ -843,32 +842,31 @@ def test_levi_kottwitz_invariant_under_levi_weyl():
     for n in range(2, 6):
         g = GroupDatum((n,))
         for s in range(1, n // 2 + 1):
-            ring = m_ring(g, LeviDatum(s))
+            ring = m_ring(g, s)
             tables = ring.weyl()
-            elements = oracles.weyl_group(ring.shape, ring.levi_linear)
+            elements = oracles.weyl_group(oracles.shape_of(ring), ring.levi_linear)
             assert len(tables) == len(elements)
             for alpha in range(n - n // 2, n + 1):
-                f = levi_kottwitz_function(g, LeviDatum(s), alpha, SPLIT)
+                f = levi_kottwitz_function(g, s, alpha, SPLIT)
                 assert all(act(t, f) == f for t in tables)
-                assert all(oracles.group_act(w, f, ring.shape) == f for w in elements)
+                assert all(oracles.group_act(w, f, oracles.shape_of(ring)) == f for w in elements)
 
 
 def test_levi_twisted_image_invariant_under_mh_weyl():
     """b_{s_M} images are invariant under the Hermitian-block Weyl of M_H."""
     g = GroupDatum((4,))
     h = EndoTriple((2,), (2,))
-    levi = LeviDatum(1)
     for A in ([], [1]):
-        bm = levi_twisted_transfer(g, h, levi, A, SPLIT)
+        bm = levi_twisted_transfer(g, h, 1, A, SPLIT)
         lin = (1 - len(A), len(A))
         target = HeckeRing(h.group_datum(), split_presentation=True, levi_linear=lin)
         tables = target.weyl()
-        elements = oracles.weyl_group(target.shape, lin)
+        elements = oracles.weyl_group(oracles.shape_of(target), lin)
         assert len(tables) == len(elements) == 2
         for _, f in default_generators(g, SPLIT):
             img = bm(f)  # the constant term is the inclusion
             assert all(act(t, img) == img for t in tables)
-            assert all(oracles.group_act(w, img, target.shape) == img for w in elements)
+            assert all(oracles.group_act(w, img, oracles.shape_of(target)) == img for w in elements)
 
 
 def test_transfer_two_factor_routing():
@@ -902,9 +900,9 @@ def test_m_ring_weyl_is_levi_group():
     from satkit.satake import m_ring
 
     g = GroupDatum((4,))
-    ring = m_ring(g, LeviDatum(1))
+    ring = m_ring(g, 1)
     assert len(ring.weyl()) == 2  # permutes the middle block {2,3} only
-    f = levi_kottwitz_function(g, LeviDatum(1), 2, SPLIT)
+    f = levi_kottwitz_function(g, 1, 2, SPLIT)
     assert ring.contains(f)
     assert not ring.contains(LaurentPoly.var(tor(1, 2)))
 
@@ -917,7 +915,7 @@ def test_levi_twisted_target_ring_contains_images():
             for bits in range(2**s):
                 A = [j + 1 for j in range(s) if bits >> j & 1]
                 try:
-                    bm = levi_twisted_transfer(g, h, LeviDatum(s), A, SPLIT)
+                    bm = levi_twisted_transfer(g, h, s, A, SPLIT)
                 except ValueError:
                     continue
                 for _, f in default_generators(g, SPLIT):
@@ -934,7 +932,7 @@ def test_transfer_square_inert_even_degree():
             for bits in range(2**s):
                 A = [j + 1 for j in range(s) if bits >> j & 1]
                 try:
-                    bm = levi_twisted_transfer(g, h, LeviDatum(s), A, ctx)
+                    bm = levi_twisted_transfer(g, h, s, A, ctx)
                 except ValueError:
                     continue
                 bt = twisted_transfer_map(g, h, ctx)
@@ -980,12 +978,12 @@ def test_routed_maps_match_the_hand_written_builders():
             assert got == _built(oracles.twisted_transfer_by_hand, g, h, ctx)
             refused += got[0] is PlaceError
     assert refused > 0  # the odd-degree inert places
-    for (g, h, levi, A), ctx in product(cli.square_cases(6), ROUTED_PLACES + EDGE_PLACES):
-        sd = levi_sign_data(g, h, levi, A)
-        got = _built(levi_twisted_transfer, g, h, levi, A, ctx)
-        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx)
-        got = _built(oracles.levi_twisted_transfer_s_prime, g, h, levi, A, ctx)
-        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx, "s'_M")
+    for (g, h, s, A), ctx in product(cli.square_cases(6), ROUTED_PLACES + EDGE_PLACES):
+        sd = levi_sign_data(g, h, s, A)
+        got = _built(levi_twisted_transfer, g, h, s, A, ctx)
+        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, s, sd, ctx)
+        got = _built(oracles.levi_twisted_transfer_s_prime, g, h, s, A, ctx)
+        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, s, sd, ctx, "s'_M")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1000,15 +998,15 @@ def test_routed_maps_refuse_what_the_hand_written_builders_refuse(data):
     ctx = data.draw(st.sampled_from(ROUTED_PLACES + EDGE_PLACES))
     assert _built(transfer_map, g, h, ctx) == _built(oracles.transfer_by_hand, g, h, ctx)
     assert _built(twisted_transfer_map, g, h, ctx) == _built(oracles.twisted_transfer_by_hand, g, h, ctx)
-    levi = LeviDatum(data.draw(st.integers(0, 3)))
-    A = tuple(sorted(data.draw(st.sets(st.integers(1, levi.s + 1), max_size=levi.s + 1))))
-    got = _built(levi_twisted_transfer, g, h, levi, A, ctx)
+    s = data.draw(st.integers(0, 3))
+    A = tuple(sorted(data.draw(st.sets(st.integers(1, s + 1), max_size=s + 1))))
+    got = _built(levi_twisted_transfer, g, h, s, A, ctx)
     try:
-        sd = levi_sign_data(g, h, levi, A)
+        sd = levi_sign_data(g, h, s, A)
     except ValueError as exc:
         assert got == (type(exc), str(exc))
     else:
-        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, levi, sd, ctx)
+        assert got == _built(oracles.levi_twisted_transfer_by_hand, g, h, s, sd, ctx)
 
 
 def test_map_building_does_no_ring_arithmetic(monkeypatch):
@@ -1049,14 +1047,13 @@ def test_levi_functions_refuse_the_same_levis(g, s):
     """Every Levi-level function refuses exactly the (G, s) that m_ring refuses:
     two-factor groups, s < 0 and 2s > n.  The trivial datum and A = () leave
     (G, s) as the only thing that can be refused."""
-    levi = LeviDatum(s)
     h = EndoTriple(g.sizes, (0,) * g.r)
     calls = [
-        lambda: satake.m_ring(g, levi),
-        lambda: levi_sign_data(g, h, levi, ()),
-        lambda: levi_kottwitz_function(g, levi, g.sizes[0], SPLIT),
-        lambda: levi_constant_term(LaurentPoly.var(SIM), g, levi, SPLIT),
-        lambda: levi_twisted_transfer(g, h, levi, (), SPLIT),
+        lambda: satake.m_ring(g, s),
+        lambda: levi_sign_data(g, h, s, ()),
+        lambda: levi_kottwitz_function(g, s, g.sizes[0], SPLIT),
+        lambda: levi_constant_term(LaurentPoly.var(SIM), g, s, SPLIT),
+        lambda: levi_twisted_transfer(g, h, s, (), SPLIT),
     ]
     errors = []
     for call in calls:
