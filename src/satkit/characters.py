@@ -14,7 +14,6 @@ its length; none has its sign read off after it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -24,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from .laurent import (
     INT32_MAX, SIM, ExponentOverflowError, LaurentPoly, _check_exp, _merge, _tor_subset_sum, tor,
 )
-from .rootdata import EndoTriple, PlaceContext, SignedGroupDatum
+from .rootdata import EndoTriple, PlaceContext, SignedGroupDatum, _ints, _Record
 
 
 class HypothesisError(ValueError):
@@ -180,15 +179,15 @@ def positive_rotation_count(lam: Sequence) -> int:
 # -- weights ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Record):
     """A similitude weight together with one integer vector per factor."""
 
-    a: int
-    blocks: Tuple[Tuple[int, ...], ...]
+    FIELDS = ("a", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(int(x) for x in b) for b in self.blocks))
+    def __init__(self, a: int, blocks: Tuple[Tuple[int, ...], ...]):
+        (a,) = _ints("a", a)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "blocks", tuple(_ints("blocks", *b) for b in blocks))
 
     def is_dominant(self) -> bool:
         return all(all(b[i] >= b[i + 1] for i in range(len(b) - 1)) for b in self.blocks)
@@ -297,20 +296,21 @@ def _shuffles(sizes: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
     return {w: length for length, w in sorted(graded)}
 
 
-@dataclass(frozen=True)
-class KostantDatum:
+class KostantDatum(_Record):
     """GU(p, q) together with a Levi subset S' of {1..q}."""
 
-    p: int
-    q: int
-    s_set: frozenset
+    FIELDS = ("p", "q", "s_set")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s_set", frozenset(int(r) for r in self.s_set))
-        if self.p < 0 or self.q < 0 or self.p + self.q < 1:
+    def __init__(self, p: int, q: int, s_set: frozenset):
+        s_set = frozenset(_ints("s_set", *s_set))
+        (p,), (q,) = _ints("p", p), _ints("q", q)
+        if p < 0 or q < 0 or p + q < 1:
             raise ValueError("need p + q >= 1")
-        if any(r < 1 or r > self.q for r in self.s_set):
-            raise ValueError(f"S'={sorted(self.s_set)} not inside 1..{self.q}")
+        if any(r < 1 or r > q for r in s_set):
+            raise ValueError(f"S'={sorted(s_set)} not inside 1..{q}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "s_set", s_set)
 
     @property
     def n(self) -> int:
@@ -335,15 +335,20 @@ class KostantDatum:
         return _signed_block_perms(self.blocks())
 
 
-@dataclass(frozen=True)
-class KostantEntry:
+class KostantEntry(_Record):
     """One cohomology summand: the coset representative, its length, and the
     doubled highest weight 2(w(lambda) - rho) together with 2 w(lambda)."""
 
-    degree: int
-    omega: Tuple[int, ...]
-    weight2: Tuple[int, ...]
-    shifted2: Tuple[int, ...]
+    FIELDS = ("degree", "omega", "weight2", "shifted2")
+
+    def __init__(
+        self, degree: int, omega: Tuple[int, ...], weight2: Tuple[int, ...], shifted2: Tuple[int, ...]
+    ):
+        (degree,) = _ints("degree", degree)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "weight2", weight2)
+        object.__setattr__(self, "shifted2", shifted2)
 
 
 def _doubled_weight(weight: Weight, n: int) -> Tuple[int, ...]:

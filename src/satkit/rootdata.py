@@ -9,10 +9,10 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import attrgetter, index
 from typing import List, Optional, Tuple
 
 
@@ -20,18 +20,56 @@ class ParityError(ValueError):
     """An endoscopic datum violates the even-minus-part constraint."""
 
 
-@dataclass(frozen=True)
-class GroupDatum:
+class _Record:
+    """An immutable record of the fields named in FIELDS: its repr is Class(field=value, ...),
+    it equals only a record of its own class with equal fields, and it hashes as the tuple of
+    its fields.  A subclass sets its fields in its own __init__, through object.__setattr__."""
+
+    FIELDS: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.FIELDS)  # a bare value, not a 1-tuple, for one field
+        cls._values = staticmethod(get if len(cls.FIELDS) > 1 else lambda record: (get(record),))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _ints(field: str, *values) -> Tuple[int, ...]:
+    """The values as ints: a float or any other non-integral value is refused, not truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{field} takes integers only, got {', '.join(map(repr, values))}") from None
+
+
+class GroupDatum(_Record):
     """The tuple (n_1, ..., n_r) of factor sizes, every n_i >= 1."""
 
-    sizes: Tuple[int, ...]
+    FIELDS = ("sizes",)
 
-    def __post_init__(self):
-        if not self.sizes:
+    def __init__(self, sizes: Tuple[int, ...]):
+        if not sizes:
             raise ValueError("need at least one factor")
-        if any(n < 1 for n in self.sizes):
+        sizes = _ints("sizes", *sizes)
+        if any(n < 1 for n in sizes):
             raise ValueError("factor sizes must be >= 1")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def r(self) -> int:
@@ -50,14 +88,13 @@ class GroupDatum:
         return all(n % 2 == 0 for n in self.sizes)
 
 
-@dataclass(frozen=True)
-class SignedGroupDatum:
+class SignedGroupDatum(_Record):
     """Real signatures ((p_1,q_1),...,(p_r,q_r)) with p_i + q_i >= 1."""
 
-    sig: Tuple[Tuple[int, int], ...]
+    FIELDS = ("sig",)
 
-    def __post_init__(self):
-        sig = tuple((int(p), int(q)) for p, q in self.sig)
+    def __init__(self, sig: Tuple[Tuple[int, int], ...]):
+        sig = tuple(_ints("sig", p, q) for p, q in sig)
         if not sig:
             raise ValueError("need at least one factor")
         for p, q in sig:
@@ -78,15 +115,13 @@ class SignedGroupDatum:
         return sum(p + q for p, q in self.sig)
 
 
-@dataclass(frozen=True)
-class EndoTriple:
+class EndoTriple(_Record):
     """Per-factor splittings (n_i^+, n_i^-) of the sizes of a GroupDatum, with even total minus part."""
 
-    nplus: Tuple[int, ...]
-    nminus: Tuple[int, ...]
+    FIELDS = ("nplus", "nminus")
 
-    def __post_init__(self):
-        np_, nm = tuple(map(int, self.nplus)), tuple(map(int, self.nminus))
+    def __init__(self, nplus: Tuple[int, ...], nminus: Tuple[int, ...]):
+        np_, nm = _ints("nplus", *nplus), _ints("nminus", *nminus)
         if len(np_) != len(nm):
             raise ValueError("nplus and nminus must have the same length")
         if any(a < 0 for a in np_ + nm):
@@ -116,8 +151,7 @@ class EndoTriple:
         return GroupDatum(tuple(parts))
 
 
-@dataclass(frozen=True)
-class PlaceContext:
+class PlaceContext(_Record):
     """Local data at p: split/inert, d = [L:Q_p] and (when defined) a = [L:E_w].
 
     At a split place E_w = Q_p, so a = d.  At an inert place the group splits
@@ -125,12 +159,14 @@ class PlaceContext:
     is undefined.
     """
 
-    split: bool
-    d: int = 1
+    FIELDS = ("split", "d")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, split: bool, d: int = 1):
+        (d,) = _ints("d", d)
+        if d < 1:
             raise ValueError("d must be >= 1")
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "d", d)
 
     @property
     def a(self) -> Optional[int]:

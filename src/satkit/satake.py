@@ -20,7 +20,6 @@ the torus slots (verify_transfer_square).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +41,7 @@ from .laurent import (
     substitute,  # not called here; the benchmark's span test reads it through this module
     tor,
 )
-from .rootdata import EndoTriple, GroupDatum, PlaceContext
+from .rootdata import EndoTriple, GroupDatum, PlaceContext, _ints, _Record
 
 
 class PlaceError(ValueError):
@@ -52,8 +51,7 @@ class PlaceError(ValueError):
 # -- rings --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeckeRing:
+class HeckeRing(_Record):
     """Descriptor of an invariant-polynomial model of a spherical Hecke algebra.
 
     split_presentation is True when torus variables run to n_i (group split
@@ -63,18 +61,20 @@ class HeckeRing:
     group to the Levi's own.
     """
 
-    datum: GroupDatum
-    split_presentation: bool
-    levi_linear: Optional[Tuple[int, ...]] = None
+    FIELDS = ("datum", "split_presentation", "levi_linear")
 
-    def __post_init__(self):
-        if self.levi_linear is not None:
-            lin = tuple(int(x) for x in self.levi_linear)
-            if len(lin) != self.datum.r:
+    def __init__(
+        self, datum: GroupDatum, split_presentation: bool, levi_linear: Optional[Tuple[int, ...]] = None
+    ):
+        if levi_linear is not None:
+            levi_linear = _ints("levi_linear", *levi_linear)
+            if len(levi_linear) != datum.r:
                 raise ValueError("one linear-slot count per factor required")
-            for s, n in zip(lin, self.datum.sizes):
+            for s, n in zip(levi_linear, datum.sizes):
                 _check_linear(s, n)
-            object.__setattr__(self, "levi_linear", lin)
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "split_presentation", split_presentation)
+        object.__setattr__(self, "levi_linear", levi_linear)
 
     def variables(self) -> List[Var]:
         out: List[Var] = [SIM]
@@ -190,14 +190,16 @@ def norm_similitude(ring: HeckeRing) -> LaurentPoly:
 # -- substitutions ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Record):
     """A morphism of Satake models as the table laurent.act reads: v -> (negative,
     q shift, m), the image (-1)^negative q^shift m of v, m a q-free canonical monomial."""
 
-    source: HeckeRing
-    target: HeckeRing
-    table: Dict[Var, Tuple[bool, int, Monomial]]
+    FIELDS = ("source", "target", "table")
+
+    def __init__(self, source: HeckeRing, target: HeckeRing, table: Dict[Var, Tuple[bool, int, Monomial]]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "table", table)
 
     def __call__(self, f: LaurentPoly) -> LaurentPoly:
         return act(self.table, f)

@@ -9,13 +9,13 @@ from typing import NamedTuple
 
 from satkit import satake
 from satkit.characters import (
-    KostantDatum, KostantEntry, WallError, pairing_coroot, rho2, truncate_cohomology
+    KostantDatum, KostantEntry, WallError, Weight, pairing_coroot, rho2, truncate_cohomology
 )
 from satkit.laurent import (
     QVAR, SIM, LaurentPoly, SubstitutionError, _mono, _split_q, _substitution_table, serialize_poly, symmetrize,
     tor,
 )
-from satkit.rootdata import EndoTriple, _swap_class
+from satkit.rootdata import EndoTriple, GroupDatum, ParityError, PlaceContext, SignedGroupDatum, _swap_class
 from satkit.satake import (
     HeckeRing, PlaceError, Substitution, _block_routing, _require_match, _require_single_factor,
     default_generators, hecke_ring, kottwitz_function, levi_sign_data, levi_twisted_transfer, m_ring,
@@ -863,3 +863,131 @@ def levi_twisted_transfer_s_prime(g, h, s, A, ctx):
         images[tor(1, j)] = -images[tor(1, j)]
         images[tor(1, n + 1 - j)] = -images[tor(1, n + 1 - j)]
     return Substitution(sub.source, sub.target, _substitution_table(images))
+
+
+# -- the value types as frozen dataclasses ------------------------------------------------
+# Each twin has its library class's fields, defaults and checks (in __post_init__, with the
+# same messages), so for integer input it must print, compare, hash and refuse as that class
+# does.  A twin's repr is its class's with "Twin" after each class name.
+
+
+@dataclass(frozen=True)
+class GroupDatumTwin:
+    sizes: tuple
+
+    def __post_init__(self):
+        if not self.sizes:
+            raise ValueError("need at least one factor")
+        if any(n < 1 for n in self.sizes):
+            raise ValueError("factor sizes must be >= 1")
+        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+
+
+@dataclass(frozen=True)
+class SignedGroupDatumTwin:
+    sig: tuple
+
+    def __post_init__(self):
+        sig = tuple((int(p), int(q)) for p, q in self.sig)
+        if not sig:
+            raise ValueError("need at least one factor")
+        for p, q in sig:
+            if p < 0 or q < 0 or p + q < 1:
+                raise ValueError(f"bad signature ({p},{q})")
+        object.__setattr__(self, "sig", sig)
+
+
+@dataclass(frozen=True)
+class EndoTripleTwin:
+    nplus: tuple
+    nminus: tuple
+
+    def __post_init__(self):
+        np_, nm = tuple(map(int, self.nplus)), tuple(map(int, self.nminus))
+        if len(np_) != len(nm):
+            raise ValueError("nplus and nminus must have the same length")
+        if any(a < 0 for a in np_ + nm):
+            raise ValueError("negative block size")
+        if sum(nm) % 2 != 0:
+            raise ParityError(f"sum of minus parts {sum(nm)} is odd")
+        object.__setattr__(self, "nplus", np_)
+        object.__setattr__(self, "nminus", nm)
+        GroupDatumTwin(tuple(a + b for a, b in zip(np_, nm)))
+
+
+@dataclass(frozen=True)
+class PlaceContextTwin:
+    split: bool
+    d: int = 1
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
+
+
+@dataclass(frozen=True)
+class WeightTwin:
+    a: int
+    blocks: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(tuple(int(x) for x in b) for b in self.blocks))
+
+
+@dataclass(frozen=True)
+class KostantDatumTwin:
+    p: int
+    q: int
+    s_set: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "s_set", frozenset(int(r) for r in self.s_set))
+        if self.p < 0 or self.q < 0 or self.p + self.q < 1:
+            raise ValueError("need p + q >= 1")
+        if any(r < 1 or r > self.q for r in self.s_set):
+            raise ValueError(f"S'={sorted(self.s_set)} not inside 1..{self.q}")
+
+
+@dataclass(frozen=True)
+class KostantEntryTwin:
+    degree: int
+    omega: tuple
+    weight2: tuple
+    shifted2: tuple
+
+
+@dataclass(frozen=True)
+class HeckeRingTwin:
+    datum: GroupDatumTwin
+    split_presentation: bool
+    levi_linear: tuple = None
+
+    def __post_init__(self):
+        if self.levi_linear is not None:
+            lin = tuple(int(x) for x in self.levi_linear)
+            if len(lin) != len(self.datum.sizes):
+                raise ValueError("one linear-slot count per factor required")
+            for s, n in zip(lin, self.datum.sizes):
+                if not 0 <= 2 * s <= n:
+                    raise ValueError(f"linear count {s} out of range 0..{n // 2} for factor size {n}")
+            object.__setattr__(self, "levi_linear", lin)
+
+
+@dataclass(frozen=True)
+class SubstitutionTwin:
+    source: HeckeRingTwin
+    target: HeckeRingTwin
+    table: dict
+
+
+DATACLASS_TWINS = {
+    GroupDatum: GroupDatumTwin,
+    SignedGroupDatum: SignedGroupDatumTwin,
+    EndoTriple: EndoTripleTwin,
+    PlaceContext: PlaceContextTwin,
+    Weight: WeightTwin,
+    KostantDatum: KostantDatumTwin,
+    KostantEntry: KostantEntryTwin,
+    HeckeRing: HeckeRingTwin,
+    Substitution: SubstitutionTwin,
+}

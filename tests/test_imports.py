@@ -1,8 +1,11 @@
-"""No library module imports a name it never uses, and the module lists name every module."""
+"""No library module imports a name it never uses, the module lists name every module, and
+start-up loads no module only code generation needs."""
 
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -63,3 +66,15 @@ def test_module_lists_name_exactly_the_modules():
     rows = set(re.findall(r"^\| `satkit\.(\w+)`", layout, re.M))
     assert submodules == stems
     assert rows == stems
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every command is a new process, so satkit's imports are start-up time.  -S keeps the
+    modules that site loads out of the check, and -B writes no bytecode into the checkout."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import satkit.cli; print(*sorted(sys.modules))"
+    argv = [sys.executable, "-I", "-S", "-B", "-c", code, str(ROOT / "src")]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "satkit.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"})

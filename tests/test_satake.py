@@ -534,11 +534,11 @@ def test_a_passing_sweep_builds_no_generator(capsys, monkeypatch):
 
 
 def _counted(monkeypatch, owner, name, calls):
-    """Replace owner.name by a wrapper that appends (arguments, result) to calls."""
+    """Replace owner.name by a wrapper that appends (positional arguments, result) to calls."""
     fn = getattr(owner, name)
 
-    def counted(*args):
-        result = fn(*args)
+    def counted(*args, **kwargs):
+        result = fn(*args, **kwargs)
         calls.append((args, result))
         return result
 
@@ -551,7 +551,7 @@ def test_a_square_case_checks_each_map_once(monkeypatch):
     cases = list(cli.square_cases(6))
     matched, rings, maps = [], [], []
     _counted(monkeypatch, satake, "_require_match", matched)
-    _counted(monkeypatch, HeckeRing, "__post_init__", rings)
+    _counted(monkeypatch, HeckeRing, "__init__", rings)
     _counted(monkeypatch, satake, "_routed_map", maps)
     for case in cases:
         assert verify_transfer_square(*case, SPLIT)["failures"] == []
