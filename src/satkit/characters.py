@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import factorial, lcm, prod
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -138,14 +138,24 @@ def two_partition_hypothesis(lam: Sequence) -> bool:
 
 
 def rotation_orbit_hits(lam: Sequence) -> int:
-    """Number of cyclic rotations of lam with all prefix sums positive."""
-    lam = _scale_to_ints(lam)
-    n = len(lam)
+    """Number of cyclic rotations of lam with all prefix sums positive, in O(n).
+
+    With prefix sums P_1..P_n, the rotation that starts after position k has
+    the prefix sums P_j - P_k for j > k, then P_n - P_k + P_j for j <= k.  So
+    it counts exactly when P_k is below every later P_j and
+    P_n - P_k + min_{j<=k} P_j > 0.  One accumulate pass gives the minima up
+    to each k; the later minima are kept walking back from the end.
+    """
+    prefix = list(accumulate(_scale_to_ints(lam)))
+    if not prefix:
+        return 0
+    total = prefix[-1]
     hits = 0
-    for k in range(1, n + 1):
-        rot = lam[k:] + lam[:k]
-        if _prefix_positive_mask(rot) == (1 << n) - 1:
-            hits += 1
+    later = total + 1  # no prefix sum follows P_n
+    for p, earlier in zip(reversed(prefix), reversed(list(accumulate(prefix, min)))):
+        if p < later:
+            hits += total - p + earlier > 0
+            later = p
     return hits
 
 
@@ -552,7 +562,7 @@ def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
     it, so a mu met along several branches is expanded once.  A weight whose
     character may have more than MAX_CHARACTER_TERMS terms is refused.
     """
-    lam = tuple(int(x) for x in block_weight)
+    (size,), lam = _ints("size", size), _ints("block_weight", *block_weight)
     if len(lam) != size:
         raise ValueError("weight length must equal the block size")
     if any(a < b for a, b in zip(lam, lam[1:])):
@@ -642,6 +652,7 @@ def frobenius_trace(g: SignedGroupDatum, m: int, ctx: PlaceContext, field: str =
     rational reflex field at an inert place with odd m the signs are not
     pinned down, and UnsupportedCaseError is raised.
     """
+    (m,) = _ints("m", m)
     if field not in ("Q", "E"):
         raise ValueError("field must be 'Q' or 'E'")
     if field == "Q" and not ctx.split and m % 2 != 0:
@@ -674,6 +685,7 @@ def nonsingular_subsets(n: int, p: int) -> Tuple[List[Tuple[int, ...]], int]:
     block is J - I of size p+1, and the determinant is (-1)^p * p.  A family
     of more than MAX_SUBSET_ENTRIES entries (n * p) is refused.
     """
+    (n,), (p,) = _ints("n", n), _ints("p", p)
     if n < 1 or not 1 <= p <= max(1, n - 1):
         raise ValueError(f"need n >= 1 and 1 <= p <= max(1, n-1), got p={p}, n={n}")
     if n * p > MAX_SUBSET_ENTRIES:

@@ -202,19 +202,21 @@ def at_most(high: int, **flags) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be at most {high}")
 
 
-MAX_PARTITION_N = 7  # partition-lemmas runs 4^n cases of n, each walking 3^n subset pairs
+MAX_PARTITION_N = 7  # partition-lemmas: 4^n cases of n, whose multisets each walk n! orders and 3^n subset pairs
 MAX_ROTATION_N = 20  # rotation-count holds two lists of 2^n subset sums per case
 
 
 def cmd_verify_partition_lemmas(args) -> Iterator[tuple]:
     at_least(1, n_max=args.n_max)
     at_most(MAX_PARTITION_N, n_max=args.n_max)
-    # the signature sums over every ordering of lam, so it depends only on the multiset
+    # the signature sums over every ordering of lam, and the partition sum over every
+    # ordered set partition of its positions, so both depend only on the multiset
     signature = functools.cache(characters.partial_sum_signature)
+    partitions = functools.cache(characters.ordered_partition_sum)
     for n in range(1, args.n_max + 1):
         for lam in product((-2, -1, 1, 2), repeat=n):
-            lhs = signature(tuple(sorted(lam)))
-            mid = characters.ordered_partition_sum(lam)
+            multiset = tuple(sorted(lam))
+            lhs, mid = signature(multiset), partitions(multiset)
             expect = (-1) ** n if all(x > 0 for x in lam) else 0
             ok = lhs == mid and lhs == expect
             yield 1, [] if ok else [

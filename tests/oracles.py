@@ -9,7 +9,8 @@ from typing import NamedTuple
 
 from satkit import satake
 from satkit.characters import (
-    KostantDatum, KostantEntry, WallError, Weight, pairing_coroot, rho2, truncate_cohomology
+    KostantDatum, KostantEntry, WallError, Weight, _prefix_positive_mask, _scale_to_ints, pairing_coroot, rho2,
+    truncate_cohomology,
 )
 from satkit.laurent import (
     QVAR, SIM, LaurentPoly, SubstitutionError, _mono, _split_q, _substitution_table, serialize_poly, symmetrize,
@@ -434,6 +435,20 @@ def positive_rotation_count_by_permutations(lam):
     if total <= 0:
         return None
     return sum(1 for p in permutations(lam) if _all_prefixes_positive(p))
+
+
+def rotation_orbit_hits_by_rotating(lam):
+    """The number of cyclic rotations of lam with all prefix sums positive, by
+    building each rotation and its prefix mask: the O(n^2) walk that the
+    prefix-minima pass in characters.rotation_orbit_hits replaces."""
+    lam = _scale_to_ints(lam)
+    n = len(lam)
+    hits = 0
+    for k in range(1, n + 1):
+        rot = lam[k:] + lam[:k]
+        if _prefix_positive_mask(rot) == (1 << n) - 1:
+            hits += 1
+    return hits
 
 
 def ordered_partition_sum_by_enumeration(lam):

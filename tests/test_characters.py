@@ -166,6 +166,33 @@ def test_ordered_partition_sum_matches_enumeration(lam):
     assert ordered_partition_sum(lam) == ordered_partition_sum_by_enumeration(lam)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.lists(st.integers(-6, 6), min_size=1, max_size=7), st.lists(RATIONAL, min_size=1, max_size=7))
+    .flatmap(lambda lam: st.tuples(st.just(lam), st.permutations(lam)))
+)
+def test_ordered_partition_sum_depends_only_on_the_multiset(pair):
+    lam, shuffled = pair
+    assert ordered_partition_sum(shuffled) == ordered_partition_sum(lam)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.lists(st.integers(-6, 6), max_size=12),  # ties among the prefix sums, totals of any sign
+        st.lists(st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))),
+                 max_size=12),
+    )
+)
+@example([])
+@example([2, -1, -1])  # a zero total
+@example([1, -3, 1])  # a negative total
+@example([1, 1, -1, 1, 1, -1])  # a positive total with tied prefix minima
+@example([Fraction(1, 2), Fraction(-1, 3), 1])
+def test_rotation_orbit_hits_matches_rotating(lam):
+    assert rotation_orbit_hits(lam) == oracles.rotation_orbit_hits_by_rotating(lam)
+
+
 def test_coset_reps_match_filter():
     for n in range(1, 8):
         for q in range(n + 1):
@@ -516,6 +543,18 @@ def test_character_term_bound_covers_the_character(lam):
     assert len(f) <= bound <= sum(c for _, c in f.terms())  # at most the dimension
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(DOMINANT, st.data())
+def test_weyl_character_takes_integers_only(lam, data):
+    i = data.draw(st.integers(0, len(lam) - 1))
+    for x in (float(lam[i]), lam[i] - 0.5):
+        with pytest.raises(ValueError, match="block_weight takes integers only"):
+            weyl_character(len(lam), lam[:i] + (x,) + lam[i + 1 :])
+    with pytest.raises(ValueError, match="size takes integers only"):
+        weyl_character(float(len(lam)), lam)
+    assert weyl_character(len(lam), lam) == bialternant_character(len(lam), lam)
+
+
 def test_weyl_character_refuses_a_weight_past_the_term_ceiling():
     lam = (2147483645, 0, 0)
     with pytest.raises(ValueError, match="2305843005992468481 terms"):
@@ -626,6 +665,22 @@ def test_weyl_character_terms_are_canonical_as_built(lam):
         assert key == _mono(key)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(frobenius_cases())
+@example((SignedGroupDatum(((1, 1),)), 1, PlaceContext(True, 1), "E"))
+def test_frobenius_trace_takes_integers_only(case):
+    g, m, ctx, field = case
+    for x in (float(m), m + 0.5):
+        with pytest.raises(ValueError, match="m takes integers only"):
+            frobenius_trace(g, x, ctx, field=field)
+    deg = 1 if ctx.split else 2
+    want = LaurentPoly.zero()
+    for chosen in iproduct(*(combinations(range(1, p + q + 1), p) for p, q in g.sig)):
+        exps = {tor(i, j): -m * deg for i, js in enumerate(chosen, start=1) for j in js}
+        want = want + LaurentPoly.monomial({SIM: -m, **exps})
+    assert frobenius_trace(g, m, ctx, field=field) == want
+
+
 def test_frobenius_trace_refuses_exponents_past_32_bits():
     top = 2**31 - 1
     split, inert = PlaceContext(split=True, d=1), PlaceContext(split=False, d=1)
@@ -679,6 +734,14 @@ def test_nonsingular_subsets_range():
     for n, p in ((3, 3), (0, 1), (-1, 1), (4097, 1024)):
         with pytest.raises(ValueError):
             nonsingular_subsets(n, p)
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (3, 2), (7, 4)])
+def test_nonsingular_subsets_take_integers_only(n, p):
+    for bad_n, bad_p, name in [(float(n), p, "n"), (n + 0.5, p, "n"), (n, float(p), "p"), (n, p - 0.5, "p")]:
+        with pytest.raises(ValueError, match=f"^{name} takes integers only"):
+            nonsingular_subsets(bad_n, bad_p)
+    assert nonsingular_subsets(n, p)[0] == nonsingular_subsets_by_recursion(n, p)
 
 
 def test_nonsingular_subsets_determinant_matches_bareiss():

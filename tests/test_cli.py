@@ -282,6 +282,18 @@ def test_suite_size_ceilings(capsys, monkeypatch, argv, ceiling):
     assert code == 0 and json.loads(out)["failures"] == []
 
 
+def test_partition_lemmas_evaluate_each_multiset_once(capsys, monkeypatch):
+    """The 1364 vectors of --n-max 5 fall into 125 multisets, and each lemma is
+    evaluated once per multiset."""
+    calls = {"partial_sum_signature": [], "ordered_partition_sum": []}
+    for name, seen in calls.items():
+        lemma = getattr(characters, name)
+        monkeypatch.setattr(characters, name, lambda lam, lemma=lemma, seen=seen: seen.append(lam) or lemma(lam))
+    code, out = invoke(capsys, ["verify", "partition-lemmas", "--n-max", "5", "--json"])
+    assert code == 0 and out == '{"suite":"partition-lemmas","cases":1364,"failures":[]}\n'
+    assert [len(seen) for seen in calls.values()] == [125, 125]
+
+
 def test_weyl_char_refuses_a_weight_with_too_many_terms(capsys):
     started = time.monotonic()
     code = run(["weyl-char", "--size", "3", "--weight", "2147483645,0,0"])
