@@ -6,10 +6,10 @@ Every command is one row of COMMANDS or SUITES: its name, help, handler and
 flags.  A handler returns its result and `run` prints it: a LaurentPoly or a
 (payload, human) pair.  A suite's handler instead yields (cases, failure
 records) per unit of work, and `run_suite` reports the stream as such a
-pair.  The parsers are built once per process.  An argv that starts with a
-command, or with `verify` and a suite, is parsed by that command's own parser;
-top-level help, unknown commands and arguments the command does not know go
-through the top parser, which prints their help and usage errors.
+pair.  An argv that names a command and gives only its flags is read straight
+from that row; any other, such as a request for help or a usage error, goes
+through the argparse parser, built once per process, which prints the help or
+the error.
 
 Exit codes: 0 on success, 1 when a verification suite reports failures,
 2 on usage errors (argparse), 3 on precondition violations.  Output on
@@ -367,6 +367,7 @@ SIG = required("--sig", sig_pairs)
 PQ = required("--pq", int_pair)
 KOSTANT = (PQ, required("--sprime", int_list), required("--weight", weight_spec))
 SEED = required("--seed")
+JSON = ("--json", {"action": "store_true", "help": "emit canonical JSON"})
 
 # (name, help, handler, flags in add_argument order); `--json` follows the flags.
 # Handlers are named, not bound, and looked up in this module when a command runs.
@@ -410,57 +411,77 @@ SUITES = (
 )
 
 
-def add_commands(sub, rows) -> dict:
-    """Add one parser per row to sub; return the parsers by name."""
-    parsers = {}
+def add_commands(sub, rows) -> None:
     for name, help_, handler, flags in rows:
-        p = parsers[name] = sub.add_parser(name, help=help_)
-        for option, kw in flags:
+        p = sub.add_parser(name, help=help_)
+        for option, kw in (*flags, JSON):
             p.add_argument(option, **kw)
-        p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.set_defaults(handler=handler)
-    return parsers
 
 
 @functools.cache
-def build_parsers() -> tuple:
-    """The top satkit parser and its route table, built on the first call and
-    shared by every later one.  The table maps the argv head that names each
-    command, or `verify` and each suite, to that command's parser and to the
-    namespace values the parsers above it set before they hand it the rest."""
+def build_parser() -> argparse.ArgumentParser:
+    """The satkit parser, built on the first call and shared by every later one."""
     top = argparse.ArgumentParser(
         prog="satkit",
         description="Exact Satake-side Hecke algebra and discrete-series combinatorics",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    commands = add_commands(sub, COMMANDS)
+    add_commands(sub, COMMANDS)
     verify = sub.add_parser("verify", help="verification suites")
-    suites = add_commands(verify.add_subparsers(dest="suite", required=True), SUITES)
-    routes = {(name,): (p, {"command": name}) for name, p in commands.items()}
-    routes.update(
-        {("verify", name): (p, {"command": "verify", "suite": name}) for name, p in suites.items()}
-    )
-    return top, routes
+    add_commands(verify.add_subparsers(dest="suite", required=True), SUITES)
+    return top
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top satkit parser (see build_parsers)."""
-    return build_parsers()[0]
+@functools.cache
+def command_table() -> dict:
+    """The argv head of each COMMANDS row, and of `verify` and each SUITES row ->
+    the row's handler and its flags by option."""
+    heads = [((row[0],), row) for row in COMMANDS] + [(("verify", row[0]), row) for row in SUITES]
+    return {head: (row[2], dict((*row[3], JSON))) for head, row in heads}
+
+
+def table_args(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The top parser's namespace for a command head and only its row's flags, each
+    `--flag=value` or `--flag value`.  None, for argparse to read, when a word is no
+    flag of the row, a type, choice or store_true flag refuses a value, a required flag
+    is missing, or a spaced value starts with `-` and is no negative integer."""
+    depth = 2 if argv[:1] == ["verify"] else 1
+    handler, specs = command_table().get(tuple(argv[:depth]), (None, None))
+    if handler is None:
+        return None
+    values, words = {}, iter(argv[depth:])
+    for word in words:
+        option, eq, text = word.partition("=")
+        kw = specs.get(option)
+        if kw is None or (eq and "action" in kw):
+            return None
+        if "action" in kw:
+            values[option] = True
+            continue
+        text = text if eq else next(words, "-")  # a flag with no word after it has no value
+        if not eq and text.startswith("-") and not text[1:].isdecimal():
+            return None
+        try:
+            value = values[option] = kw["type"](text)
+        except (TypeError, ValueError):
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+    args = argparse.Namespace(**dict(zip(("command", "suite"), argv[:depth])), handler=handler)
+    for option, kw in specs.items():
+        if kw.get("required") and option not in values:
+            return None
+        default = kw.get("default", False if "action" in kw else None)
+        setattr(args, option[2:].replace("-", "_"), values.get(option, default))
+    return args
 
 
 def parse_args(argv: List[str]) -> argparse.Namespace:
-    """The namespace of argv, as the top parser would build it.  A routed argv is
-    parsed by its command's parser alone; any other argv, and any that leaves
-    arguments its command's parser does not know, goes through the top parser,
-    so that it prints the top parser's help or usage error."""
-    top, routes = build_parsers()
-    head = tuple(argv[:2] if argv[:1] == ["verify"] else argv[:1])
-    if head in routes:
-        parser, preset = routes[head]
-        args, extras = parser.parse_known_args(argv[len(head):], argparse.Namespace(**preset))
-        if not extras:
-            return args
-    return top.parse_args(argv)
+    """The namespace of argv, as the top parser would build it: from the command table
+    when table_args reads argv, with no parser built, and else from the top parser."""
+    args = table_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def render(result, as_json: bool) -> str:

@@ -30,6 +30,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
+from .rootdata import _ints
+
 
 INT32_MAX = 2**31 - 1
 
@@ -137,15 +139,16 @@ class LaurentPoly:
 
     @staticmethod
     def var(v: Var, e: int = 1) -> "LaurentPoly":
-        return LaurentPoly({_mono([(v, e)]): 1})
+        return LaurentPoly({_mono([(v, *_ints("e", e))]): 1})
 
     @staticmethod
     def monomial(exps: Mapping[Var, int], coeff: Coeff = 1, q_exp: int = 0) -> "LaurentPoly":
-        return LaurentPoly({_mono([*exps.items(), (QVAR, q_exp)]): coeff})
+        _ints("exps", *exps.values())
+        return LaurentPoly({_mono([*exps.items(), (QVAR, *_ints("q_exp", q_exp))]): coeff})
 
     @staticmethod
     def q_power(k: int) -> "LaurentPoly":
-        return LaurentPoly.var(QVAR, k)
+        return LaurentPoly.var(QVAR, *_ints("k", k))
 
     # -- inspection --------------------------------------------------------
 
@@ -196,6 +199,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        (k,) = _ints("k", k)
         if self.is_term():  # one monomial power: only the exponents of the result are checked
             ((m, c),) = self._terms.items()
             if k < 0 and c * c != 1:

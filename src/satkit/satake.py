@@ -226,7 +226,7 @@ def kottwitz_function(g: GroupDatum, s_vec: Sequence[int], ctx: PlaceContext) ->
     """
     if not ctx.splits_over_l:
         raise PlaceError("the basic spherical function needs the group split over L")
-    s_vec = tuple(int(s) for s in s_vec)
+    s_vec = _ints("s", *s_vec)
     if len(s_vec) != g.r:
         raise ValueError("one s_i per factor required")
     for s, n in zip(s_vec, g.sizes):

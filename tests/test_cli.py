@@ -519,22 +519,30 @@ def test_parser_is_built_once(capsys):
     assert build_parser() is parser
 
 
-def test_route_table_is_built_once_with_one_route_per_row(capsys):
-    top, routes = cli.build_parsers()
-    invoke(capsys, ["endoscopy", "--n", "2"])
-    invoke(capsys, ["verify", "partition-lemmas", "--n-max", "1"])
-    assert cli.build_parsers()[1] is routes and build_parser() is top
+def test_command_table_reaches_every_row_with_its_handler_and_presets():
     rows = [((name,), {"command": name}, handler) for name, _, handler, _ in cli.COMMANDS]
     rows += [
         (("verify", name), {"command": "verify", "suite": name}, handler)
         for name, _, handler, _ in cli.SUITES
     ]
-    assert sorted(routes) == sorted(path for path, _, _ in rows)
+    assert sorted(cli.command_table()) == sorted(path for path, _, _ in rows)
+    readme = {tuple(argv[: 2 if argv[0] == "verify" else 1]): argv for argv in readme_commands()}
     for path, preset, handler in rows:
-        parser, route_preset = routes[path]
-        assert route_preset == preset
-        assert parser.prog == "satkit " + " ".join(path)
-        assert parser.get_default("handler") == handler
+        args = cli.table_args(readme[path])
+        assert args is not None and args.handler == handler, path
+        assert {key: getattr(args, key) for key in preset} == preset
+        assert ("suite" in args) == ("suite" in preset)
+
+
+def test_table_path_builds_no_parser(capsys):
+    argv = next(argv for _, _, _, argv in record_corpus.jobs())
+    cli.build_parser.cache_clear()
+    assert invoke(capsys, list(argv))[0] == 0
+    assert cli.build_parser.cache_info().currsize == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["endoscopy", "--n", "4", "--bogus"])
+    assert exc.value.code == 2
+    assert cli.build_parser.cache_info().currsize == 1
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
@@ -694,6 +702,38 @@ def test_routed_parse_matches_the_top_parser_on_every_recorded_argv():
     argvs_seen += record_refusals.ARGVS + readme_commands()
     for argv in argvs_seen:
         assert_routed_parse_is_the_top_parse(argv)
+
+
+def test_table_path_reads_every_recorded_argv_itself():
+    """Without this a table parser that handed every argv to argparse would still
+    pass the differential tests."""
+    argvs_seen = [argv for _, _, _, argv in record_corpus.jobs()] + readme_commands()
+    for argv in argvs_seen:
+        assert cli.table_args(list(argv)) == build_parser().parse_args(list(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["endoscopy", "--n", "4", "--bogus"], 2),  # unknown flag
+        (["verify", "transfer-square", "--n-m", "4", "--json"], None),  # abbreviated flag
+        (["endoscopy", "-h"], 0),
+        (["transfer", "--n", "3", "--endo", "1-2", "--", "--json"], 2),
+        (["endoscopy", "--n", "4", "extra"], 2),  # extra positional
+        (["endoscopy", "--n", "-1,2"], 2),  # a spaced value that starts with a dash
+        (["endoscopy", "--n", "--json"], 2),
+        (["endoscopy", "--n", "4", "--json=1"], 2),  # a value after a store_true flag
+        (["endoscopy", "--n", "a"], 2),  # type error
+        (["base-change", "--n", "2", "--place", "nowhere"], 2),  # choice error
+        (["endoscopy", "--json"], 2),  # missing required flag
+    ],
+)
+def test_table_path_hands_each_fallback_class_to_argparse(argv, code):
+    assert cli.table_args(list(argv)) is None
+    args, exit_code, out, err = parsed(cli.parse_args, argv)
+    assert exit_code == code and (args is None) == (code is not None)
+    assert (args, exit_code, out, err) == parsed(build_parser().parse_args, argv)
+    assert ("usage: satkit" in (out if code == 0 else err)) == (code is not None)
 
 
 NOISE = ["--bogus", "--bogus=1", "extra", "7", "--", "-h", "--help", "-x", "--json", "verify"]

@@ -262,6 +262,29 @@ def test_one_term_power_matches_square_and_multiply(case):
     assert all(is_exact_coefficient(c) for _, c in got.terms())
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(VARS), exps, st.integers(-2, 2), st.integers(0, 4))
+def test_ring_entry_points_take_integers_only(v, e, q_exp, k):
+    binomial = LaurentPoly.var(v) + LaurentPoly.one()
+    calls = [
+        ("e", lambda x: LaurentPoly.var(v, x), e),
+        ("exps", lambda x: LaurentPoly.monomial({v: x}, q_exp=q_exp), e),
+        ("q_exp", lambda x: LaurentPoly.monomial({v: e}, q_exp=x), q_exp),
+        ("k", LaurentPoly.q_power, q_exp),
+        ("k", lambda x: binomial**x, k),
+        ("k", lambda x: LaurentPoly.var(v) ** x, k),
+    ]
+    for name, call, n in calls:
+        for x in (float(n), n + 0.5):
+            with pytest.raises(ValueError, match=f"^{name} takes integers only"):
+                call(x)
+    # ints build what the constructors built before they checked
+    assert LaurentPoly.var(v, e) == LaurentPoly({_mono([(v, e)]): 1})
+    assert LaurentPoly.monomial({v: e}, q_exp=q_exp) == LaurentPoly({_mono([(v, e), (QVAR, q_exp)]): 1})
+    assert LaurentPoly.q_power(q_exp) == LaurentPoly({_mono([(QVAR, q_exp)]): 1})
+    assert binomial**k == power_by_squaring(binomial, k)
+
+
 def test_one_term_power_checks_only_its_own_exponents():
     x = LaurentPoly.var(SIM)
     assert x**INT32_MAX == LaurentPoly.monomial({SIM: INT32_MAX})

@@ -161,6 +161,24 @@ def test_kottwitz_terms_are_canonical_as_built(case):
         assert key == _mono(key) and c == 1
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kottwitz_cases(), st.data())
+def test_kottwitz_function_takes_integers_only(case, data):
+    g, s_vec, d = case
+    ctx = PlaceContext(True, d)
+    i = data.draw(st.integers(0, len(s_vec) - 1))
+    for x in (float(s_vec[i]), s_vec[i] + 0.5):
+        with pytest.raises(ValueError, match="^s takes integers only"):
+            kottwitz_function(g, s_vec[:i] + (x,) + s_vec[i + 1 :], ctx)
+    # the docstring's sum over the index subsets, one term at a time
+    q = d * sum(s * (n - s) for n, s in zip(g.sizes, s_vec))
+    want = LaurentPoly.zero()
+    for chosen in product(*(combinations(range(1, n + 1), s) for n, s in zip(g.sizes, s_vec))):
+        exps = {tor(f, j): -1 for f, js in enumerate(chosen, start=1) for j in js}
+        want = want + mono({SIM: -1, **exps}, q=q)
+    assert kottwitz_function(g, list(s_vec), ctx) == want
+
+
 @st.composite
 def levi_kottwitz_cases(draw):
     n = draw(st.integers(1, 9))
