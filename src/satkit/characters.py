@@ -17,11 +17,12 @@ from __future__ import annotations
 from functools import cache
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .laurent import (
-    INT32_MAX, SIM, ExponentOverflowError, LaurentPoly, _check_exp, _merge, _tor_subset_sum, tor,
+    INT32_MAX, SIM, ExponentOverflowError, LaurentPoly, _check_exp, _tor_subset_sum, tor,
 )
 from .rootdata import EndoTriple, PlaceContext, SignedGroupDatum, _ints, _Record
 
@@ -246,7 +247,7 @@ def _act(w: Sequence[int], v: Sequence) -> tuple:
 
 def levi_blocks(n: int, s_set: Iterable[int]) -> List[List[int]]:
     """Position blocks of the standard Levi attached to a subset of {1..q}."""
-    rs = sorted(set(int(r) for r in s_set))
+    (n,), rs = _ints("n", n), sorted(set(_ints("s_set", *s_set)))
     if any(r < 1 or 2 * r > n for r in rs):
         raise ValueError(f"invalid Levi subset {rs} for n={n}")
     cuts = [0] + rs
@@ -410,7 +411,7 @@ def truncate_cohomology(
     """
     if direction not in (">", "<"):
         raise ValueError("direction must be '>' or '<'")
-    rs = sorted(set(int(r) for r in s_set))
+    rs = sorted(set(_ints("s_set", *s_set)))
     return [e for e in entries if _truncation_keeps(e.shifted2, rs, direction == ">", e.omega)]
 
 
@@ -430,89 +431,67 @@ def verify_phi_identity(p: int, q: int, s: int, weight: Weight, direction: str =
     the first s real coroots.  The report records the exact difference.
     Both sides are kept as integers scaled by s!, which every w_{S'} divides.
 
+    A weight on a wall is refused before any walk: some truncation pairing
+    vanishes exactly when two disjoint r-subsets of the weight, r <= s, have
+    equal sums, so exactly when two distinct s-subsets do (add s - r common
+    entries, for which n >= 2s leaves room, or drop the common part).
+
     Neither side reads the middle slots s+1..n-s: the truncations and the
     coroot filter read the outer 2s slots, every translate fixes the middle,
     and each Levi group holds the whole symmetric group of the middle block.
-    So both sides alternate under the permutations of the middle, and they
-    are compared modulo them: each keeps one term per orbit, the one whose
-    middle decreases, walking only the Levi and Weyl elements that fix the
-    middle.  Each kept term stands for (n-2s)! terms of the full side, and
-    the kept terms that differ are expanded back into every signed
-    arrangement of their middle.
+    So both sides alternate under the permutations of the middle; each keeps
+    one term x(lambda) per orbit, the one whose middle decreases, standing
+    for (n-2s)! terms, and the kept terms that differ are expanded back into
+    every signed arrangement of their middle.  Each such x is u w for one
+    minimal coset representative w for S' and one Levi element u fixing the
+    middle.  For r in S', u keeps the sums of slots 1..r and of their
+    mirrors, so x(lambda) is truncated as w(lambda) is, and sign(x) =
+    det(u) (-1)^{l(w)}.  So at v = x(lambda), side A is sign(x) times the
+    sum over the translates v' of v of a(v'), the sum of (-1)^{s-|S'|}
+    s!/w_{S'} over the S' whose truncation keeps v'; side B is sign(x) s!
+    when the coroot filter keeps v.
     """
     if direction not in (">", "<"):
         raise ValueError("direction must be '>' or '<'")
+    (p,), (q,), (s,) = _ints("p", p), _ints("q", q), _ints("s", s)
     n = p + q
     if not 1 <= s <= q:
         raise ValueError("need 1 <= s <= q")
     if 2 * s > n:
         raise ValueError(f"need 2s <= p + q, got s = {s} and p + q = {n}")
     lam2 = _doubled_weight(weight, n)
+    KostantDatum(p, q, frozenset({s}))  # its refusals, the same for every S'
+    if len(set(map(sum, combinations(lam2, s)))) < comb(n, s):
+        raise WallError(f"two {s}-subsets of the weight have equal sums: a truncation pairing vanishes")
     want_pos = direction == ">"
     s_fact = factorial(s)
-    # each sigma permutes the first s linear slots and their mirrors together:
-    # slot j takes its entry from slot sigma^{-1}(j); tau runs over the
-    # sigma^{-1}, 0-based, as sigma runs over the group
-    sources = []
-    for tau in permutations(range(s)):
-        src = list(range(n))
-        for j, i in enumerate(tau):
-            src[j], src[n - 1 - j] = i, n - 1 - i
-        sources.append(src)
+    cuts = [(rs, (-1) ** (s - len(rs)) * multinomial) for rs, multinomial in _compositions(s)]
+    # each sigma permutes the first s linear slots and their mirrors together and
+    # fixes the middle: slot j takes its entry from slot sigma^{-1}(j), with tau the
+    # sigma^{-1}, 0-based (n >= 2, so each getter returns a tuple)
+    translates = [
+        itemgetter(*tau, *range(s, n - s), *(n - 1 - i for i in reversed(tau))) for tau in permutations(range(s))
+    ]
 
+    # the x(lambda) with a decreasing middle, x a minimal coset representative for S' = {1..s}
+    signs: Dict[Tuple[int, ...], int] = {}
+    a: Dict[Tuple[int, ...], int] = {}
+    side_b: Dict[Tuple[int, ...], int] = {}
+    for x, length in _shuffles(tuple(map(len, levi_blocks(n, range(1, s + 1))))).items():
+        v = _act(x, lam2)
+        signs[v] = sign = -1 if length & 1 else 1
+        c = sum(coeff for rs, coeff in cuts if _truncation_keeps(v, rs, want_pos, x))
+        if c:
+            a[v] = c
+        if all((pairing_coroot(v, r) > 0) == want_pos for r in range(1, s + 1)):  # never 0: lambda is regular
+            side_b[v] = sign * s_fact
     side_a: Dict[Tuple[int, ...], int] = {}
-    for rs, multinomial in _compositions(s):
-        kd = KostantDatum(p, q, frozenset(rs))
-        # the shifted weights and signs of the Kostant entries that the
-        # truncation keeps, tested in the order of kostant_cohomology
-        survivors = []
-        for w, length in kd.coset_reps().items():
-            v = _act(w, lam2)
-            if _truncation_keeps(v, rs, want_pos, w):
-                survivors.append((v, (-1) ** length))
-        # the Levi elements fixing the middle: its block split into single slots
-        blocks = []
-        for b in kd.blocks():
-            blocks += [[j] for j in b] if s < b[0] <= n - s else [b]
-        # a Levi element w followed by a translate, as one map of slots (slot
-        # k of the term takes the entry at slot idx[k]); translates of
-        # different elements often coincide, so their signs are summed once;
-        # w^{-1} runs over the group as w does, with the same sign
-        moves: Dict[Tuple[int, ...], int] = {}
-        for w_inv, det in _signed_block_perms(blocks):
-            _merge(moves, ((tuple([w_inv[i] - 1 for i in src]), det) for src in sources))
-        coeff_base = (-1) ** (s - len(rs)) * multinomial
-        for v, det in survivors:
-            # a Kostant entry is Levi-dominant, so its middle already decreases
-            coeff = coeff_base * det
-            _merge(side_a, ((tuple([v[j] for j in idx]), coeff * c) for idx, c in moves.items()))
+    for v, sign in signs.items():
+        c = sum(a.get(sigma(v), 0) for sigma in translates)
+        if c:
+            side_a[v] = sign * c
 
     m = n - 2 * s  # the middle slots
-    side_b: Dict[Tuple[int, ...], int] = {}
-    # a kept term of side B: the positions of lam2 that fill the middle, in
-    # increasing order (so its entries decrease), and an ordering of the rest
-    # in slots 1..s and n-s+1..n.  Its w^{-1} is A + rest + B, with A and B the
-    # first and last s positions of that ordering.  Besides the inversions of
-    # the ordering, whose sign _signed_perms gives, w^{-1} crosses rest
-    # s*m + sum_A lt - sum_B lt times, where lt(x) counts the b in rest with
-    # b < x; that has the parity of s*m + the sum of lt over A and B.
-    for rest in combinations(range(1, n + 1), m):
-        middle = tuple([lam2[i - 1] for i in rest])
-        outer_pos = [i for i in range(1, n + 1) if i not in rest]
-        outer_vals = [lam2[i - 1] for i in outer_pos]
-        rest_coeff = (-1) ** (s * m + sum(b < x for x in outer_pos for b in rest)) * s_fact
-        for outer, sign in _signed_perms(outer_vals):
-            ok = True
-            for r in range(1, s + 1):
-                val = pairing_coroot(outer, r)  # slots r and n+1-r of the term
-                if val == 0:
-                    raise WallError(f"coroot wall at r={r}")
-                if (val > 0) != want_pos:
-                    ok = False
-                    break
-            if ok:
-                _merge(side_b, ((outer[:s] + middle + outer[s:], sign * rest_coeff),))
-
     diff = []
     for key in sorted(side_a.keys() | side_b.keys()):
         c = side_a.get(key, 0) - side_b.get(key, 0)
@@ -608,6 +587,7 @@ def endoscopic_weight_transfer(
     The output interleaves plus and minus blocks; it is dominant, strictly
     so when the input is regular, and preserves the total block sum.
     """
+    (c_odd,) = _ints("c_odd", c_odd)
     if c_odd % 2 == 0:
         raise ValueError("the parameter C must be odd")
     if len(weight.blocks) != h.r:
@@ -621,7 +601,7 @@ def endoscopic_weight_transfer(
         n_i = npl + nmi
         if len(block) != n_i:
             raise ValueError(f"block {i + 1} has wrong length")
-        subset = tuple(sorted(int(x) for x in omega[i]))
+        subset = tuple(sorted(_ints("omega", *omega[i])))
         if len(subset) != npl or any(x < 1 or x > n_i for x in subset):
             raise ValueError(f"omega[{i}] must be a size-{npl} subset of 1..{n_i}")
         if len(set(subset)) != npl:

@@ -79,9 +79,8 @@ Coeff = Union[int, Fraction]
 
 
 def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Coeff]]) -> dict:
-    """Add (key, coefficient) pairs into out, dropping keys whose coefficients cancel.
+    """Add (monomial, coefficient) pairs into out, dropping keys whose coefficients cancel.
 
-    Keys are monomials here and weight vectors in characters.verify_phi_identity.
     A new key starts from 0 (so a bool becomes an int) and an integral sum is
     stored as an int, so every stored coefficient is a nonzero int, or a
     Fraction that is not integral.  A float raises TypeError.

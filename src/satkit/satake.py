@@ -373,8 +373,8 @@ def levi_sign_data(g: GroupDatum, h: EndoTriple, s: int, A) -> Tuple[Tuple[int, 
     The |A| linear pairs route to the second block, the rest to the first;
     consistency forces m_k = n_k - 2 r_k >= 0.  H must be a datum of G.
     """
-    _require_levi(g, s)
-    A = tuple(sorted(set(int(x) for x in A)))
+    s = _require_levi(g, s)
+    A = tuple(sorted(set(_ints("A", *A))))
     if any(x < 1 or x > s for x in A):
         raise ValueError(f"A={A} not a subset of 1..{s}")
     n1, n2 = h.pairs()[0]
@@ -396,10 +396,13 @@ def _require_single_factor(g: GroupDatum):
         raise ValueError("Levi operations are implemented for single-factor groups")
 
 
-def _require_levi(g: GroupDatum, s: int):
-    """The one check that g has the Levi of linear count s: a single factor, and 0 <= 2s <= n."""
+def _require_levi(g: GroupDatum, s: int) -> int:
+    """The one check that g has the Levi of linear count s: a single factor, and an
+    integer s with 0 <= 2s <= n.  Returns s as an int."""
     _require_single_factor(g)
+    (s,) = _ints("s", s)
     _check_linear(s, g.sizes[0])
+    return s
 
 
 def m_ring(g: GroupDatum, s: int) -> HeckeRing:
@@ -407,7 +410,7 @@ def m_ring(g: GroupDatum, s: int) -> HeckeRing:
     It refuses what _require_levi refuses, with the same messages (HeckeRing checks
     the linear count)."""
     _require_single_factor(g)
-    return HeckeRing(g, split_presentation=True, levi_linear=(s,))
+    return HeckeRing(g, split_presentation=True, levi_linear=_ints("s", s))
 
 
 def levi_constant_term(f: LaurentPoly, g: GroupDatum, s: int, ctx: PlaceContext) -> LaurentPoly:
@@ -431,10 +434,10 @@ def levi_kottwitz_function(g: GroupDatum, s: int, alpha: int, ctx: PlaceContext)
     times the subset sum over the middle block; for alpha >= n - s + 1 it is
     the single monomial (Z Z_1 ... Z_alpha)^{-1}.
     """
-    _require_levi(g, s)
+    s = _require_levi(g, s)
     if not ctx.splits_over_l:
         raise PlaceError("Levi spherical functions need the group split over L")
-    n = g.sizes[0]
+    (alpha,), n = _ints("alpha", alpha), g.sizes[0]
     q_n = n // 2
     if not n - q_n <= alpha <= n:
         raise ValueError(f"alpha={alpha} out of range [{n - q_n}, {n}]")

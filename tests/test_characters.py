@@ -325,6 +325,31 @@ def test_levi_blocks():
     assert levi_blocks(4, {2}) == [[1, 2], [3, 4]]
 
 
+def test_s_prime_omega_and_phi_arguments_take_integers_only():
+    entries = kostant_cohomology(KostantDatum(2, 2, frozenset({1})), Weight(0, ((4, 2, -1, -3),)))
+    h = EndoTriple((1,), (2,))
+    weight = Weight(0, ((2, 1, 0),))
+    phi_weight = Weight(0, ((5, 1, -4),))
+    refused = [
+        ("n", lambda x: levi_blocks(x, {1})),
+        ("s_set", lambda x: levi_blocks(4, {x})),
+        ("s_set", lambda x: truncate_cohomology(entries, {x}, ">")),
+        ("omega", lambda x: endoscopic_weight_transfer(weight, h, [(x,)], 1)),
+        ("c_odd", lambda x: endoscopic_weight_transfer(weight, h, [(1,)], x)),
+        ("p", lambda x: verify_phi_identity(x, 1, 1, phi_weight)),
+        ("q", lambda x: verify_phi_identity(2, x, 1, phi_weight)),
+        ("s", lambda x: verify_phi_identity(2, 1, x, phi_weight)),
+    ]
+    for name, call in refused:
+        for x in (1.0, 1.5, 1.9):
+            with pytest.raises(ValueError, match=f"^{name} takes integers only"):
+                call(x)
+    assert levi_blocks(4, {1}) == [[1], [2, 3], [4]]
+    assert truncate_cohomology(entries, {1}, ">") == [e for e in entries if pairing_pi(e.shifted2, 1) > 0]
+    assert endoscopic_weight_transfer(weight, h, [(1,)], 1).blocks == ((2,), (1, 0))
+    assert verify_phi_identity(2, 1, 1, phi_weight) == phi_identity_by_fractions(2, 1, 1, phi_weight)
+
+
 def regular_weight(n, seed=0, spread=3):
     rng = random.Random(seed)
     entries = sorted(rng.sample(range(-4 * n, 4 * n + 1), n), reverse=True)
@@ -412,6 +437,36 @@ def test_truncation_wall_error():
 
 
 # -- the identity engine --------------------------------------------------------------
+
+
+def test_phi_identity_refuses_a_wall_before_any_walk(monkeypatch):
+    # 8 + 2 = 10 = 7 + 3: two disjoint 2-subsets with equal sums put the weight
+    # on a wall, and the exact test refuses it without enumerating a term
+    def no_walk(sizes):
+        raise AssertionError("walked a wall weight")
+
+    monkeypatch.setattr(characters, "_shuffles", no_walk)
+    with pytest.raises(WallError, match="two 2-subsets of the weight have equal sums"):
+        verify_phi_identity(2, 3, 2, Weight(0, ((8, 7, 3, 2, -1),)))
+
+
+def test_phi_identity_wall_at_a_smaller_r_than_s():
+    # -4 - 22 = 2 - 28: the first vanishing pairing is at r = 2 < s = 3, and
+    # adding a common entry to both pairs gives two 3-subsets with equal sums
+    case = (3, 3, 3, Weight(0, ((13, 2, -4, -19, -22, -28),)), ">")
+    with pytest.raises(WallError):
+        phi_identity_by_fractions(*case)
+    with pytest.raises(WallError):
+        verify_phi_identity(*case)
+
+
+@pytest.mark.parametrize("case", [
+    (2, 2, 2, Weight(0, ((13, 5, -2, -9),)), "<"),
+    (1, 5, 3, Weight(0, ((40, 11, 3, -6, -20, -31),)), ">"),
+])
+def test_phi_identity_without_a_middle_matches_the_oracle(case):
+    # n = 2s: every term is a full ordering, and no middle is expanded
+    assert verify_phi_identity(*case) == phi_identity_by_fractions(*case)
 
 
 def test_phi_identity_gu11():

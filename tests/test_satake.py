@@ -467,6 +467,50 @@ def test_levi_sign_data_validation():
         levi_sign_data(GroupDatum((5,)), h, 1, (1,))  # a U(3) datum
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(list(cli.square_cases(6))), st.data())
+def test_levi_functions_take_integers_only(case, data):
+    """A float s, entry of A or alpha is refused with a ValueError that names it,
+    not truncated; ints give the sign data, the map and the Levi basic function
+    that the docstrings write out."""
+    g, h, s, A = case
+    n, (n1, n2) = g.sizes[0], h.pairs()[0]
+    alpha = data.draw(st.integers(n - n // 2, n))
+    j = data.draw(st.integers(1, s))
+    invariant = LaurentPoly.var(SIM)
+    for x in (float(s), s + 0.5):
+        for call in (
+            lambda: levi_sign_data(g, h, x, A),
+            lambda: levi_twisted_transfer(g, h, x, A, SPLIT),
+            lambda: levi_kottwitz_function(g, x, alpha, SPLIT),
+            lambda: levi_constant_term(invariant, g, x, SPLIT),
+            lambda: satake.m_ring(g, x),
+        ):
+            with pytest.raises(ValueError, match="^s takes integers only"):
+                call()
+    for x in (float(j), j - 0.5):
+        with pytest.raises(ValueError, match="^A takes integers only"):
+            levi_sign_data(g, h, s, A + [x])
+        with pytest.raises(ValueError, match="^A takes integers only"):
+            levi_twisted_transfer(g, h, s, A + [x], SPLIT)
+    for x in (float(alpha), alpha - 0.5):
+        with pytest.raises(ValueError, match="^alpha takes integers only"):
+            levi_kottwitz_function(g, s, x, SPLIT)
+
+    sd = levi_sign_data(g, h, s, A)
+    assert sd == (tuple(A), n1 - 2 * (s - len(A)), n2 - 2 * len(A))
+    want = _built(oracles.levi_twisted_transfer_by_hand, g, h, s, sd, SPLIT)
+    assert _built(levi_twisted_transfer, g, h, s, A, SPLIT) == want
+    if alpha >= n - s + 1:
+        want = mono({SIM: -1, **{tor(1, i): -1 for i in range(1, alpha + 1)}})
+    else:
+        head = {SIM: -1, **{tor(1, i): -1 for i in range(1, s + 1)}}
+        want = LaurentPoly.zero()
+        for chosen in combinations(range(s + 1, n - s + 1), alpha - s):
+            want = want + mono({**head, **{tor(1, i): -1 for i in chosen}}, q=(alpha - s) * (n - alpha - s))
+    assert levi_kottwitz_function(g, s, alpha, SPLIT) == want
+
+
 def test_levi_twisted_transfer_table():
     g = GroupDatum((3,))
     h = EndoTriple((1,), (2,))
