@@ -225,19 +225,32 @@ def cmd_verify_partition_lemmas(args) -> Iterator[tuple]:
 
 
 ROTATION_SCALE = 420  # lcm(1..7), a multiple of every denominator the sampler draws
+RANEY_STEPS = tuple(k * ROTATION_SCALE for k in (-4, -3, -2, -1, 1, 2, 3, 4))
 
 
 def sample_rotation_vector(rng: random.Random, n: int) -> List[int]:
-    """Hypothesis-satisfying vector: one large positive entry, negative rest.
+    """Hypothesis-satisfying vector from one of two families, a coin flip apart.
 
-    No check is needed: the total is positive, and of two complementary blocks
-    the one without the positive entry has a negative sum.  The entries are
-    fractions with denominators in 1..7, drawn in that order and scaled by
-    ROTATION_SCALE to integers: a positive rescaling keeps every sign the
-    rotation lemma tests, and spares it all Fraction arithmetic."""
-    rest = [-rng.randint(1, 40) * (ROTATION_SCALE // rng.randint(1, 7)) for _ in range(n - 1)]
-    big = -sum(rest) + rng.randint(1, 30) * (ROTATION_SCALE // rng.randint(1, 7))
-    lam = [big] + rest
+    Raney's family (Trans. AMS 94, 1960): n - 1 entries drawn from RANEY_STEPS
+    and a last one, nonzero, that brings the total to ROTATION_SCALE; every
+    subset sum is a multiple of that total, so no 2-partition has two positive
+    sums, and any number of entries may be positive.  The other family has one
+    large positive entry and a negative rest: the total is positive, and of two
+    complementary blocks the one without the positive entry has a negative sum.
+    Its entries are fractions with denominators in 1..7, drawn in that order and
+    scaled by ROTATION_SCALE to integers, like Raney's: a positive rescaling
+    keeps every sign the rotation lemma tests, and spares it all Fraction
+    arithmetic.  No check is needed for either family."""
+    if rng.getrandbits(1):
+        last = 0
+        while not last:
+            lam = [rng.choice(RANEY_STEPS) for _ in range(n - 1)]
+            last = ROTATION_SCALE - sum(lam)
+        lam.append(last)
+    else:
+        rest = [-rng.randint(1, 40) * (ROTATION_SCALE // rng.randint(1, 7)) for _ in range(n - 1)]
+        big = -sum(rest) + rng.randint(1, 30) * (ROTATION_SCALE // rng.randint(1, 7))
+        lam = [big] + rest
     rng.shuffle(lam)
     return lam
 

@@ -174,8 +174,8 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        # Copy the left operand at C speed: exact division adds small
-        # polynomials into large ones.
+        # Copy the left operand at C speed.  No satkit command adds two
+        # polynomials: the sums are a caller's own, or a test oracle's.
         return LaurentPoly._adopt(_merge(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":

@@ -183,41 +183,36 @@ class PlaceContext(_Record):
 # -- endoscopy ----------------------------------------------------------------
 
 
-def _valid_tuples(g: GroupDatum) -> List[Tuple[Tuple[int, int], ...]]:
-    choices = [[(n - m, m) for m in range(n + 1)] for n in g.sizes]
-    return [t for t in product(*choices) if sum(m for _, m in t) % 2 == 0]
-
-
-def _swap_class(t: Tuple[Tuple[int, int], ...]) -> List[Tuple[Tuple[int, int], ...]]:
-    """All parity-valid tuples related to t by per-factor swaps."""
-    out = set()
-    r = len(t)
-    for pattern in product((0, 1), repeat=r):
-        cand = tuple((b, a) if s else (a, b) for (a, b), s in zip(t, pattern))
-        if sum(m for _, m in cand) % 2 == 0:
-            out.add(cand)
-    return sorted(out)
-
-
 def outer_automorphism_order(t: EndoTriple) -> int:
     """2^{|I|} where I is the set of factors with equal plus and minus parts."""
     return 2 ** sum(1 for a, b in t.pairs() if a == b)
 
 
 def enumerate_endoscopic(g: GroupDatum) -> List[Tuple[EndoTriple, int]]:
-    """One canonical representative per isomorphism class of elliptic data.
+    """The least member of each isomorphism class of elliptic data, in increasing order.
 
-    Tuples are isomorphic exactly when they agree factorwise up to swapping
-    (n_i^+, n_i^-); only swap combinations preserving the even total minus
-    part stay inside the valid set.
+    Tuples are isomorphic exactly when they agree factorwise up to a swap, so a
+    class is one unordered pair {m_i, n_i - m_i} per factor (m_i <= n_i / 2)
+    with an orientation of even minus total.  Swapping factor i changes that
+    total by n_i^+ - n_i^-, of the parity of n_i.  If every n_i is even, all
+    orientations share one parity: the class is empty or holds the increasing
+    orientation (m_i, n_i - m_i), its least.  Otherwise the increasing
+    orientation is the least; when its minus total is odd, a valid one swaps
+    an odd-size factor, and swapping only the last one puts the first
+    difference as late as it can go, so that orientation is the least valid.
     """
-    seen = {}
-    for t in _valid_tuples(g):
-        key = _swap_class(t)[0]
-        if key not in seen:
-            trip = EndoTriple(tuple(a for a, _ in key), tuple(b for _, b in key))
-            seen[key] = (trip, outer_automorphism_order(trip))
-    return [seen[k] for k in sorted(seen)]
+    odd = [i for i, n in enumerate(g.sizes) if n % 2]
+    reps = []
+    for ms in product(*(range(n // 2 + 1) for n in g.sizes)):
+        plus, minus = list(ms), [n - m for m, n in zip(ms, g.sizes)]
+        if sum(minus) % 2:
+            if not odd:
+                continue
+            i = odd[-1]
+            plus[i], minus[i] = minus[i], plus[i]
+        reps.append(EndoTriple(tuple(plus), tuple(minus)))
+    reps.sort(key=EndoTriple.pairs)
+    return [(t, outer_automorphism_order(t)) for t in reps]
 
 
 # -- numerical invariants -------------------------------------------------------

@@ -16,7 +16,9 @@ from satkit.laurent import (
     QVAR, SIM, LaurentPoly, SubstitutionError, _mono, _split_q, _substitution_table, serialize_poly, symmetrize,
     tor,
 )
-from satkit.rootdata import EndoTriple, GroupDatum, ParityError, PlaceContext, SignedGroupDatum, _swap_class
+from satkit.rootdata import (
+    EndoTriple, GroupDatum, ParityError, PlaceContext, SignedGroupDatum, outer_automorphism_order,
+)
 from satkit.satake import (
     HeckeRing, PlaceError, Substitution, _block_routing, _require_match, _require_single_factor,
     default_generators, hecke_ring, kottwitz_function, levi_sign_data, levi_twisted_transfer, m_ring,
@@ -58,11 +60,35 @@ def block_perms(blocks):
     return [sum(combo, ()) for combo in product(*(permutations(b) for b in blocks))]
 
 
+def swap_class(t):
+    """All parity-valid tuples related to the tuple of pairs t by per-factor swaps, sorted."""
+    out = set()
+    for pattern in product((0, 1), repeat=len(t)):
+        cand = tuple((b, a) if s else (a, b) for (a, b), s in zip(t, pattern))
+        if sum(m for _, m in cand) % 2 == 0:
+            out.add(cand)
+    return sorted(out)
+
+
 def canonical_endo(t):
     """Lexicographically smallest member of the swap-isomorphism class."""
-    cls = _swap_class(t.pairs())
-    best = cls[0]
+    best = swap_class(t.pairs())[0]
     return EndoTriple(tuple(a for a, _ in best), tuple(b for _, b in best))
+
+
+def enumerate_endoscopic_by_search(g):
+    """rootdata.enumerate_endoscopic by search: the parity-valid tuples
+    ((n_i - m_i, m_i))_i, each not yet met building its swap class, which is
+    represented by its least member."""
+    choices = [[(n - m, m) for m in range(n + 1)] for n in g.sizes]
+    met, reps = set(), {}
+    for t in product(*choices):
+        if sum(m for _, m in t) % 2 == 0 and t not in met:
+            cls = swap_class(t)
+            met.update(cls)
+            trip = EndoTriple(tuple(a for a, _ in cls[0]), tuple(b for _, b in cls[0]))
+            reps[cls[0]] = (trip, outer_automorphism_order(trip))
+    return [reps[k] for k in sorted(reps)]
 
 
 def brute_force_endoscopic_classes(g):
@@ -568,9 +594,16 @@ def phi_identity_by_fractions(p, q, s, weight, direction=">"):
 def sample_rotation_vector_by_fractions(rng, n):
     """The vector of cli.sample_rotation_vector from the same random draws, as
     Fractions: the sampler before it scaled its entries to integers."""
-    rest = [Fraction(-rng.randint(1, 40), rng.randint(1, 7)) for _ in range(n - 1)]
-    big = -sum(rest) + Fraction(rng.randint(1, 30), rng.randint(1, 7))
-    lam = [big] + rest
+    if rng.getrandbits(1):
+        while True:
+            lam = [rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for _ in range(n - 1)]
+            if sum(lam) != 1:
+                break
+        lam = [Fraction(x) for x in lam + [1 - sum(lam)]]
+    else:
+        rest = [Fraction(-rng.randint(1, 40), rng.randint(1, 7)) for _ in range(n - 1)]
+        big = -sum(rest) + Fraction(rng.randint(1, 30), rng.randint(1, 7))
+        lam = [big] + rest
     rng.shuffle(lam)
     return lam
 

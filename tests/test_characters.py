@@ -120,6 +120,20 @@ def test_rotation_uniqueness_subclaim():
             assert positive_rotation_count(lam) == factorial(n - 1)
 
 
+def test_rotation_lemma_on_every_small_vector():
+    """Every vector with entries in +-1..+-4 and n <= 5 that meets the hypothesis,
+    most of them with two or more positive entries."""
+    held = several_positive = 0
+    for n in range(1, 6):
+        for lam in iproduct((-4, -3, -2, -1, 1, 2, 3, 4), repeat=n):
+            if two_partition_hypothesis(lam):
+                held += 1
+                several_positive += sum(x > 0 for x in lam) >= 2
+                assert rotation_orbit_hits(lam) == 1
+                assert positive_rotation_count(lam) == factorial(n - 1)
+    assert (held, several_positive) == (2743, 2711)
+
+
 def test_ordered_partition_sum_closed_form_n_10_to_12():
     # the lemma: (-1)^n when every entry is positive, 0 otherwise
     rng = random.Random(1012)

@@ -321,6 +321,20 @@ def test_sampled_rotation_vectors_scale_the_fraction_draws(seed, n):
     assert rng.getstate() == oracle_rng.getstate()
 
 
+def test_rotation_suite_checks_vectors_with_several_positive_entries(capsys, monkeypatch):
+    """Raney's family reaches past one positive entry, where the lemma is immediate."""
+    seen = []
+    count = characters.positive_rotation_count
+    monkeypatch.setattr(characters, "positive_rotation_count", lambda lam: seen.append(lam) or count(lam))
+    code, out = invoke(
+        capsys, ["verify", "rotation-count", "--n-max", "8", "--count", "15", "--seed", "3", "--json"]
+    )
+    assert code == 0 and out == '{"suite":"rotation-count","cases":120,"failures":[]}\n'
+    assert all(two_partition_hypothesis(lam) and 0 not in lam for lam in seen)
+    for n in range(3, 9):
+        assert any(sum(x > 0 for x in lam) >= 2 for lam in seen if len(lam) == n)
+
+
 def test_rotation_failure_records_print_the_fractions(capsys, monkeypatch):
     monkeypatch.setattr(characters, "rotation_orbit_hits", lambda lam: 0)
     code, out = invoke(

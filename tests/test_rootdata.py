@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations as iperms
+from itertools import product as iproduct
 from math import factorial
 
 import pytest
@@ -22,7 +23,8 @@ from satkit.rootdata import (
 )
 
 from oracles import (
-    Shape, brute_force_endoscopic_classes, canonical_endo, compose, identity, inverse, weyl_group, weyl_table
+    Shape, brute_force_endoscopic_classes, canonical_endo, compose, enumerate_endoscopic_by_search, identity, inverse,
+    weyl_group, weyl_table,
 )
 from satkit.satake import HeckeRing
 
@@ -113,11 +115,18 @@ def test_endoscopy_vs_brute_force():
             classes = enumerate_endoscopic(g)
             brute = brute_force_endoscopic_classes(g)
             assert len(classes) == len(brute)
-            reps = {t.pairs() for t, _ in classes}
-            brute_reps = {min(cls) for cls in brute}
-            assert reps == brute_reps
+            # the least member of each class, in the order `endoscopy` prints
+            assert [t.pairs() for t, _ in classes] == sorted(min(cls) for cls in brute)
             for t, order in classes:
                 assert order == 2 ** sum(1 for a, b in t.pairs() if a == b)
+
+
+def test_endoscopy_by_rule_matches_the_search():
+    """Every group with at most four factors, each of size at most 6."""
+    for r in range(1, 5):
+        for sizes in iproduct(range(1, 7), repeat=r):
+            g = GroupDatum(sizes)
+            assert enumerate_endoscopic(g) == enumerate_endoscopic_by_search(g)
 
 
 def _compositions(n):
