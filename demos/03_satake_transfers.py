@@ -13,6 +13,7 @@ from satkit.satake import (
     base_change_map,
     kottwitz_function,
     levi_kottwitz_function,
+    levi_sign_data,
     transfer_map,
     twisted_transfer_map,
     verify_transfer_square,
@@ -57,6 +58,6 @@ print("  ", pretty(levi_kottwitz_function(g, s, 2, split)))
 for A in ([], [1]):
     report = verify_transfer_square(g, h, s, A, split)
     print(
-        f"A={A}: Hermitian split {report['hermitian_split']}, "
+        f"A={A}: Hermitian split {list(levi_sign_data(g, h, s, A)[1:])}, "
         f"{report['cases']} generators, {len(report['failures'])} failures"
     )

@@ -319,7 +319,7 @@ class KostantDatum(_Record):
         s_set = frozenset(_ints("s_set", *s_set))
         (p,), (q,) = _ints("p", p), _ints("q", q)
         if p < 0 or q < 0 or p + q < 1:
-            raise ValueError("need p + q >= 1")
+            raise ValueError("need p >= 0, q >= 0 and p + q >= 1")
         if any(r < 1 or r > q for r in s_set):
             raise ValueError(f"S'={sorted(s_set)} not inside 1..{q}")
         object.__setattr__(self, "p", p)

@@ -346,7 +346,8 @@ def cmd_verify_transfer_square(args) -> Iterator[tuple]:
     ctx = PlaceContext(split=True, d=1)
     for g, h, s, a_set in combos:
         report = satake.verify_transfer_square(g, h, s, a_set, ctx)
-        case = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
+        case = {"group": list(g.sizes), "endo": [list(p) for p in h.pairs()],
+                "levi_s": s, "A": sorted(set(a_set))}  # A as levi_sign_data writes it
         yield report["cases"], [{**case, **fail} for fail in report["failures"]]
 
 

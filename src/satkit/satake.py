@@ -531,13 +531,13 @@ def verify_transfer_square(g: GroupDatum, h: EndoTriple, s: int, A, ctx: PlaceCo
     for a slot permutation sigma, which fixes every invariant.  Conversely, agreement on
     e_1..e_n makes prod_j (t - psi(T_j)) = sum_k (-1)^k psi(e_k) t^(n-k) equal for phi,
     so unique factorisation gives equal roots; and e_1..e_n, e_n^-1 generate the
-    invariants (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  cases counts
-    the default generators.  A failing square reports each whose images differ, else
-    the first e_k that does.
+    invariants (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  The Levi map
+    is built first, so levi_sign_data checks (G, H, s, A) once.  The report holds only
+    cases, the count of default generators, and failures: a failing square lists each
+    whose images differ, else the first e_k that does.
     """
-    A, m1, m2 = levi_sign_data(g, h, s, A)
-    b_tilde = twisted_transfer_map(g, h, ctx)
     b_levi = levi_twisted_transfer(g, h, s, A, ctx)
+    b_tilde = twisted_transfer_map(g, h, ctx)
     n = g.sizes[0]
     failures = []
     # with equal similitude images, all images sort equal exactly when the slots' do
@@ -547,15 +547,7 @@ def verify_transfer_square(g: GroupDatum, h: EndoTriple, s: int, A, ctx: PlaceCo
         # the generators leave e_k for n // 2 < k < n - 1 undetermined
         e_k = ((f"e_{k}", _tor_subset_sum((), [(range(1, n + 1), k, 1)])) for k in range(1, n + 1))
         failures = failures or [next(_square_failures(b_levi, b_tilde, e_k))]
-    return {
-        "group": list(g.sizes),
-        "endo": [list(p) for p in h.pairs()],
-        "levi_s": s,
-        "A": list(A),
-        "hermitian_split": [m1, m2],
-        "cases": generator_count(n),
-        "failures": failures,
-    }
+    return {"cases": generator_count(n), "failures": failures}
 
 
 def exponent_identity_holds(n: int, alpha: int, r: int) -> bool:

@@ -20,8 +20,8 @@ from satkit.rootdata import (
     EndoTriple, GroupDatum, ParityError, PlaceContext, SignedGroupDatum, outer_automorphism_order,
 )
 from satkit.satake import (
-    HeckeRing, PlaceError, Substitution, _block_routing, _require_match, _require_single_factor,
-    default_generators, hecke_ring, kottwitz_function, levi_sign_data, levi_twisted_transfer, m_ring,
+    HeckeRing, PlaceError, Substitution, _require_match, _require_single_factor,
+    default_generators, hecke_ring, kottwitz_function, levi_twisted_transfer, m_ring,
     norm_similitude, resolve_tor, twisted_transfer_map,
 )
 
@@ -710,10 +710,10 @@ def nonsingular_subsets_by_recursion(n, p):
 def transfer_square_by_rebuilding(g, h, s, A, ctx):
     """The report of satake.verify_transfer_square, found by mapping every default
     generator through both composites instead of comparing slot images.  The Levi
-    map is read from satake when called, so that a test may replace it there."""
-    A, m1, m2 = levi_sign_data(g, h, s, A)
-    b_tilde = twisted_transfer_map(g, h, ctx)
+    map is read from satake when called, so that a test may replace it there; it is
+    built first, so that its check of the Levi data refuses a case first."""
     b_levi = satake.levi_twisted_transfer(g, h, s, A, ctx)
+    b_tilde = twisted_transfer_map(g, h, ctx)
     gens = default_generators(g, ctx)
     failures = []
     for label, f in gens:
@@ -729,15 +729,7 @@ def transfer_square_by_rebuilding(g, h, s, A, ctx):
                     "difference": serialize_poly(lhs - rhs),
                 }
             )
-    return {
-        "group": list(g.sizes),
-        "endo": [list(p) for p in h.pairs()],
-        "levi_s": s,
-        "A": list(A),
-        "hermitian_split": [m1, m2],
-        "cases": len(gens),
-        "failures": failures,
-    }
+    return {"cases": len(gens), "failures": failures}
 
 
 def elementary(n, k):
@@ -778,6 +770,16 @@ def default_generators_by_orbits(g, ctx):
 # -- the morphism builders, each with its own image loop ------------------------------
 
 
+def block_factors(h):
+    """The factor of H that each block (n^+_i, n^-_i) of h is, numbered as
+    EndoTriple.group_datum lists them: the nonzero blocks, plus before minus, factor
+    by factor.  Returns the plus and the minus block's numbers, None for a zero block;
+    the builders below number H's factors with it, not with the helper they check."""
+    numbered = [(i, sign) for i, pair in enumerate(h.pairs()) for sign, b in zip("+-", pair) if b > 0]
+    number = {block: k for k, block in enumerate(numbered, start=1)}
+    return tuple([number.get((i, sign)) for i in range(len(h.pairs()))] for sign in "+-")
+
+
 def base_change_by_hand(g, ctx):
     """satake.base_change_map with its image rule written out."""
     source = hecke_ring(g, ctx, "source")
@@ -801,7 +803,7 @@ def transfer_by_hand(g, h, ctx):
     source = hecke_ring(g, ctx, "target")
     target = HeckeRing(h_datum, split_presentation=ctx.split)
     _require_match(g, h)
-    fp, fm = _block_routing(h.pairs())
+    fp, fm = block_factors(h)
     images = {SIM: LaurentPoly.var(SIM)}
     if ctx.split:
         for i, (npl, _) in enumerate(h.pairs(), start=1):
@@ -834,7 +836,7 @@ def twisted_transfer_by_hand(g, h, ctx):
     source = hecke_ring(g, ctx, "source")
     target = HeckeRing(h_datum, split_presentation=ctx.split)
     _require_match(g, h)
-    fp, fm = _block_routing(h.pairs())
+    fp, fm = block_factors(h)
     a = ctx.a
     images = {SIM: norm_similitude(target) ** a}
     for i, (npl, _) in enumerate(h.pairs(), start=1):
@@ -863,7 +865,7 @@ def levi_twisted_transfer_by_hand(g, h, s, signs, ctx, variant="s_M"):
         raise ValueError("sign data inconsistent with the endoscopic datum")
     h_datum = h.group_datum()
     _require_match(g, h)
-    fp, fm = _block_routing(h.pairs())
+    fp, fm = block_factors(h)
     source = m_ring(g, s)
     lin_by_factor = {}
     if fp[0] is not None:
@@ -991,7 +993,7 @@ class KostantDatumTwin:
     def __post_init__(self):
         object.__setattr__(self, "s_set", frozenset(int(r) for r in self.s_set))
         if self.p < 0 or self.q < 0 or self.p + self.q < 1:
-            raise ValueError("need p + q >= 1")
+            raise ValueError("need p >= 0, q >= 0 and p + q >= 1")
         if any(r < 1 or r > self.q for r in self.s_set):
             raise ValueError(f"S'={sorted(self.s_set)} not inside 1..{self.q}")
 

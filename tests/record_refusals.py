@@ -23,7 +23,7 @@ ROOT = os.path.dirname(TESTS)
 REFUSALS = os.path.join(TESTS, "golden", "refusals.txt")
 FIELDS = ("argv", "exit", "stdout", "stderr")
 
-# test_cli.py: test_precondition_violation_exit_code
+# test_cli.py: test_precondition_violation_exit_code and, last, test_truncate_refuses_a_negative_q_by_name
 PRECONDITIONS = [
     ["transfer", "--n", "3", "--endo", "2-1", "--json"],
     ["constant-term", "--n", "3", "--levi-s", "1", "--alpha", "1", "--levi-kottwitz", "--json"],
@@ -33,6 +33,7 @@ PRECONDITIONS = [
     ["subsets", "--n", "0", "--p", "1", "--json"],
     ["subsets", "--n", "4097", "--p", "1024", "--json"],
     ["weight-transfer", "--endo", "1-0,0-0", "--omega=1;", "--C", "1", "--weight", "0:5/", "--json"],
+    ["truncate", "--pq", "3,-1", "--sprime=", "--weight", "0:2,1", "--dir", "gt", "--json"],
 ]
 
 # test_cli.py: test_exponents_past_32_bits_exit_3

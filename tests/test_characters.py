@@ -464,6 +464,12 @@ def test_phi_identity_refuses_a_wall_before_any_walk(monkeypatch):
         verify_phi_identity(2, 3, 2, Weight(0, ((8, 7, 3, 2, -1),)))
 
 
+def test_phi_identity_refuses_a_negative_p_by_name():
+    # p + q = 4: the refusal names the whole condition, not only the sum that holds
+    with pytest.raises(ValueError, match=r"^need p >= 0, q >= 0 and p \+ q >= 1$"):
+        verify_phi_identity(-1, 5, 2, Weight(0, ((4, 3, 2, 1),)))
+
+
 def test_phi_identity_wall_at_a_smaller_r_than_s():
     # -4 - 22 = 2 - 28: the first vanishing pairing is at r = 2 < s = 3, and
     # adding a common entry to both pairs gives two 3-subsets with equal sums

@@ -393,11 +393,23 @@ def test_transfer_square_suite_matches_per_case_reports(capsys, monkeypatch, var
     for g, h, s, a_set in transfer_square_cases(6):
         report = satake.verify_transfer_square(g, h, s, a_set, SPLIT)
         cases += report["cases"]
-        keys = {k: report[k] for k in ("group", "endo", "levi_s", "A")}
+        keys = {"group": list(g.sizes), "endo": [list(p) for p in h.pairs()], "levi_s": s, "A": a_set}
         failures += [{**keys, **fail} for fail in report["failures"]]
     assert json.loads(out) == {"suite": "transfer-square", "cases": cases, "failures": failures}
     assert code == (1 if failures else 0)
     assert (cases, bool(failures)) == (354, variant == "s'_M")
+
+
+def test_a_failing_single_case_writes_its_A_sorted_without_repeats(capsys, monkeypatch):
+    # the CLI writes each failure record's case fields, A as levi_sign_data returns it
+    monkeypatch.setattr(satake, "levi_twisted_transfer", oracles.levi_twisted_transfer_s_prime)
+    argv = ["verify", "transfer-square", "--n", "4", "--endo", "0-4", "--levi-s", "2", "--A=2,1,2", "--json"]
+    code, out = invoke(capsys, argv)
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures
+    case = {"group": [4], "endo": [[0, 4]], "levi_s": 2, "A": [1, 2]}
+    assert all({key: record[key] for key in case} == case for record in failures)
+    assert '"A":[1,2]' in out
 
 
 def test_transfer_square_sweep_to_n_12_passes(capsys):
@@ -412,8 +424,8 @@ def test_square_cases_are_the_consistent_cases_in_the_same_order():
 
 
 def test_a_sweep_checks_each_case_at_most_twice(capsys, monkeypatch):
-    """The enumeration checks no case: verify_transfer_square checks each once, and
-    the Levi map once more.  No inconsistent (s, A) reaches levi_sign_data."""
+    """The enumeration checks no case: the Levi map that verify_transfer_square builds
+    checks each once.  No inconsistent (s, A) reaches levi_sign_data."""
     consistent = {(g, h, s, tuple(a_set)) for g, h, s, a_set in transfer_square_cases(6)}
     checked, verified = [], []
     sign_data, verify = satake.levi_sign_data, satake.verify_transfer_square
@@ -431,7 +443,7 @@ def test_a_sweep_checks_each_case_at_most_twice(capsys, monkeypatch):
     code, out = invoke(capsys, ["verify", "transfer-square", "--n-max", "6", "--json"])
     assert (code, json.loads(out)["cases"]) == (0, 354)
     assert len(verified) == len(consistent) == 42
-    assert len(checked) <= 2 * len(verified)
+    assert len(checked) == len(verified)
     assert set(checked) <= consistent
 
 
@@ -513,6 +525,13 @@ def test_kostant_and_truncate_cli(capsys):
     assert code == 0
     kept = json.loads(out)["kept"]
     assert len(kept) == 1 and kept[0]["omega"] == [1, 2]
+
+
+def test_truncate_refuses_a_negative_q_by_name(capsys):
+    # p + q = 2: the refusal names the whole condition, not only the sum that holds
+    argv = ["truncate", "--pq", "3,-1", "--sprime=", "--weight", "0:2,1", "--dir", "gt", "--json"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "error: need p >= 0, q >= 0 and p + q >= 1\n"
 
 
 def test_frobenius_trace_cli(capsys):

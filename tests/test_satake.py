@@ -580,11 +580,18 @@ def test_slot_images_give_the_rebuilt_reports(ctx):
     ],
 )
 def test_invalid_transfer_square_cases_build_and_keep_nothing(monkeypatch, g, h, s, A):
-    built = []
+    built, rings = [], []
     monkeypatch.setattr(satake, "default_generators", lambda *args: built.append(args))
+    _counted(monkeypatch, HeckeRing, "__init__", rings)
     with pytest.raises(ValueError):
         verify_transfer_square(g, h, s, A, SPLIT)
-    assert built == []
+    assert built == [] and rings == []
+
+
+def test_a_square_off_split_levi_data_is_refused_by_the_levi_map():
+    # valid Levi data at an inert place of odd degree: the Levi map, built first, refuses
+    with pytest.raises(PlaceError, match="^Levi twisted transfer needs the group split over L$"):
+        verify_transfer_square(GroupDatum((4,)), EndoTriple((2,), (2,)), 1, [1], INERT1)
 
 
 def test_a_passing_sweep_builds_no_generator(capsys, monkeypatch):
@@ -608,16 +615,20 @@ def _counted(monkeypatch, owner, name, calls):
 
 
 def test_a_square_case_checks_each_map_once(monkeypatch):
-    """Per case of the --n-max 6 sweep: H is matched against G once in the case's own
-    levi_sign_data and once per map; and every ring built is kept by one of the two maps."""
+    """Per case of the --n-max 6 sweep: the report holds only cases and failures;
+    levi_sign_data checks the Levi data once, inside the Levi map; H is matched against
+    G once in that check and once in the group map; and every ring built is kept by one
+    of the two maps."""
     cases = list(cli.square_cases(6))
-    matched, rings, maps = [], [], []
+    checked, matched, rings, maps = [], [], [], []
+    _counted(monkeypatch, satake, "levi_sign_data", checked)
     _counted(monkeypatch, satake, "_require_match", matched)
     _counted(monkeypatch, HeckeRing, "__init__", rings)
     _counted(monkeypatch, satake, "_routed_map", maps)
     for case in cases:
-        assert verify_transfer_square(*case, SPLIT)["failures"] == []
-    assert (len(matched), len(maps)) == (3 * len(cases), 2 * len(cases))
+        report = verify_transfer_square(*case, SPLIT)
+        assert report == {"cases": satake.generator_count(case[0].sizes[0]), "failures": []}
+    assert (len(checked), len(matched), len(maps)) == (len(cases), 2 * len(cases), 2 * len(cases))
     kept = [id(ring) for _, sub in maps for ring in (sub.source, sub.target)]
     assert sorted(id(args[0]) for args, _ in rings) == sorted(kept)
 
