@@ -541,8 +541,10 @@ def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
     s_mu(x_1..x_{n-1}) * x_n^{|lambda| - |mu|}.  The rule holds for every
     non-increasing integer weight, negative entries included.  Each layer
     maps a weight mu to the canonical monomials in x_{k+1}..x_n that reach
-    it, so a mu met along several branches is expanded once.  A weight whose
-    character may have more than MAX_CHARACTER_TERMS terms is refused.
+    it, so a mu met along several branches is expanded once.  The last layer's
+    dict is adopted as the polynomial: its keys are distinct and canonical, and
+    its coefficients are sums of 1s, positive ints.  A weight whose character
+    may have more than MAX_CHARACTER_TERMS terms is refused.
     """
     (size,), lam = _ints("size", size), _ints("block_weight", *block_weight)
     if len(lam) != size:
@@ -569,7 +571,7 @@ def weyl_character(size: int, block_weight: Sequence[int]) -> LaurentPoly:
                     acc[key] = acc.get(key, 0) + c
         layer = below
     (terms,) = layer.values()
-    return LaurentPoly.from_terms(terms.items())
+    return LaurentPoly._adopt(terms)
 
 
 # -- endoscopic weight transfer -------------------------------------------------------

@@ -134,7 +134,8 @@ def cmd_invariants(args) -> tuple:
     tau = rootdata.tamagawa(datum)
     k = rootdata.k_invariant(g)
     d = rootdata.packet_size_signed(g)
-    payload = {"tau": tau, "k": k, "d": d, "kt_check": f"2^{g.n - 1}"}
+    # tau and k are powers of two, so the product's bit length names its exponent
+    payload = {"tau": tau, "k": k, "d": d, "kt_check": f"2^{(tau * k).bit_length() - 1}"}
     if args.endo:
         h = EndoTriple(*args.endo)
         payload["iota"] = str(rootdata.iota(datum, h))

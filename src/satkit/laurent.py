@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .rootdata import _ints
@@ -239,12 +240,21 @@ class LaurentPoly:
 def _tor_subset_sum(head: Monomial, factors) -> LaurentPoly:
     """The sum, with coefficients 1, of head times one torus monomial per factor.  Factor i
     (from 1) is (slots, k, e) and contributes tor(i, j)^e over j in each k-subset of slots.
-    head's variables sort before these, so every monomial is canonical as built."""
-    blocks = []
+
+    Every term is built once and adopted, not merged: head's variables sort before
+    these, so every monomial is canonical as built, and distinct k-subsets of factors
+    with e != 0 give distinct monomials.  A factor with e = 0 only scales every term by
+    its C(len(slots), k) subsets, so each coefficient is one positive int (or all are 0,
+    the zero polynomial, when some k exceeds its slots)."""
+    monos, multiplier = [head], 1
     for i, (slots, k, e) in enumerate(factors, 1):
         _check_exp(e if k else 0)  # an exponent no term carries is not checked
-        blocks.append([tuple((tor(i, j), e) for j in js) if e else () for js in combinations(slots, k)])
-    return LaurentPoly.from_terms((sum(parts, head), 1) for parts in product(*blocks))
+        if e:
+            pairs = [(tor(i, j), e) for j in slots]
+            monos = [m + js for m in monos for js in combinations(pairs, k)]
+        else:
+            multiplier *= comb(len(slots), k)
+    return LaurentPoly._adopt(dict.fromkeys(monos, multiplier) if multiplier else {})
 
 
 # -- substitution -----------------------------------------------------------

@@ -150,8 +150,10 @@ def hecke_ring(g: GroupDatum, ctx: PlaceContext, side: str = "target") -> HeckeR
 
 def _resolved(ring: HeckeRing, v: Var, e: int) -> Monomial:
     """v^e in the ring as a q-free canonical monomial, each exponent checked to 32 bits:
-    SIM stands for the central element (see norm_similitude), and an inert X_{i,j} with
-    j > q_i is read through the extended-index convention."""
+    SIM stands for the central element z -> z*Id, Sim itself unless the ring is inert with
+    every factor even, where Sim has similitude weight one and the central element is
+    Sim^2 times every inverse torus variable.  An inert X_{i,j} with j > q_i is read
+    through the extended-index convention."""
     if v == SIM:
         if ring.split_presentation or not ring.datum.all_even:
             return ((SIM, _check_exp(e)),)
@@ -166,25 +168,6 @@ def _resolved(ring: HeckeRing, v: Var, e: int) -> Monomial:
     if n_i % 2 == 1 and j == n_i // 2 + 1:
         return ()
     return ((tor(i, n_i + 1 - j), _check_exp(-e)),)
-
-
-def resolve_tor(ring: HeckeRing, i: int, j: int) -> LaurentPoly:
-    """Extended-index resolution of X_{i,j} inside the given ring."""
-    if not 1 <= i <= ring.datum.r:
-        raise ValueError(f"factor {i} out of range for a group of {ring.datum.r} factors")
-    return LaurentPoly({_resolved(ring, tor(i, j), 1): 1})
-
-
-def norm_similitude(ring: HeckeRing) -> LaurentPoly:
-    """The central cocharacter z -> z*Id as an element of the ring.
-
-    In the split presentation this is the similitude variable itself.  In
-    the inert presentation the ring's global variable has similitude
-    multiplier of weight one when every factor is even, and the central
-    element is Sim^2 times the product of all inverse torus variables;
-    with an odd factor the global variable is already the central element.
-    """
-    return LaurentPoly({_resolved(ring, SIM, 1): 1})
 
 
 # -- substitutions ---------------------------------------------------------------

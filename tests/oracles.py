@@ -13,16 +13,16 @@ from satkit.characters import (
     truncate_cohomology,
 )
 from satkit.laurent import (
-    QVAR, SIM, LaurentPoly, SubstitutionError, _mono, _split_q, _substitution_table, serialize_poly, symmetrize,
-    tor,
+    QVAR, SIM, LaurentPoly, SubstitutionError, _check_exp, _mono, _split_q, _substitution_table, serialize_poly,
+    symmetrize, tor,
 )
 from satkit.rootdata import (
     EndoTriple, GroupDatum, ParityError, PlaceContext, SignedGroupDatum, outer_automorphism_order,
 )
 from satkit.satake import (
     HeckeRing, PlaceError, Substitution, _require_match, _require_single_factor,
-    default_generators, hecke_ring, kottwitz_function, levi_twisted_transfer, m_ring,
-    norm_similitude, resolve_tor, twisted_transfer_map,
+    _resolved, default_generators, hecke_ring, kottwitz_function, levi_twisted_transfer, m_ring,
+    twisted_transfer_map,
 )
 
 
@@ -119,6 +119,22 @@ def sum_terms_by_addition(pairs):
     for m, c in pairs:
         total = total + LaurentPoly.monomial(dict(m), coeff=c)
     return total
+
+
+def tor_subset_sum_by_merging(head, factors):
+    """laurent._tor_subset_sum as the merge it replaces: one generator of fresh tor pairs
+    per slot of each subset, every term summed by LaurentPoly.from_terms."""
+    blocks = []
+    for i, (slots, k, e) in enumerate(factors, 1):
+        _check_exp(e if k else 0)
+        blocks.append([tuple((tor(i, j), e) for j in js) if e else () for js in combinations(slots, k)])
+    return LaurentPoly.from_terms((sum(parts, head), 1) for parts in product(*blocks))
+
+
+def has_merged_terms(f):
+    """Whether f's terms are what LaurentPoly.from_terms makes of them, with every
+    coefficient a positive int: the invariants a builder that adopts its dict must keep."""
+    return all(type(c) is int and c > 0 for _, c in f.terms()) and LaurentPoly.from_terms(f.terms()) == f
 
 
 def power_by_squaring(f, k):
@@ -768,6 +784,25 @@ def default_generators_by_orbits(g, ctx):
 
 
 # -- the morphism builders, each with its own image loop ------------------------------
+
+
+def resolve_tor(ring, i, j):
+    """Extended-index resolution of X_{i,j} inside the given ring."""
+    if not 1 <= i <= ring.datum.r:
+        raise ValueError(f"factor {i} out of range for a group of {ring.datum.r} factors")
+    return LaurentPoly({_resolved(ring, tor(i, j), 1): 1})
+
+
+def norm_similitude(ring):
+    """The central cocharacter z -> z*Id as an element of the ring.
+
+    In the split presentation this is the similitude variable itself.  In
+    the inert presentation the ring's global variable has similitude
+    multiplier of weight one when every factor is even, and the central
+    element is Sim^2 times the product of all inverse torus variables;
+    with an odd factor the global variable is already the central element.
+    """
+    return LaurentPoly({_resolved(ring, SIM, 1): 1})
 
 
 def block_factors(h):

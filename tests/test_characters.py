@@ -730,14 +730,19 @@ def test_frobenius_trace_terms_are_canonical_as_built(case):
     assert sum(c for _, c in f.terms()) == count and len(f) == (1 if m == 0 else count)
     for key, _ in f.terms():
         assert key == _mono(key)
+    assert oracles.has_merged_terms(f)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(DOMINANT)
 @example((0, 0, 0))
+@example((3, 1, 1, 0, -2))  # weights met along several branches add up
 def test_weyl_character_terms_are_canonical_as_built(lam):
-    for key, _ in weyl_character(len(lam), lam).terms():
+    # the adopted dict against from_terms over the same terms
+    f = weyl_character(len(lam), lam)
+    for key, _ in f.terms():
         assert key == _mono(key)
+    assert oracles.has_merged_terms(f)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

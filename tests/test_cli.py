@@ -53,6 +53,19 @@ def test_invariants_example(capsys):
     assert json.loads(out) == {"tau": 1, "k": 4, "d": 1, "kt_check": "2^2"}
 
 
+@pytest.mark.parametrize("sig, n", [("1+0", 1), ("2+1,1+1", 5), ("2+2,0+2", 6), ("3+1,2+0,0+1", 7)])
+def test_kt_check_is_read_from_tau_times_k(capsys, monkeypatch, sig, n):
+    code, out = invoke(capsys, ["invariants", "--sig", sig, "--json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["tau"] * payload["k"] == 2 ** (n - 1)
+    assert payload["kt_check"] == f"2^{n - 1}"
+    # a k off by a factor of two shows in the field, which n alone would not
+    k_invariant = cli.rootdata.k_invariant
+    monkeypatch.setattr(cli.rootdata, "k_invariant", lambda g: 2 * k_invariant(g))
+    code, out = invoke(capsys, ["invariants", "--sig", sig, "--json"])
+    assert code == 0 and json.loads(out)["kt_check"] == f"2^{n}"
+
+
 def test_endoscopy_output(capsys):
     code, out = invoke(capsys, ["endoscopy", "--n", "4", "--json"])
     assert code == 0

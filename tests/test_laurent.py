@@ -17,6 +17,7 @@ from oracles import (
     apply_by_mono,
     compose,
     group_act,
+    has_merged_terms,
     identity,
     power_by_squaring,
     pretty_by_records,
@@ -25,6 +26,7 @@ from oracles import (
     sum_terms_by_addition,
     symmetrize_by_mono,
     symmetrize_over_group,
+    tor_subset_sum_by_merging,
     weyl_generators_by_elements,
     weyl_group,
     weyl_group_by_blocks,
@@ -50,6 +52,7 @@ from satkit.laurent import (
     tor,
     _mono,
     _substitution_table,
+    _tor_subset_sum,
 )
 from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
 from satkit.satake import HeckeRing, transfer_map, twisted_transfer_map
@@ -117,6 +120,32 @@ def test_from_terms_matches_repeated_addition(pairs):
     fast = LaurentPoly.from_terms(iter(pairs))
     assert fast == sum_terms_by_addition(pairs)
     assert all(is_exact_coefficient(c) and c != 0 for _, c in fast.terms())
+
+
+@st.composite
+def subset_sum_cases(draw):
+    """A head, with or without q, and 1-3 factors (slots, k, e): slots need not start at 1,
+    and k may be 0, every slot or one past them (no subset, so the zero polynomial)."""
+    q_exp, sim_exp = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+    head = ((QVAR, q_exp),) * (q_exp != 0) + ((SIM, sim_exp),) * (sim_exp != 0)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        start, size = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+        k = draw(st.one_of(st.just(0), st.just(size), st.just(size + 1), st.integers(0, size)))
+        factors.append((range(start, start + size), k, draw(st.sampled_from([-3, -1, 0, 1, 2]))))
+    return head, factors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(subset_sum_cases())
+@example(((), [(range(1, 4), 2, 0), (range(2, 4), 1, 0)]))  # every term is the head, 3 * 2 times
+@example((((QVAR, 1),), [(range(1, 3), 3, -1), (range(1, 3), 1, 0)]))  # k past the slots
+@example((((SIM, -1),), [(range(2, 5), 2, 2), (range(1, 3), 1, 0), (range(1, 2), 1, -3)]))
+def test_tor_subset_sum_adopts_what_merging_would_build(case):
+    head, factors = case
+    f, merged = _tor_subset_sum(head, factors), tor_subset_sum_by_merging(head, factors)
+    assert f == merged and serialize_poly(f) == serialize_poly(merged)
+    assert has_merged_terms(f)
 
 
 def is_exact_coefficient(c):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import transfer_square_by_rebuilding
+from oracles import norm_similitude, resolve_tor, transfer_square_by_rebuilding
 from test_cli import transfer_square_cases
 
 from satkit import cli, satake
@@ -43,8 +43,6 @@ from satkit.satake import (
     levi_kottwitz_function,
     levi_sign_data,
     levi_twisted_transfer,
-    norm_similitude,
-    resolve_tor,
     transfer_map,
     twisted_transfer_map,
     verify_transfer_square,
@@ -159,6 +157,7 @@ def test_kottwitz_terms_are_canonical_as_built(case):
     assert len(f) == prod(comb(n, s) for n, s in zip(g.sizes, s_vec))
     for key, c in f.terms():
         assert key == _mono(key) and c == 1
+    assert oracles.has_merged_terms(f)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -197,6 +196,7 @@ def test_levi_kottwitz_terms_are_canonical_as_built(case):
     assert len(f) == (1 if alpha >= n - s + 1 else comb(n - 2 * s, alpha - s))
     for key, c in f.terms():
         assert key == _mono(key) and c == 1
+    assert oracles.has_merged_terms(f)
 
 
 def test_builders_refuse_q_exponents_past_32_bits():
