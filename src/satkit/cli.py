@@ -30,13 +30,10 @@ from itertools import product
 from math import factorial
 from typing import Iterator, List, Optional
 
-from . import characters, laurent, rootdata, satake
+from . import characters, rootdata, satake
 from .characters import KostantDatum, WallError, Weight
 from .laurent import LaurentPoly, _var_name, pretty, serialize_poly
 from .rootdata import EndoTriple, GroupDatum, PlaceContext, SignedGroupDatum
-
-# Every other satkit error class subclasses ValueError.
-PRECONDITION_ERRORS = (ValueError, laurent.ExponentOverflowError)
 
 
 # -- flag parsing ---------------------------------------------------------------
@@ -515,7 +512,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         if "suite" in args:
             result = run_suite(args.suite, result)
         sys.stdout.write(render(result, args.json) + "\n")
-    except PRECONDITION_ERRORS as exc:
+    except ValueError as exc:  # every satkit error class subclasses ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 3
     if "suite" not in args:

@@ -15,11 +15,12 @@ Variables are identified by small tuples:
 
 Tuple comparison realises the canonical variable order
 q < Sim < Tor(1,1) < Tor(1,2) < ...  Every ring map here sends each variable
-to a signed q-monomial and is written as one table v -> (negative, q shift,
-monomial), applied by act; q maps to q.  A Weyl group acts through its
-generators, tables that satake.HeckeRing.generators writes over every variable
-of its ring, so act, is_invariant and symmetrize raise SubstitutionError on a
-variable the ring lacks.
+to a signed q-monomial and is written as one table v -> (monomial, +-1), the
+image's one term, q allowed in the monomial, applied by act; q maps to q.  A
+Weyl group acts through its generators, tables that
+satake.HeckeRing.generators writes over every variable of its ring, so act,
+is_invariant and symmetrize raise SubstitutionError on a variable the ring
+lacks.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def tor(i: int, j: int) -> Var:
     return ("t", i, j)
 
 
-class ExponentOverflowError(OverflowError):
+class ExponentOverflowError(OverflowError, ValueError):
     """An exponent left the checked 32-bit range."""
 
 
@@ -267,48 +268,45 @@ def _split_q(m: Monomial) -> Tuple[int, Monomial]:
     return 0, m
 
 
-def _pair_image(table: Mapping, v: Var, e: int) -> Tuple[bool, int, tuple]:
-    """(sign flip, q shift, image pairs) of v^e under a table v -> (negative, q shift,
-    image monomial).  A pair past 32 bits gets a (u, 0) twin, so that _mono sums its
-    term and checks the sum, which may cancel."""
+def _pair_image(table: Mapping, v: Var, e: int) -> Tuple[bool, tuple]:
+    """(sign flip, image pairs) of v^e under a table v -> (monomial, +-1); q maps to q.
+    A pair past 32 bits gets a (u, 0) twin, so that _mono sums its term and checks
+    the sum, which may cancel."""
+    if v == QVAR:
+        return False, ((v, e),)
     if v not in table:
         raise SubstitutionError(f"no image for variable {v}")
-    negative, iq, im = table[v]
+    im, c = table[v]
     pairs = [(u, ue * e) for u, ue in im]
     pairs += [(u, 0) for u, x in pairs if abs(x) > INT32_MAX]
-    return bool(negative and e & 1), iq * e, tuple(pairs)  # (-1)**e
+    return bool(c < 0 and e & 1), tuple(pairs)  # (-1)**e
 
 
 def _image(table: Mapping, memo: dict, m: Monomial, coeff: Coeff) -> Tuple[Monomial, Coeff]:
-    """Map one term through a table, memo caching _pair_image: its pairs' images sorted
-    after the q exponent, or summed by _mono when two of them share a variable."""
-    q_exp, rest = _split_q(m)
+    """Map one term through a table, memo caching _pair_image: its pairs' images sorted,
+    or summed by _mono when two of them share a variable."""
     parts = []
-    for p in rest:
-        negative, iq, im = memo.get(p) or memo.setdefault(p, _pair_image(table, *p))
-        if negative:
+    for p in m:
+        flip, im = memo.get(p) or memo.setdefault(p, _pair_image(table, *p))
+        if flip:
             coeff = -coeff
-        q_exp += iq
         parts += im
     parts.sort()
     if len(dict(parts)) < len(parts):
-        return _mono(parts + [(QVAR, q_exp)]), coeff
-    if q_exp:
-        return ((QVAR, _check_exp(q_exp)), *parts), coeff
+        return _mono(parts), coeff
     return tuple(parts), coeff
 
 
 def act(table: Mapping, f: LaurentPoly) -> LaurentPoly:
-    """Apply the ring map a table v -> (negative, q shift, image monomial) gives: v goes
-    to (-1)^negative q^shift times the q-free monomial, q to q.  Satake morphisms and
-    Weyl generators are such tables; a variable of f the table lacks raises
-    SubstitutionError."""
+    """Apply the ring map a table v -> (monomial, +-1) gives: v goes to its image term,
+    q to q.  Satake morphisms and Weyl generators are such tables; a variable of f the
+    table lacks raises SubstitutionError."""
     memo: dict = {}
     return LaurentPoly.from_terms(_image(table, memo, m, c) for m, c in f.terms())
 
 
 def _substitution_table(images: Mapping[Var, LaurentPoly]) -> dict:
-    """Compile variable images into the table act reads, v -> (negative, q shift, monomial)."""
+    """Compile variable images into the table act reads, v -> (monomial, +-1)."""
     table = {}
     for v, img in images.items():
         if not img.is_term():
@@ -316,7 +314,7 @@ def _substitution_table(images: Mapping[Var, LaurentPoly]) -> dict:
         ((m, c),) = img.terms()
         if c * c != 1:
             raise SubstitutionError(f"image of {v} has non-unit coefficient {c}")
-        table[v] = (c < 0, *_split_q(m))
+        table[v] = (m, c)
     return table
 
 

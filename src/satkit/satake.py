@@ -89,11 +89,11 @@ class HeckeRing(_Record):
         names it in METHODS, so it goes once that installer skips missing names."""
         gens = [(g, {}) for g in self.generators()]
 
-        def step(t):  # g after t; a Weyl table has no signs and no q shifts
+        def step(t):  # g after t
             for g, memo in gens:
-                yield tuple((v, (False, 0, _image(g, memo, m, 1)[0])) for v, (_, _, m) in t)
+                yield tuple((v, _image(g, memo, m, c)) for v, (m, c) in t)
 
-        ident = tuple((v, (False, 0, ((v, 1),))) for v in self.variables())
+        ident = tuple((v, (((v, 1),), 1)) for v in self.variables())
         return tuple(map(dict, sorted(_closure(ident, step))))
 
     def generators(self) -> Tuple[Dict, ...]:
@@ -109,7 +109,7 @@ class HeckeRing(_Record):
         the empty set.
         """
         split, sizes = self.split_presentation, self.datum.sizes
-        ident = {v: (False, 0, ((v, 1),)) for v in self.variables()}
+        ident = {v: (((v, 1),), 1) for v in self.variables()}
         gens = []
         for i, (n, lin) in enumerate(zip(sizes, self.levi_linear or (0,) * len(sizes)), 1):
             top = n - lin if split else n // 2  # the movable block is lin+1..top
@@ -118,7 +118,7 @@ class HeckeRing(_Record):
             if not split and top > lin:
                 x = tor(i, top)
                 sim = ((SIM, 1), (x, -1)) if self.datum.all_even else ((SIM, 1),)
-                gens.append({**ident, x: (False, 0, ((x, -1),)), SIM: (False, 0, sim)})
+                gens.append({**ident, x: (((x, -1),), 1), SIM: (sim, 1)})
         return tuple(gens)
 
     def contains(self, f: LaurentPoly) -> bool:
@@ -174,12 +174,12 @@ def _resolved(ring: HeckeRing, v: Var, e: int) -> Monomial:
 
 
 class Substitution(_Record):
-    """A morphism of Satake models as the table laurent.act reads: v -> (negative,
-    q shift, m), the image (-1)^negative q^shift m of v, m a q-free canonical monomial."""
+    """A morphism of Satake models as the table laurent.act reads: v -> (m, c), the
+    image c m of v, m a canonical monomial and c = +-1."""
 
     FIELDS = ("source", "target", "table")
 
-    def __init__(self, source: HeckeRing, target: HeckeRing, table: Dict[Var, Tuple[bool, int, Monomial]]):
+    def __init__(self, source: HeckeRing, target: HeckeRing, table: Dict[Var, Tuple[Monomial, int]]):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "table", table)
@@ -190,8 +190,7 @@ class Substitution(_Record):
     @cached_property
     def images(self) -> Dict[Var, LaurentPoly]:
         """The table's images as polynomials, built on first use, for printing."""
-        return {v: LaurentPoly({((QVAR, iq), *m) if iq else m: -1 if neg else 1})
-                for v, (neg, iq, m) in self.table.items()}
+        return {v: LaurentPoly({m: c}) for v, (m, c) in self.table.items()}
 
     def as_json_dict(self) -> Dict[str, str]:
         return {_var_name(v): serialize_poly(img) for v, img in sorted(self.images.items())}
@@ -230,14 +229,11 @@ def _routed_map(source: HeckeRing, target: HeckeRing, a: int, routes) -> Substit
     The similitude maps to the a-th power of the target's central element.
     Each route (i, j, factor, position, sign) sends the torus slot X_{i,j} to
     sign * X_{factor,position}^a, the target variable read through its
-    extended-index convention (see _resolved); a route with no factor points
-    into an empty block.
+    extended-index convention (see _resolved).
     """
-    table = {SIM: (False, 0, _resolved(target, SIM, a))}
+    table = {SIM: (_resolved(target, SIM, a), 1)}
     for i, j, factor, position, sign in routes:
-        if factor is None:
-            raise ValueError("routing into an empty block")
-        table[tor(i, j)] = (sign < 0, 0, _resolved(target, tor(factor, position), a))
+        table[tor(i, j)] = (_resolved(target, tor(factor, position), a), sign)
     return Substitution(source, target, table)
 
 
@@ -255,7 +251,7 @@ def base_change_map(g: GroupDatum, ctx: PlaceContext) -> Substitution:
     target = hecke_ring(g, ctx, "target")
     if not ctx.splits_over_l:
         d = _check_exp(ctx.d)
-        return Substitution(source, target, {v: (False, 0, ((v, d),)) for v in source.variables()})
+        return Substitution(source, target, {v: (((v, d),), 1) for v in source.variables()})
     routes = [(i, j, i, j, 1) for i, n_i in enumerate(g.sizes, start=1) for j in range(1, n_i + 1)]
     return _routed_map(source, target, ctx.a, routes)
 
@@ -270,7 +266,9 @@ def _require_match(g: GroupDatum, h: EndoTriple):
 
 def _block_routing(pairs):
     """Target factor index for each (source factor, sign) of the blocks (n^+_i, n^-_i),
-    zero blocks dropped.  Its callers check the datum against the group, once per map."""
+    zero blocks dropped.  A zero block's None is never read: every route goes to a slot
+    of a block with positive size.  Its callers check the datum against the group,
+    once per map."""
     fp: List[Optional[int]] = []
     fm: List[Optional[int]] = []
     idx = 0
@@ -316,11 +314,11 @@ def transfer_map(g: GroupDatum, h: EndoTriple, ctx: PlaceContext) -> Substitutio
     if ctx.split:
         return _routed_map(source, target, 1, _block_routes(pairs, 1))
     fp, fm = _block_routing(pairs)
-    table = {SIM: (False, 0, ((SIM, 1),))}
+    table = {SIM: (((SIM, 1),), 1)}
     for i, (npl, nmi) in enumerate(pairs, start=1):
         qp = npl // 2
         for j in range(1, (npl + nmi) // 2 + 1):
-            table[tor(i, j)] = (False, 0, ((tor(fp[i - 1], j) if j <= qp else tor(fm[i - 1], j - qp), 1),))
+            table[tor(i, j)] = (((tor(fp[i - 1], j) if j <= qp else tor(fm[i - 1], j - qp), 1),), 1)
     return Substitution(source, target, table)
 
 

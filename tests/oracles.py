@@ -287,17 +287,17 @@ def weyl_group(shape, linear=None):
 
 
 def weyl_table(w, shape):
-    """w as a table v -> (negative, q shift, monomial) over every variable of the
-    shape's ring: X_{i,j} goes to X_{i,k} for entry k of w, and to X_{i,k}^{-1} for
-    entry -k.  When every factor is even, each entry -k also divides SIM by X_{i,k}."""
+    """w as a table v -> (monomial, +-1) over every variable of the shape's ring:
+    X_{i,j} goes to X_{i,k} for entry k of w, and to X_{i,k}^{-1} for entry -k.
+    When every factor is even, each entry -k also divides SIM by X_{i,k}."""
     table = {}
     flips = []
     for i, p in enumerate(w.perms, start=1):
         for j, e in enumerate(p, start=1):
-            table[tor(i, j)] = (False, 0, ((tor(i, abs(e)), 1 if e > 0 else -1),))
+            table[tor(i, j)] = (((tor(i, abs(e)), 1 if e > 0 else -1),), 1)
             if e < 0:
                 flips.append((tor(i, -e), -1))
-    table[SIM] = (False, 0, _mono([(SIM, 1)] + (flips if shape.all_even else [])))
+    table[SIM] = (_mono([(SIM, 1)] + (flips if shape.all_even else [])), 1)
     return table
 
 
@@ -351,22 +351,20 @@ def symmetrize_over_group(f, group, shape):
 
 
 def image_by_mono(table, m, coeff):
-    """One term through a table v -> (negative, q shift, image monomial), its pairs
-    summed by _mono: the one-pass term image that the memoised laurent._image
-    replaces."""
-    q_exp, rest = _split_q(m)
+    """One term through a table v -> (monomial, +-1), q to q, its pairs summed by
+    _mono: the one-pass term image that the memoised laurent._image replaces."""
     parts = []
-    for v, e in rest:
+    for v, e in m:
+        if v == QVAR:
+            parts.append((v, e))
+            continue
         if v not in table:
             raise SubstitutionError(f"no image for variable {v}")
-        negative, iq, im = table[v]
-        if negative and e & 1:  # (-1)**e
+        im, c = table[v]
+        if c < 0 and e & 1:  # (-1)**e
             coeff = -coeff
-        q_exp += iq * e
         for u, ue in im:
             parts.append((u, ue * e))
-    if q_exp:
-        parts.append((QVAR, q_exp))
     return _mono(parts), coeff
 
 

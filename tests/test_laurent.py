@@ -50,6 +50,7 @@ from satkit.laurent import (
     substitute,
     symmetrize,
     tor,
+    _image,
     _mono,
     _substitution_table,
     _tor_subset_sum,
@@ -626,14 +627,14 @@ kernel_coeffs = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-9
 
 
 @st.composite
-def kernel_polys(draw, vars_, outside=None):
+def kernel_polys(draw, vars_, outside=None, exps=kernel_exps):
     """Up to 5 terms over vars_ with int and Fraction coefficients, and exponents
-    (q too) small or wide enough that an image exponent can pass 32 bits.  One
-    time in four the variable outside joins vars_."""
+    (q too) drawn from exps: by default small or wide enough that an image exponent
+    can pass 32 bits.  One time in four the variable outside joins vars_."""
     if outside is not None and draw(st.integers(0, 3)) == 0:
         vars_ = [*vars_, outside]
-    exps_of_vars = st.dictionaries(st.sampled_from(vars_), kernel_exps, max_size=4)
-    terms = draw(st.lists(st.tuples(exps_of_vars, kernel_coeffs, kernel_exps), max_size=5))
+    exps_of_vars = st.dictionaries(st.sampled_from(vars_), exps, max_size=4)
+    terms = draw(st.lists(st.tuples(exps_of_vars, kernel_coeffs, exps), max_size=5))
     return LaurentPoly.from_terms((_mono([*exps.items(), (QVAR, q)]), c) for exps, c, q in terms)
 
 
@@ -647,16 +648,21 @@ def outcome(fn, *args):
     return out
 
 
+def signed_images(exps, shifts):
+    """Signed q-monomials over the first three VARS, with exponents from exps and q
+    shifts from shifts."""
+    return st.builds(
+        lambda exps, sign, q: LaurentPoly.monomial(exps, coeff=sign, q_exp=q),
+        st.dictionaries(st.sampled_from(VARS[:3]), st.sampled_from(exps), max_size=2),
+        st.sampled_from((1, -1)),
+        st.sampled_from(shifts),
+    )
+
+
 # Images of VARS over its first three variables, so that source variables share a
 # target, directly or inverted; a q shift of BIG passes 32 bits at an exponent of BIG.
 colliding_images = st.dictionaries(
-    st.sampled_from(VARS),
-    st.builds(
-        lambda exps, sign, q: LaurentPoly.monomial(exps, coeff=sign, q_exp=q),
-        st.dictionaries(st.sampled_from(VARS[:3]), st.sampled_from((1, -1, 2, -2, BIG, -BIG)), max_size=2),
-        st.sampled_from((1, -1)),
-        st.sampled_from((0, 1, -1, BIG)),
-    ),
+    st.sampled_from(VARS), signed_images((1, -1, 2, -2, BIG, -BIG), (0, 1, -1, BIG))
 )
 
 
@@ -680,6 +686,20 @@ def test_substitute_matches_the_one_pass_image(imgs, f):
     want = outcome(apply_by_mono, table, f)
     assert outcome(substitute, f, imgs) == want
     assert outcome(act, table, f) == want
+
+
+# Tables with an image for every one of VARS, small exponents only: past 32 bits the
+# composite and the two maps in turn may refuse differently.
+small_tables = st.fixed_dictionaries({v: signed_images((1, -1, 2, -2), (0, 1, -1)) for v in VARS}).map(
+    _substitution_table
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_tables, small_tables, kernel_polys(VARS, exps=st.integers(-3, 3)))
+def test_composing_tables_is_the_image_of_each_entry(t1, t2, f):
+    composite = {v: _image(t2, {}, m, c) for v, (m, c) in t1.items()}
+    assert act(composite, f) == act(t2, act(t1, f))
 
 
 @st.composite

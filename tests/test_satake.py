@@ -4,6 +4,7 @@ constant-term compatibility square."""
 import json
 import random
 import time
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
 
@@ -29,7 +30,9 @@ from satkit.laurent import (
     _mono,
     _substitution_table,
 )
-from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext, enumerate_endoscopic
+from satkit.rootdata import (
+    EndoTriple, GroupDatum, PlaceContext, SignedGroupDatum, enumerate_endoscopic, iota, iota_gh, pi0_symmetric_space,
+)
 from satkit.satake import (
     HeckeRing,
     PlaceError,
@@ -415,6 +418,31 @@ def test_twisted_block_factorization(r1, r2, alpha):
         total = total + lin * herm
     total = LaurentPoly.q_power(alpha * (n - alpha)) * total
     assert got == total
+
+
+IOTA_SIZES = [(1,), (2,), (3,), (4,), (5,), (2, 1), (2, 2), (3, 2), (1, 1, 2)]
+
+
+def iota_cases():
+    """(signature, endoscopic class) for every signature of each size in IOTA_SIZES."""
+    for sizes in IOTA_SIZES:
+        classes = [h for h, _ in enumerate_endoscopic(GroupDatum(sizes))]
+        for ps in product(*(range(n + 1) for n in sizes)):
+            sig = SignedGroupDatum(tuple((p, n - p) for p, n in zip(ps, sizes)))
+            yield from ((sig, h) for h in classes)
+
+
+def test_iota_gh_is_the_twisted_transfer_of_the_kottwitz_function_at_one():
+    """iota_GH(G, H) = iota(G, H) b_H(phi_p)(1) / pi_0: both sides are the product over
+    the factors of the sums over p_i-subsets I of (-1)^{|I in the minus block|}, the
+    right one through the signs the twisted transfer writes on its minus blocks."""
+    cases = list(iota_cases())
+    assert len(cases) == 143
+    for sig, h in cases:
+        g = sig.datum
+        phi = kottwitz_function(g, tuple(p for p, _ in sig.sig), SPLIT)
+        at_one = sum(c for _, c in twisted_transfer_map(g, h, SPLIT)(phi).terms())
+        assert iota_gh(sig, h) == iota(g, h) * Fraction(at_one, pi0_symmetric_space(sig)), (sig, h)
 
 
 # -- Levi operations ----------------------------------------------------------------------
