@@ -103,16 +103,17 @@ def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Coeff]]) -> dict:
 class LaurentPoly:
     """Immutable Laurent polynomial; monomials map to int or Fraction coefficients (see _merge)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_canonical")  # _canonical: _terms is in canonical order (see serialize_poly)
 
     def __init__(self, terms: Optional[Mapping[Monomial, Coeff]] = None):
         self._terms = _merge({}, terms.items()) if terms else {}
+        self._canonical = False
 
     @staticmethod
-    def _adopt(terms: dict) -> "LaurentPoly":
+    def _adopt(terms: dict, canonical: bool = False) -> "LaurentPoly":
         """Wrap a dict whose coefficients already are nonzero ints or non-integral Fractions."""
         p = LaurentPoly.__new__(LaurentPoly)
-        p._terms = terms
+        p._terms, p._canonical = terms, canonical
         return p
 
     # -- constructors ------------------------------------------------------
@@ -240,32 +241,32 @@ class LaurentPoly:
 
 def _tor_subset_sum(head: Monomial, factors) -> LaurentPoly:
     """The sum, with coefficients 1, of head times one torus monomial per factor.  Factor i
-    (from 1) is (slots, k, e) and contributes tor(i, j)^e over j in each k-subset of slots.
+    (from 1) is (slots, k, e), slots increasing, and gives tor(i, j)^e over j in each k-subset.
 
     Every term is built once and adopted, not merged: head's variables sort before
     these, so every monomial is canonical as built, and distinct k-subsets of factors
     with e != 0 give distinct monomials.  A factor with e = 0 only scales every term by
     its C(len(slots), k) subsets, so each coefficient is one positive int (or all are 0,
-    the zero polynomial, when some k exceeds its slots)."""
+    the zero polynomial, when some k exceeds its slots).
+
+    The terms also come in canonical order.  All share the head; the block of factor i,
+    its tor(i, j), sorts after those of earlier factors, and the terms walk each factor's
+    subsets with the earlier factors' held.  Of two k-subsets in the lexicographic order
+    of combinations, the earlier holds the first slot where they differ, so its block
+    puts e there against 0: it is smaller when e < 0 and larger when e > 0, which is
+    why the subsets are walked in reverse for e > 0."""
     monos, multiplier = [head], 1
     for i, (slots, k, e) in enumerate(factors, 1):
         _check_exp(e if k else 0)  # an exponent no term carries is not checked
         if e:
-            pairs = [(tor(i, j), e) for j in slots]
-            monos = [m + js for m in monos for js in combinations(pairs, k)]
+            subsets = list(combinations([(tor(i, j), e) for j in slots], k))[:: -1 if e > 0 else 1]
+            monos = [m + js for m in monos for js in subsets]
         else:
             multiplier *= comb(len(slots), k)
-    return LaurentPoly._adopt(dict.fromkeys(monos, multiplier) if multiplier else {})
+    return LaurentPoly._adopt(dict.fromkeys(monos, multiplier) if multiplier else {}, canonical=True)
 
 
 # -- substitution -----------------------------------------------------------
-
-
-def _split_q(m: Monomial) -> Tuple[int, Monomial]:
-    """(q exponent, q-free rest) of a canonical monomial; QVAR sorts first."""
-    if m and m[0][0] == QVAR:
-        return m[0][1], m[1:]
-    return 0, m
 
 
 def _pair_image(table: Mapping, v: Var, e: int) -> Tuple[bool, tuple]:
@@ -387,23 +388,31 @@ def _parse_name(name: str) -> Var:
     return SIM if m.group(1) is None else tor(int(m.group(1)), int(m.group(2)))
 
 
-def _canonical_rows(f: LaurentPoly):
-    """The names of f's variables but q, the distinct (variable, exponent) pairs of its
-    terms, and its terms as rows (exponent vector over the named variables, q exponent,
-    monomial, coefficient) sorted on (vector, q exponent), which no two share."""
-    pairs = {p for m in f._terms for p in m}
-    poly_vars = sorted({v for v, _ in pairs} - {QVAR})
-    index = {v: i for i, v in enumerate(poly_vars)}
-    blank = [0] * len(poly_vars)
-    rows = []
-    for m, c in f._terms.items():
-        q_exp, rest = _split_q(m)
-        vec = blank.copy()
-        for v, e in rest:
+def _canonical_terms(f: LaurentPoly):
+    """f's terms in canonical order: as stored when a builder proved that order, else
+    sorted on their exponent vectors over f's variables, then q, which no two share."""
+    if f._canonical:
+        return f._terms.items()
+    index = {v: i for i, v in enumerate([*sorted(f.variables()), QVAR])}
+
+    def key(term):
+        vec = [0] * len(index)
+        for v, e in term[0]:
             vec[index[v]] = e
-        rows.append((vec, q_exp, m, c))
-    rows.sort()
-    return {v: _var_name(v) for v in poly_vars}, pairs, rows
+        return vec
+
+    return sorted(f._terms.items(), key=key)
+
+
+class _Texts(dict):
+    """(variable, exponent) -> its text, made by fill on first use."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, pair):
+        text = self[pair] = self.fill(*pair)
+        return text
 
 
 def serialize_poly(f: LaurentPoly) -> str:
@@ -413,15 +422,19 @@ def serialize_poly(f: LaurentPoly) -> str:
     variables (X, then X_i_j, in index order), then by q exponent.
     "exps" lists a term's nonzero exponents only, in that variable order, and
     num/den is the coefficient in lowest terms with den > 0.
+
+    A polynomial from _tor_subset_sum (the Kottwitz functions, Frobenius traces and
+    Hecke-ring invariant generators) is written as built, with no sort: its docstring
+    proves that order canonical, so the bytes are those the sort gives.  Every other
+    polynomial, from act, an operator, parse_poly or from_terms, is sorted.
     """
-    names, pairs, rows = _canonical_rows(f)
-    keys = {v: json.dumps(name) for v, name in names.items()}
-    text = {(v, e): f"{keys[v]}:{e}" for v, e in pairs if v in keys}
+    text = _Texts(lambda v, e: f"{json.dumps(_var_name(v))}:{e}").__getitem__
     record = '{"q":%d,"num":%d,"den":%d,"exps":{%s}}'
-    return "[" + ",".join([
-        record % (q, c.numerator, c.denominator, ",".join(map(text.__getitem__, m[1:] if q else m)))
-        for _, q, m, c in rows
-    ]) + "]"
+    out = []
+    for m, c in _canonical_terms(f):
+        q, m = (m[0][1], m[1:]) if m and m[0][0] == QVAR else (0, m)  # QVAR sorts first
+        out.append(record % (q, c.numerator, c.denominator, ",".join(map(text, m))))
+    return "[" + ",".join(out) + "]"
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -448,13 +461,11 @@ def pretty(f: LaurentPoly) -> str:
     """Human-readable rendering, in the canonical term order."""
     if f.is_zero():
         return "0"
-    names, pairs, rows = _canonical_rows(f)
-    names[QVAR] = "q"  # first in a monomial, as in the rendering
-    text = {(v, e): names[v] if e == 1 else f"{names[v]}^{e}" for v, e in pairs}
+    text = _Texts(lambda v, e: ("q" if v == QVAR else _var_name(v)) + ("" if e == 1 else f"^{e}")).__getitem__
     parts = []
-    for _, _, m, c in rows:
+    for m, c in _canonical_terms(f):
         unit = m and c * c == 1
         factors = [] if unit else [str(c)]
-        factors.extend(map(text.__getitem__, m))
+        factors.extend(map(text, m))
         parts.append(("-" if unit and c == -1 else "") + "*".join(factors))
     return " + ".join(parts).replace("+ -", "- ")

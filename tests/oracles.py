@@ -13,7 +13,7 @@ from satkit.characters import (
     truncate_cohomology,
 )
 from satkit.laurent import (
-    QVAR, SIM, LaurentPoly, SubstitutionError, _check_exp, _mono, _split_q, _substitution_table, serialize_poly,
+    QVAR, SIM, LaurentPoly, SubstitutionError, _check_exp, _mono, _substitution_table, serialize_poly,
     symmetrize, tor,
 )
 from satkit.rootdata import (
@@ -158,12 +158,40 @@ def power_by_squaring(f, k):
     return out
 
 
+def _split_q(m):
+    """(q exponent, q-free rest) of a canonical monomial; QVAR sorts first."""
+    if m and m[0][0] == QVAR:
+        return m[0][1], m[1:]
+    return 0, m
+
+
 def _var_name(v):
     if v == SIM:
         return "X"
     if v[0] == "t":
         return f"X_{v[1]}_{v[2]}"
     raise ValueError(f"unnamed variable {v}")
+
+
+def serialize_by_sorting(f):
+    """laurent.serialize_poly as it was before builders could mark their terms as in
+    canonical order: every polynomial's terms get a dense exponent vector and are sorted."""
+    pairs = {p for m in f.terms() for p in m[0]}
+    poly_vars = sorted({v for v, _ in pairs} - {QVAR})
+    index = {v: i for i, v in enumerate(poly_vars)}
+    rows = []
+    for m, c in f.terms():
+        q_exp, rest = _split_q(m)
+        vec = [0] * len(poly_vars)
+        for v, e in rest:
+            vec[index[v]] = e
+        rows.append((vec, q_exp, rest, c))
+    rows.sort()
+    text = {(v, e): f"{json.dumps(_var_name(v))}:{e}" for v, e in pairs if v != QVAR}
+    record = '{"q":%d,"num":%d,"den":%d,"exps":{%s}}'
+    return "[" + ",".join(
+        record % (q, c.numerator, c.denominator, ",".join(map(text.__getitem__, rest))) for _, q, rest, c in rows
+    ) + "]"
 
 
 def _term_record(m, c):
@@ -187,6 +215,11 @@ def _terms_by_sort_key(f):
         return (tuple(d.get(v, 0) for v in poly_vars), q_exp)
 
     return sorted(f.terms(), key=key)
+
+
+def in_canonical_order(f):
+    """Whether f's terms are stored in the order serialize_by_sorting writes them."""
+    return list(f.terms()) == _terms_by_sort_key(f)
 
 
 def serialize_poly_by_records(f):

@@ -19,8 +19,10 @@ from oracles import (
     group_act,
     has_merged_terms,
     identity,
+    in_canonical_order,
     power_by_squaring,
     pretty_by_records,
+    serialize_by_sorting,
     serialize_poly_by_records,
     slots,
     sum_terms_by_addition,
@@ -147,6 +149,8 @@ def test_tor_subset_sum_adopts_what_merging_would_build(case):
     f, merged = _tor_subset_sum(head, factors), tor_subset_sum_by_merging(head, factors)
     assert f == merged and serialize_poly(f) == serialize_poly(merged)
     assert has_merged_terms(f)
+    # serialize_poly writes these terms as built, unsorted
+    assert in_canonical_order(f) and serialize_poly(f) == serialize_by_sorting(f)
 
 
 def is_exact_coefficient(c):
@@ -840,7 +844,7 @@ def form_polys(draw):
 )
 def test_serialize_and_pretty_match_the_record_oracle(f):
     text = serialize_poly(f)
-    assert text == serialize_poly_by_records(f)
+    assert text == serialize_poly_by_records(f) == serialize_by_sorting(f)
     assert pretty(f) == pretty_by_records(f)
     assert parse_poly(text) == f
 
@@ -882,6 +886,24 @@ def test_serialize_and_pretty_match_the_record_oracle(f):
 def test_parse_poly_refuses_non_integer_fields(record):
     with pytest.raises(ValueError):
         parse_poly(json.dumps([record]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(subset_sum_cases(), kernel_polys(VARS, exps=st.integers(-3, 3)), st.integers(0, 2))
+@example((((QVAR, 1), (SIM, -1)), [(range(1, 4), 1, 1)]), LaurentPoly.zero(), 2)
+def test_only_builders_mark_their_terms_as_in_canonical_order(case, g, k):
+    f = _tor_subset_sum(*case)
+    assert f._canonical and not g._canonical
+    text = serialize_poly(f)
+    assert parse_poly(text) == f and pretty(f) == pretty_by_records(f)
+    inverse = {v: (((v, -1),), -1) for v in f.variables() | g.variables()}
+    results = [
+        f + g, g + f, f - g, -f, f * g, f * 3, f ** (k if len(f) <= 16 else min(k, 1)), act(inverse, f),
+        symmetrize(f, [inverse]), parse_poly(text), LaurentPoly.from_terms(f.terms()), LaurentPoly(dict(f.terms())),
+    ]
+    for r in results:
+        assert not r._canonical
+        assert serialize_poly(r) == serialize_by_sorting(r) and pretty(r) == pretty_by_records(r)
 
 
 def test_parse_poly_accepts_wide_integers_and_a_missing_q():

@@ -161,6 +161,7 @@ def test_kottwitz_terms_are_canonical_as_built(case):
     for key, c in f.terms():
         assert key == _mono(key) and c == 1
     assert oracles.has_merged_terms(f)
+    assert oracles.in_canonical_order(f) and serialize_poly(f) == oracles.serialize_by_sorting(f)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -200,6 +201,7 @@ def test_levi_kottwitz_terms_are_canonical_as_built(case):
     for key, c in f.terms():
         assert key == _mono(key) and c == 1
     assert oracles.has_merged_terms(f)
+    assert oracles.in_canonical_order(f) and serialize_poly(f) == oracles.serialize_by_sorting(f)
 
 
 def test_builders_refuse_q_exponents_past_32_bits():
