@@ -103,17 +103,17 @@ def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Coeff]]) -> dict:
 class LaurentPoly:
     """Immutable Laurent polynomial; monomials map to int or Fraction coefficients (see _merge)."""
 
-    __slots__ = ("_terms", "_canonical")  # _canonical: _terms is in canonical order (see serialize_poly)
+    __slots__ = ("_terms", "_walk")  # _walk: the walk that built _terms, written row by row; None: sorted
 
     def __init__(self, terms: Optional[Mapping[Monomial, Coeff]] = None):
         self._terms = _merge({}, terms.items()) if terms else {}
-        self._canonical = False
+        self._walk = None
 
     @staticmethod
-    def _adopt(terms: dict, canonical: bool = False) -> "LaurentPoly":
+    def _adopt(terms: dict, walk: Optional[tuple] = None) -> "LaurentPoly":
         """Wrap a dict whose coefficients already are nonzero ints or non-integral Fractions."""
         p = LaurentPoly.__new__(LaurentPoly)
-        p._terms, p._canonical = terms, canonical
+        p._terms, p._walk = terms, walk
         return p
 
     # -- constructors ------------------------------------------------------
@@ -239,6 +239,11 @@ class LaurentPoly:
         return total
 
 
+def _subsets(items: list, k: int, e: int) -> list:
+    """The k-subsets of items, in the order _tor_subset_sum walks them: reversed for e > 0."""
+    return list(combinations(items, k))[:: -1 if e > 0 else 1]
+
+
 def _tor_subset_sum(head: Monomial, factors) -> LaurentPoly:
     """The sum, with coefficients 1, of head times one torus monomial per factor.  Factor i
     (from 1) is (slots, k, e), slots increasing, and gives tor(i, j)^e over j in each k-subset.
@@ -254,16 +259,17 @@ def _tor_subset_sum(head: Monomial, factors) -> LaurentPoly:
     subsets with the earlier factors' held.  Of two k-subsets in the lexicographic order
     of combinations, the earlier holds the first slot where they differ, so its block
     puts e there against 0: it is smaller when e < 0 and larger when e > 0, which is
-    why the subsets are walked in reverse for e > 0."""
-    monos, multiplier = [head], 1
+    why _subsets reverses them for e > 0.  The result keeps this walk for serialize_poly:
+    (head, (pairs, k, e) per factor with e != 0 and k >= 1)."""
+    monos, multiplier, walk = [head], 1, []
     for i, (slots, k, e) in enumerate(factors, 1):
         _check_exp(e if k else 0)  # an exponent no term carries is not checked
-        if e:
-            subsets = list(combinations([(tor(i, j), e) for j in slots], k))[:: -1 if e > 0 else 1]
-            monos = [m + js for m in monos for js in subsets]
+        if e and k:
+            walk.append(([(tor(i, j), e) for j in slots], k, e))
+            monos = [m + js for m in monos for js in _subsets(*walk[-1])]
         else:
             multiplier *= comb(len(slots), k)
-    return LaurentPoly._adopt(dict.fromkeys(monos, multiplier) if multiplier else {}, canonical=True)
+    return LaurentPoly._adopt(dict.fromkeys(monos, multiplier) if multiplier else {}, (head, walk))
 
 
 # -- substitution -----------------------------------------------------------
@@ -391,7 +397,7 @@ def _parse_name(name: str) -> Var:
 def _canonical_terms(f: LaurentPoly):
     """f's terms in canonical order: as stored when a builder proved that order, else
     sorted on their exponent vectors over f's variables, then q, which no two share."""
-    if f._canonical:
+    if f._walk:
         return f._terms.items()
     index = {v: i for i, v in enumerate([*sorted(f.variables()), QVAR])}
 
@@ -424,11 +430,22 @@ def serialize_poly(f: LaurentPoly) -> str:
     num/den is the coefficient in lowest terms with den > 0.
 
     A polynomial from _tor_subset_sum (the Kottwitz functions, Frobenius traces and
-    Hecke-ring invariant generators) is written as built, with no sort: its docstring
-    proves that order canonical, so the bytes are those the sort gives.  Every other
-    polynomial, from act, an operator, parse_poly or from_terms, is sorted.
+    Hecke-ring invariant generators) is written row by row from its walk, unsorted: one
+    text per slot, one join per subset, rows by the product that built the monomials, in
+    the order its docstring proves canonical.  Every other polynomial, from act, an
+    operator, parse_poly or from_terms, is sorted.
     """
     text = _Texts(lambda v, e: f"{json.dumps(_var_name(v))}:{e}").__getitem__
+    if f._walk and f._terms:  # the zero polynomial, [], has no row
+        head, walk = f._walk
+        q, head = (head[0][1], head[1:]) if head and head[0][0] == QVAR else (0, head)
+        prefix = '{"q":%d,"num":%d,"den":1,"exps":{' % (q, next(iter(f._terms.values())))
+        rows, sep = [prefix + ",".join(map(text, head))], "," if head else ""  # "," once a pair is written
+        for pairs, k, e in walk:
+            joined = [sep + ",".join(js) for js in _subsets(list(map(text, pairs)), k, e)]
+            rows, sep = [r + js for r in rows for js in joined], ","
+            del joined  # only the rows stay alive into the join
+        return "[" + "}},".join(rows) + "}}]"
     record = '{"q":%d,"num":%d,"den":%d,"exps":{%s}}'
     out = []
     for m, c in _canonical_terms(f):

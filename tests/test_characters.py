@@ -809,7 +809,7 @@ def test_weyl_character_terms_are_canonical_as_built(lam):
     assert oracles.has_merged_terms(f)
     # the branching builds its terms in canonical order on every weight tried, but no
     # proof covers that yet, so serialize_poly still sorts them
-    assert oracles.in_canonical_order(f) and not f._canonical
+    assert oracles.in_canonical_order(f) and not f._walk
     assert serialize_poly(f) == oracles.serialize_by_sorting(f)
 
 

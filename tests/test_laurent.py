@@ -144,12 +144,18 @@ def subset_sum_cases(draw):
 @example(((), [(range(1, 4), 2, 0), (range(2, 4), 1, 0)]))  # every term is the head, 3 * 2 times
 @example((((QVAR, 1),), [(range(1, 3), 3, -1), (range(1, 3), 1, 0)]))  # k past the slots
 @example((((SIM, -1),), [(range(2, 5), 2, 2), (range(1, 3), 1, 0), (range(1, 2), 1, -3)]))
+# the comma edges of serialize_poly's rows: no leading comma after an empty head and a
+# factor with k = 0, no trailing one before such a factor, a head-only row, no row at all
+@example(((), [(range(1, 3), 0, 2), (range(1, 4), 2, -1)]))
+@example((((QVAR, 1),), [(range(1, 4), 1, 1), (range(2, 4), 0, -1)]))
+@example((((QVAR, -2), (SIM, 1)), [(range(1, 4), 1, 0), (range(2, 4), 2, 0)]))
+@example((((SIM, 1),), [(range(1, 4), 2, 1), (range(1, 3), 3, 0)]))  # multiplier C(2, 3) = 0
 def test_tor_subset_sum_adopts_what_merging_would_build(case):
     head, factors = case
     f, merged = _tor_subset_sum(head, factors), tor_subset_sum_by_merging(head, factors)
     assert f == merged and serialize_poly(f) == serialize_poly(merged)
     assert has_merged_terms(f)
-    # serialize_poly writes these terms as built, unsorted
+    # serialize_poly writes these terms row by row from the walk, unsorted
     assert in_canonical_order(f) and serialize_poly(f) == serialize_by_sorting(f)
 
 
@@ -893,7 +899,7 @@ def test_parse_poly_refuses_non_integer_fields(record):
 @example((((QVAR, 1), (SIM, -1)), [(range(1, 4), 1, 1)]), LaurentPoly.zero(), 2)
 def test_only_builders_mark_their_terms_as_in_canonical_order(case, g, k):
     f = _tor_subset_sum(*case)
-    assert f._canonical and not g._canonical
+    assert f._walk and not g._walk
     text = serialize_poly(f)
     assert parse_poly(text) == f and pretty(f) == pretty_by_records(f)
     inverse = {v: (((v, -1),), -1) for v in f.variables() | g.variables()}
@@ -902,7 +908,7 @@ def test_only_builders_mark_their_terms_as_in_canonical_order(case, g, k):
         symmetrize(f, [inverse]), parse_poly(text), LaurentPoly.from_terms(f.terms()), LaurentPoly(dict(f.terms())),
     ]
     for r in results:
-        assert not r._canonical
+        assert not r._walk
         assert serialize_poly(r) == serialize_by_sorting(r) and pretty(r) == pretty_by_records(r)
 
 
