@@ -103,17 +103,19 @@ def _merge(out: dict, pairs: Iterable[Tuple[Monomial, Coeff]]) -> dict:
 class LaurentPoly:
     """Immutable Laurent polynomial; monomials map to int or Fraction coefficients (see _merge)."""
 
-    __slots__ = ("_terms", "_walk")  # _walk: the walk that built _terms, written row by row; None: sorted
+    # _walk: None, sorted when written; or, in a _WalkedPoly, the walk of _tor_subset_sum,
+    # (head, multiplier, (pairs, k, e) per walked factor), written row by row
+    __slots__ = ("_terms", "_walk")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Coeff]] = None):
         self._terms = _merge({}, terms.items()) if terms else {}
         self._walk = None
 
     @staticmethod
-    def _adopt(terms: dict, walk: Optional[tuple] = None) -> "LaurentPoly":
+    def _adopt(terms: dict) -> "LaurentPoly":
         """Wrap a dict whose coefficients already are nonzero ints or non-integral Fractions."""
         p = LaurentPoly.__new__(LaurentPoly)
-        p._terms, p._walk = terms, walk
+        p._terms, p._walk = terms, None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -227,13 +229,24 @@ class LaurentPoly:
         return f"LaurentPoly({pretty(self)!r})"
 
     def evaluate(self, assign: Mapping[Var, Fraction]) -> Fraction:
-        """Evaluate at exact rational values (every variable incl. q needs a value)."""
+        """Evaluate at exact rational values, an int or a Fraction for every variable incl. q.
+
+        Before any term is evaluated, a missing value raises KeyError, and a value that is
+        a float or a bool, or 0 where the variable has a negative exponent, ValueError.
+        """
+        for m in self._terms:
+            for v, e in m:
+                if v not in assign:
+                    raise KeyError(f"no value for variable {v}")
+                x = assign[v]
+                if type(x) is not int and type(x) is not Fraction:
+                    raise ValueError(f"the value {x!r} of variable {v} is not an int or a Fraction")
+                if e < 0 and x == 0:
+                    raise ValueError(f"variable {v} has exponent {e} and cannot take the value 0")
         total = Fraction(0)
         for m, c in self._terms.items():
             val = c
             for v, e in m:
-                if v not in assign:
-                    raise KeyError(f"no value for variable {v}")
                 val *= Fraction(assign[v]) ** e
             total += val
         return total
@@ -244,32 +257,56 @@ def _subsets(items: list, k: int, e: int) -> list:
     return list(combinations(items, k))[:: -1 if e > 0 else 1]
 
 
+class _WalkedPoly(LaurentPoly):
+    """A polynomial from _tor_subset_sum: its _terms slot stays unset until first read.
+    CPython reads the attributes of a class with a __getattr__ by a slower path, so only
+    this subclass has one, and every other polynomial keeps plain slot reads."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        """Build the unset _terms from the walk; Python calls this only for a missing attribute."""
+        if name != "_terms":
+            raise AttributeError(f"'LaurentPoly' object has no attribute {name!r}")
+        head, multiplier, walk = self._walk  # unset: AttributeError, from this method
+        monos = [head]
+        for pairs, k, e in walk:
+            monos = [m + js for m in monos for js in _subsets(pairs, k, e)]
+        self._terms = dict.fromkeys(monos, multiplier) if multiplier else {}
+        return self._terms
+
+
 def _tor_subset_sum(head: Monomial, factors) -> LaurentPoly:
     """The sum, with coefficients 1, of head times one torus monomial per factor.  Factor i
     (from 1) is (slots, k, e), slots increasing, and gives tor(i, j)^e over j in each k-subset.
 
-    Every term is built once and adopted, not merged: head's variables sort before
-    these, so every monomial is canonical as built, and distinct k-subsets of factors
-    with e != 0 give distinct monomials.  A factor with e = 0 only scales every term by
-    its C(len(slots), k) subsets, so each coefficient is one positive int (or all are 0,
-    the zero polynomial, when some k exceeds its slots).
+    The result keeps only its walk, (head, multiplier, (pairs, k, e) per factor with e != 0
+    and k >= 1); serialize_poly writes its rows from the walk, and _WalkedPoly.__getattr__
+    builds its terms from it when they are first read.  Every exponent is checked here.
+    Both walk one nested product over _subsets, each walked factor's subsets with the
+    earlier factors' held.  The terms are adopted, not merged: head's variables sort
+    before these, so every monomial is canonical as built, and distinct k-subsets of factors
+    with e != 0 give distinct monomials.  A factor with e = 0 or k = 0 only scales every
+    term by its C(len(slots), k) subsets, so each coefficient is the one positive int
+    multiplier; it is 0, the zero polynomial, when some k exceeds its slots.
 
     The terms also come in canonical order.  All share the head; the block of factor i,
-    its tor(i, j), sorts after those of earlier factors, and the terms walk each factor's
-    subsets with the earlier factors' held.  Of two k-subsets in the lexicographic order
+    its tor(i, j), sorts after those of earlier factors, and the product holds the earlier
+    factors' subsets while it walks factor i's.  Of two k-subsets in the lexicographic order
     of combinations, the earlier holds the first slot where they differ, so its block
     puts e there against 0: it is smaller when e < 0 and larger when e > 0, which is
-    why _subsets reverses them for e > 0.  The result keeps this walk for serialize_poly:
-    (head, (pairs, k, e) per factor with e != 0 and k >= 1)."""
-    monos, multiplier, walk = [head], 1, []
+    why _subsets reverses them for e > 0."""
+    multiplier, walk = 1, []
     for i, (slots, k, e) in enumerate(factors, 1):
         _check_exp(e if k else 0)  # an exponent no term carries is not checked
         if e and k:
             walk.append(([(tor(i, j), e) for j in slots], k, e))
-            monos = [m + js for m in monos for js in _subsets(*walk[-1])]
+            multiplier *= k <= len(slots)  # no subset, no term
         else:
             multiplier *= comb(len(slots), k)
-    return LaurentPoly._adopt(dict.fromkeys(monos, multiplier) if multiplier else {}, (head, walk))
+    p = _WalkedPoly.__new__(_WalkedPoly)
+    p._walk = (head, multiplier, walk)
+    return p
 
 
 # -- substitution -----------------------------------------------------------
@@ -430,16 +467,19 @@ def serialize_poly(f: LaurentPoly) -> str:
     num/den is the coefficient in lowest terms with den > 0.
 
     A polynomial from _tor_subset_sum (the Kottwitz functions, Frobenius traces and
-    Hecke-ring invariant generators) is written row by row from its walk, unsorted: one
-    text per slot, one join per subset, rows by the product that built the monomials, in
-    the order its docstring proves canonical.  Every other polynomial, from act, an
-    operator, parse_poly or from_terms, is sorted.
+    Hecke-ring invariant generators) is written row by row from its walk alone, unsorted,
+    and its terms are not built: one text per slot, one join per subset, rows by the
+    product that builds the monomials, in the order its docstring proves canonical, each
+    with the walk's multiplier as num.  Every other polynomial, from act, an operator,
+    parse_poly or from_terms, is sorted.
     """
     text = _Texts(lambda v, e: f"{json.dumps(_var_name(v))}:{e}").__getitem__
-    if f._walk and f._terms:  # the zero polynomial, [], has no row
-        head, walk = f._walk
+    if f._walk:
+        head, num, walk = f._walk
+        if not num:
+            return "[]"  # the zero polynomial has no row
         q, head = (head[0][1], head[1:]) if head and head[0][0] == QVAR else (0, head)
-        prefix = '{"q":%d,"num":%d,"den":1,"exps":{' % (q, next(iter(f._terms.values())))
+        prefix = '{"q":%d,"num":%d,"den":1,"exps":{' % (q, num)
         rows, sep = [prefix + ",".join(map(text, head))], "," if head else ""  # "," once a pair is written
         for pairs, k, e in walk:
             joined = [sep + ",".join(js) for js in _subsets(list(map(text, pairs)), k, e)]

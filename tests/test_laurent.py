@@ -1,6 +1,7 @@
 """Ring laws, group actions, symmetrization and the canonical JSON form."""
 
 import ast
+import copy
 import json
 import os
 import random
@@ -56,9 +57,11 @@ from satkit.laurent import (
     _mono,
     _substitution_table,
     _tor_subset_sum,
+    _WalkedPoly,
 )
-from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext
-from satkit.satake import HeckeRing, transfer_map, twisted_transfer_map
+from satkit.characters import frobenius_trace
+from satkit.rootdata import EndoTriple, GroupDatum, PlaceContext, SignedGroupDatum
+from satkit.satake import HeckeRing, kottwitz_function, levi_kottwitz_function, transfer_map, twisted_transfer_map
 
 VARS = [SIM, tor(1, 1), tor(1, 2), tor(2, 1)]
 
@@ -152,11 +155,74 @@ def subset_sum_cases(draw):
 @example((((SIM, 1),), [(range(1, 4), 2, 1), (range(1, 3), 3, 0)]))  # multiplier C(2, 3) = 0
 def test_tor_subset_sum_adopts_what_merging_would_build(case):
     head, factors = case
-    f, merged = _tor_subset_sum(head, factors), tor_subset_sum_by_merging(head, factors)
-    assert f == merged and serialize_poly(f) == serialize_poly(merged)
-    assert has_merged_terms(f)
-    # serialize_poly writes these terms row by row from the walk, unsorted
-    assert in_canonical_order(f) and serialize_poly(f) == serialize_by_sorting(f)
+    merged = tor_subset_sum_by_merging(head, factors)
+    # serialize_poly writes the rows from the walk alone, unsorted; the terms are built when
+    # first read.  Either may come first: written, then read ...
+    f = _tor_subset_sum(head, factors)
+    text = serialize_poly(f)
+    assert text == serialize_poly(merged) == serialize_by_sorting(merged)
+    assert f == merged and has_merged_terms(f) and in_canonical_order(f)
+    assert f.is_zero() == (text == "[]") and len(f) == len(merged)
+    # ... and read, then written
+    g = _tor_subset_sum(head, factors)
+    assert g == merged and has_merged_terms(g) and in_canonical_order(g)
+    assert serialize_poly(g) == text and serialize_by_sorting(g) == text
+    # a copy of an unread walk reads the same terms
+    h = _tor_subset_sum(head, factors)
+    assert copy.copy(h) == h == merged
+
+
+def _built(f):
+    """Whether f's term dict exists: a walked polynomial leaves the _terms slot unset."""
+    try:
+        LaurentPoly._terms.__get__(f, LaurentPoly)
+    except AttributeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: kottwitz_function(GroupDatum((5, 3)), (2, 1), PlaceContext(split=True, d=2)),
+        lambda: levi_kottwitz_function(GroupDatum((9,)), 2, 5, PlaceContext(split=True, d=1)),  # subset sum
+        lambda: levi_kottwitz_function(GroupDatum((9,)), 2, 8, PlaceContext(split=True, d=1)),  # one monomial
+        lambda: frobenius_trace(SignedGroupDatum(((2, 1), (1, 2))), 2, PlaceContext(split=False, d=1)),
+    ],
+    ids=["kottwitz", "levi-subsets", "levi-monomial", "frobenius"],
+)
+def test_serialize_poly_builds_no_term_dict(build):
+    f = build()
+    text = serialize_poly(f)
+    assert not _built(f)
+    assert parse_poly(text) == f and _built(f)
+    assert serialize_poly(f) == text
+
+
+def test_only_a_walk_builds_terms_on_read():
+    f = _tor_subset_sum(((SIM, 1),), [(range(1, 3), 1, 1)])
+    with pytest.raises(AttributeError, match="bogus"):
+        f.bogus
+    assert not hasattr(f, "__setstate__") and not _built(f)
+    with pytest.raises(AttributeError, match="_walk"):  # neither slot set
+        _WalkedPoly.__new__(_WalkedPoly)._terms
+    assert not LaurentPoly.var(SIM)._walk and not hasattr(LaurentPoly, "__getattr__")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(0.1, "not an int or a Fraction"), (True, "not an int or a Fraction"), (0, "cannot take the value 0")],
+    ids=["float", "bool", "zero-at-negative-exponent"],
+)
+def test_evaluate_refuses_a_value_that_is_not_exact_or_not_invertible(value, message):
+    # the bad value sits in the second term, after a term that evaluates
+    f = LaurentPoly.var(QVAR, 2) + LaurentPoly.monomial({SIM: -1, tor(1, 1): 2})
+    with pytest.raises(ValueError, match=r"variable \('s',\).*" + message):
+        f.evaluate({QVAR: Fraction(1), SIM: value, tor(1, 1): Fraction(2)})
+    with pytest.raises(ValueError, match=r"variable \('s',\)"):
+        LaurentPoly.var(SIM, -1).evaluate({SIM: value})
+    assert LaurentPoly.var(SIM, 2).evaluate({SIM: 0}) == 0 == LaurentPoly.var(SIM).evaluate({SIM: Fraction(0)})
+    assert LaurentPoly.var(SIM, -2).evaluate({SIM: 3}) == Fraction(1, 9)
 
 
 def is_exact_coefficient(c):
